@@ -49,7 +49,6 @@ class ClusterStatus(Enum):
 @dataclass
 class ClusterVerdict:
     payload: Payload
-    members: list[tuple[bytes, bytes]]  # (pk, sign), sorted by pk
     status: ClusterStatus
     reports: list[DataTransaction]
 
@@ -161,7 +160,6 @@ def judge_clusters(clusters: list[list[DataTransaction]],
     exact size tie across kinds means no plurality exists and the tied
     clusters are merely uncorroborated.
     """
-    verdicts: list[ClusterVerdict] = []
     prepared = []
     for c in clusters:
         med = _medoid(c)
@@ -201,12 +199,8 @@ def judge_clusters(clusters: list[list[DataTransaction]],
                              if len(cluster) >= policy.min_corroboration
                              else ClusterStatus.LONE_REPORT)
 
-    for idx, (payload, cluster) in enumerate(prepared):
-        members = sorted(((r.pk, r.vehicle_sign) for r in cluster),
-                         key=lambda m: m[0])
-        verdicts.append(ClusterVerdict(payload=payload, members=members,
-                                       status=status[idx], reports=cluster))
-    return verdicts
+    return [ClusterVerdict(payload=payload, status=status[idx], reports=cluster)
+            for idx, (payload, cluster) in enumerate(prepared)]
 
 
 def _exact_payload_groups(reports: list[DataTransaction]

@@ -180,6 +180,20 @@ def append_block(scheme: SignatureScheme, ledger: Ledger,
         verdict = miner_admit(scheme, tx, policy, ledger.rsi_region)
         if not verdict.accepted:
             raise AdmissionError(f"unadmitted transaction: {verdict.reason}")
+    return _link(ledger, txs, ts)
+
+
+def append_admitted(scheme: SignatureScheme, ledger: Ledger,
+                    candidates: list[ChainedTx], ts: int,
+                    policy: MinerPolicy) -> Block | None:
+    """Admit each candidate once and chain the admitted ones in input
+    order; with none admitted, return None and leave the ledger as it is."""
+    admitted = [tx for tx in candidates
+                if miner_admit(scheme, tx, policy, ledger.rsi_region).accepted]
+    return _link(ledger, admitted, ts) if admitted else None
+
+
+def _link(ledger: Ledger, txs: list[ChainedTx], ts: int) -> Block:
     prev = ledger.tip
     block = Block.make(height=prev.height + 1, prev_hash=prev.block_hash,
                        timestamp=ts, txs=tuple(txs))

@@ -15,7 +15,6 @@ used.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 from .crypto import Certificate, KeyPair, SignatureScheme, sha256, verify_certificate
@@ -35,6 +34,7 @@ from .txmodel import (
     SmartContract,
     access_requester_signing_bytes,
     access_ruletable_signing_bytes,
+    cell_of,
     contract_signing_bytes,
     data_request_signing_bytes,
     grant_signing_bytes,
@@ -42,7 +42,6 @@ from .txmodel import (
 
 INDEX_CELL_M = 500.0
 INDEX_BUCKET_MS = 60_000
-METERS_PER_DEGREE = 111_320.0
 
 
 class CertError(ValueError):
@@ -93,25 +92,19 @@ def _payload_size(payload: Payload) -> int:
     return len(w.getvalue())
 
 
-def _index_key(payload: Payload) -> tuple[int, int, int]:
-    y = payload.loc.lat_micro / 1e6 * METERS_PER_DEGREE
-    x = payload.loc.lon_micro / 1e6 * METERS_PER_DEGREE
-    return (math.floor(y / INDEX_CELL_M), math.floor(x / INDEX_CELL_M),
-            payload.timestamp // INDEX_BUCKET_MS)
-
-
 @dataclass
 class DataDirectory:
     region_id: str
     records: list[Record] = field(default_factory=list)
-    # (cell_row, cell_col, bucket, kind_code) -> record ids
-    index: dict[tuple[int, int, int, int], list[int]] = field(default_factory=dict)
+    # (cell_row, cell_col, bucket, kind_code) -> records, in id order
+    index: dict[tuple[int, int, int, int], list[Record]] = field(default_factory=dict)
 
     def add(self, record: Record) -> None:
         self.records.append(record)
-        row, col, bucket = _index_key(record.payload)
-        key = (row, col, bucket, record.payload.event.code)
-        self.index.setdefault(key, []).append(record.record_id)
+        p = record.payload
+        row, col = cell_of(p.loc, INDEX_CELL_M)
+        key = (row, col, p.timestamp // INDEX_BUCKET_MS, p.event.code)
+        self.index.setdefault(key, []).append(record)
 
 
 @dataclass
@@ -314,49 +307,24 @@ class RuleTable:
     def query_availability(self, area_min: GeoPoint, area_max: GeoPoint,
                            from_ms: int, to_ms: int) -> tuple[int, int]:
         """Exact (record count, byte volume) in an area/period; no payloads."""
+        # cell_of is monotone in each coordinate, so every record inside the
+        # area/period sits under a key within these cell and bucket bounds
+        row_min, col_min = cell_of(area_min, INDEX_CELL_M)
+        row_max, col_max = cell_of(area_max, INDEX_CELL_M)
+        bucket_min = from_ms // INDEX_BUCKET_MS
+        bucket_max = (to_ms - 1) // INDEX_BUCKET_MS
         count = 0
         volume = 0
         for directory in self.directories.values():
-            for key, rids in directory.index.items():
-                row, col, bucket, _kind = key
-                if not self._cell_may_intersect(row, col, bucket,
-                                                area_min, area_max,
-                                                from_ms, to_ms):
+            for (row, col, bucket, _kind), records in directory.index.items():
+                if not (row_min <= row <= row_max and col_min <= col <= col_max
+                        and bucket_min <= bucket <= bucket_max):
                     continue
-                for rid in rids:
-                    r = directory.records[self._local_index(directory, rid)]
+                for r in records:
                     if self._in_area(r.payload, area_min, area_max, from_ms, to_ms):
                         count += 1
                         volume += r.size_bytes
         return count, volume
-
-    @staticmethod
-    def _local_index(directory: DataDirectory, record_id: int) -> int:
-        # records keep global ids; directories append in id order
-        lo, hi = 0, len(directory.records)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if directory.records[mid].record_id < record_id:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    @staticmethod
-    def _cell_may_intersect(row: int, col: int, bucket: int,
-                            area_min: GeoPoint, area_max: GeoPoint,
-                            from_ms: int, to_ms: int) -> bool:
-        if (bucket + 1) * INDEX_BUCKET_MS <= from_ms or bucket * INDEX_BUCKET_MS >= to_ms:
-            return False
-        y_min = area_min.lat_micro / 1e6 * METERS_PER_DEGREE
-        y_max = area_max.lat_micro / 1e6 * METERS_PER_DEGREE
-        x_min = area_min.lon_micro / 1e6 * METERS_PER_DEGREE
-        x_max = area_max.lon_micro / 1e6 * METERS_PER_DEGREE
-        if (row + 1) * INDEX_CELL_M < y_min or row * INDEX_CELL_M > y_max:
-            return False
-        if (col + 1) * INDEX_CELL_M < x_min or col * INDEX_CELL_M > x_max:
-            return False
-        return True
 
     @staticmethod
     def _in_area(payload: Payload, area_min: GeoPoint, area_max: GeoPoint,

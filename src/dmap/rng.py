@@ -9,7 +9,6 @@ if per-region processing is ever parallelized.
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 
 _U64_MAX = 2**64 - 1
@@ -58,19 +57,3 @@ class CounterRng:
             u = self.u64()
             if u < limit:
                 return low + u % span
-
-    def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        # Box-Muller; one fresh pair per call keeps streams stateless-ish
-        u1 = self.uniform()
-        u2 = self.uniform()
-        while u1 == 0.0:
-            u1 = self.uniform()
-        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-        return mu + sigma * z
-
-    def gauss_truncated(self, mu: float, sigma: float, bound: float) -> float:
-        """Gaussian draw clamped-by-rejection to |x - mu| <= bound."""
-        while True:
-            x = self.gauss(mu, sigma)
-            if abs(x - mu) <= bound:
-                return x

@@ -19,10 +19,10 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any
 
-from . import edge, ledger as ledger_mod, market, txmodel
+from . import edge, txmodel
 from .crypto import KEYED_HASH, KeyPair, SignatureScheme, issue_certificate, sha256
 from .edge import ConsistencyPolicy, RegionStats, RsiState
-from .ledger import Ledger, MinerPolicy, append_block, genesis, miner_admit, validate_chain
+from .ledger import Ledger, MinerPolicy, append_admitted, genesis, miner_admit, validate_chain
 from .market import AccessResult, RuleTable, build_access_tx, build_data_request, create_contract
 from .rng import CounterRng
 from .txmodel import (
@@ -43,7 +43,6 @@ from .txmodel import (
 )
 
 TICK_MS = 100
-METERS_PER_DEGREE = txmodel.METERS_PER_DEGREE
 
 STRATEGY_FABRICATE = "FabricateEvent"
 STRATEGY_SUPPRESS = "SuppressReports"
@@ -61,14 +60,9 @@ class InvariantViolation(RuntimeError):
     pass
 
 
-def _xy_to_geo(x: float, y: float) -> GeoPoint:
-    return GeoPoint(lat_micro=round(y / METERS_PER_DEGREE * 1e6),
-                    lon_micro=round(x / METERS_PER_DEGREE * 1e6))
-
-
 def _geo_to_xy(loc: GeoPoint) -> tuple[float, float]:
-    return (loc.lon_micro / 1e6 * METERS_PER_DEGREE,
-            loc.lat_micro / 1e6 * METERS_PER_DEGREE)
+    return (loc.lon_micro / 1e6 * txmodel.METERS_PER_DEGREE,
+            loc.lat_micro / 1e6 * txmodel.METERS_PER_DEGREE)
 
 
 def region_name(row: int, col: int) -> str:
@@ -537,21 +531,18 @@ class World:
                 self.handover_count += 1
                 edge.handover(v, after, self.rsis)
 
+    def _close_region(self, region: str) -> None:
+        """Close the region's window, chain what miners admit, store it."""
+        txs = edge.close_window(self.scheme, self.rsis[region], self.consistency)
+        block = append_admitted(self.scheme, self.ledgers[region], txs,
+                                self.clock_ms, self.policy)
+        if block is not None:
+            for tx in block.txs:
+                self.rule_table.store_record(tx)
+
     def _window_boundary(self) -> None:
         for region in sorted(self.rsis):
-            rsi = self.rsis[region]
-            txs = edge.close_window(self.scheme, rsi, self.consistency)
-            accepted = []
-            for tx in txs:
-                verdict = miner_admit(self.scheme, tx, self.policy, region)
-                if verdict.accepted:
-                    accepted.append(tx)
-            if accepted:
-                block = append_block(self.scheme, self.ledgers[region],
-                                     accepted, self.clock_ms, self.policy)
-                for tx in block.txs:
-                    if isinstance(tx, RsiTransaction):
-                        self.rule_table.store_record(tx)
+            self._close_region(region)
         for v in self.vehicles:
             if v.pending_region is not None:
                 v.assoc_region = v.pending_region
@@ -676,21 +667,10 @@ class World:
             self.step()
         for region in sorted(self.rsis):
             if self.rsis[region].window.reports:
-                self._flush_final_window(region)
+                self._close_region(region)
         self._finished = True
         self.sweep_invariants()
         return self.compute_metrics()
-
-    def _flush_final_window(self, region: str) -> None:
-        rsi = self.rsis[region]
-        txs = edge.close_window(self.scheme, rsi, self.consistency)
-        accepted = [tx for tx in txs
-                    if miner_admit(self.scheme, tx, self.policy, region).accepted]
-        if accepted:
-            append_block(self.scheme, self.ledgers[region], accepted,
-                         self.clock_ms, self.policy)
-            for tx in accepted:
-                self.rule_table.store_record(tx)
 
     # -- metrics & sweeps -------------------------------------------------------
 
@@ -845,10 +825,6 @@ class World:
 def load_scenario(config: ScenarioConfig,
                   scheme: SignatureScheme = KEYED_HASH) -> World:
     return World(config, scheme)
-
-
-def run(world: World) -> dict:
-    return world.run()
 
 
 def metrics_to_json(metrics: dict) -> str:

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -149,8 +151,13 @@ class TestEncodeFixtures:
 
 def test_module_invocation_smoke(tmp_path):
     path = make_dump(tmp_path)
+    # the child imports the same dmap package as this process, also when
+    # that one was found through pytest's own pythonpath setting
+    package_root = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-m", "dmap.cli",
                            "validate", "--ledger", str(path)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "ok:" in proc.stdout

@@ -1,10 +1,11 @@
+import collections
 import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from dmap.crypto import KEYED_HASH, ZERO_DIGEST, issue_certificate, sha256
+from dmap.crypto import KEYED_HASH, ZERO_DIGEST, SignatureScheme, issue_certificate, sha256
 from dmap.encoding import canonical_encode
 from dmap.ledger import (
     AdmissionError,
@@ -12,6 +13,7 @@ from dmap.ledger import (
     EmptyBlockError,
     Ledger,
     MinerPolicy,
+    append_admitted,
     append_block,
     dump_ledger,
     genesis,
@@ -108,6 +110,79 @@ class TestAppendBlock:
         with pytest.raises(AdmissionError):
             append_block(scheme, genesis("r0_c0"),
                          [make_tx(rsi_key, flag=0)], 1000, policy)
+
+
+class CountingScheme(SignatureScheme):
+    """Keyed-hash scheme that counts verify calls per public key."""
+
+    name = "counting"
+
+    def __init__(self):
+        self.verified = collections.Counter()
+
+    def generate_keypair(self, seed):
+        return scheme.generate_keypair(seed)
+
+    def sign(self, secret, message):
+        return scheme.sign(secret, message)
+
+    def verify(self, public, message, signature):
+        self.verified[public] += 1
+        return scheme.verify(public, message, signature)
+
+
+class TestAppendAdmitted:
+    @pytest.fixture
+    def batch(self, setup):
+        """flag-1, flag-0, another region's aggregate, flag-1."""
+        ca, rsi_key, policy = setup
+        other = key("rsi-other")
+        policy.cert_registry[other.public] = issue_certificate(
+            scheme, ca, other.public, "r1_c1")
+        return policy, [
+            make_tx(rsi_key, ts=100, labels=("a1", "b1")),
+            make_tx(rsi_key, ts=200, flag=0, labels=("a2", "b2")),
+            make_tx(other, ts=300, labels=("a3", "b3")),
+            make_tx(rsi_key, ts=400, labels=("a4", "b4")),
+        ]
+
+    def test_mixed_batch_chains_admitted_in_input_order(self, batch):
+        policy, txs = batch
+        ledger = genesis("r0_c0")
+        block = append_admitted(scheme, ledger, txs, 1000, policy)
+        assert block is ledger.tip
+        assert block.height == 1
+        assert block.txs == (txs[0], txs[3])
+        assert validate_chain(ledger).ok
+
+    def test_same_block_as_append_block_over_admitted(self, batch):
+        policy, txs = batch
+        via_admitted = genesis("r0_c0")
+        via_strict = genesis("r0_c0")
+        append_admitted(scheme, via_admitted, txs, 1000, policy)
+        append_block(scheme, via_strict, [txs[0], txs[3]], 1000, policy)
+        assert via_admitted.tip == via_strict.tip
+
+    def test_all_rejected_returns_none_and_leaves_ledger(self, batch):
+        policy, txs = batch
+        ledger = genesis("r0_c0")
+        tip = ledger.tip
+        assert append_admitted(scheme, ledger, txs[1:3], 1000, policy) is None
+        assert append_admitted(scheme, ledger, [], 1000, policy) is None
+        assert ledger.tip is tip
+
+    def test_member_signatures_verified_once(self, batch):
+        policy, txs = batch
+        counting = CountingScheme()
+        append_admitted(counting, genesis("r0_c0"), txs, 1000, policy)
+        in_region = [txs[0], txs[1], txs[3]]
+        for tx in in_region:
+            for pk in tx.vehicle_pks:
+                assert counting.verified[pk] == 1
+        # the misdirected aggregate is refused on its certificate's region
+        # before any signature check
+        for pk in txs[2].vehicle_pks:
+            assert counting.verified[pk] == 0
 
 
 def oracle_validate(ledger: Ledger):
