@@ -6,8 +6,8 @@ Subcommands:
   encode-fixtures write the reference hex fixtures for the wire format
 
 Exit codes: 0 success, 1 tampered ledger, 2 invariant violation during a
-run, 64 missing/unreadable input, 65 invalid scenario field, 73
-unwritable output path.
+run, 64 missing/unreadable input, 65 invalid scenario field or DMAP_SEED,
+73 unwritable output path.
 """
 
 from __future__ import annotations
@@ -70,7 +70,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     seed = args.seed
     if seed is None and "DMAP_SEED" in os.environ:
-        seed = int(os.environ["DMAP_SEED"])
+        try:
+            seed = int(os.environ["DMAP_SEED"])
+        except ValueError:
+            print(f"invalid DMAP_SEED {os.environ['DMAP_SEED']!r}: "
+                  "must be an integer", file=sys.stderr)
+            return EXIT_BADCONFIG
     if seed is not None:
         raw["seed"] = seed
 

@@ -23,6 +23,7 @@ from .txmodel import (
     canonical_encode,
     cell_of,
     distance_m,
+    payload_bytes,
     verify_data_tx,
 )
 
@@ -51,6 +52,8 @@ class ClusterVerdict:
     payload: Payload
     status: ClusterStatus
     reports: list[DataTransaction]
+    # `reports` grouped by exact payload, first occurrence first
+    groups: list[list[DataTransaction]]
 
 
 @dataclass
@@ -114,11 +117,41 @@ def _compatible(a: DataTransaction, b: DataTransaction,
             and distance_m(a.loc, b.loc) <= policy.eps_distance)
 
 
+def _payload_groups(reports: list[DataTransaction]
+                    ) -> tuple[list[list[DataTransaction]], list[int]]:
+    """Group reports by exact payload, first occurrence first; also return
+    each report's group index."""
+    slots: dict[tuple, int] = {}
+    groups: list[list[DataTransaction]] = []
+    of: list[int] = []
+    for r in reports:
+        key = (r.loc.lat_micro, r.loc.lon_micro, r.event.code,
+               r.event.speed_kmh, r.timestamp)
+        i = slots.get(key)
+        if i is None:
+            i = slots[key] = len(groups)
+            groups.append([])
+        groups[i].append(r)
+        of.append(i)
+    return groups, of
+
+
+def _payload(r: DataTransaction) -> Payload:
+    return Payload(loc=r.loc, event=r.event, timestamp=r.timestamp)
+
+
 def cluster_reports(reports: list[DataTransaction],
                     policy: ConsistencyPolicy) -> list[list[DataTransaction]]:
-    """Partition reports into connected components of the compatibility graph."""
-    n = len(reports)
-    parent = list(range(n))
+    """Partition reports into connected components of the compatibility graph.
+
+    Reports with one payload are always compatible, so single linkage runs
+    over the distinct payloads only. Each cluster lists its reports in
+    input order; clusters are ordered by their smallest payload bytes,
+    which is the order of their smallest report encodings.
+    """
+    groups, of = _payload_groups(reports)
+    k = len(groups)
+    parent = list(range(k))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -126,28 +159,36 @@ def cluster_reports(reports: list[DataTransaction],
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _compatible(reports[i], reports[j], policy):
+    for i in range(k):
+        for j in range(i + 1, k):
+            if _compatible(groups[i][0], groups[j][0], policy):
                 parent[find(i)] = find(j)
 
-    groups: dict[int, list[DataTransaction]] = {}
-    for i, r in enumerate(reports):
-        groups.setdefault(find(i), []).append(r)
-    # deterministic order: by medoid-independent cluster fingerprint
-    clusters = list(groups.values())
-    clusters.sort(key=lambda c: min(canonical_encode(r) for r in c))
-    return clusters
+    roots = [find(i) for i in range(k)]
+    order: dict[int, bytes] = {}
+    for i, root in enumerate(roots):
+        b = payload_bytes(_payload(groups[i][0]))
+        if root not in order or b < order[root]:
+            order[root] = b
+    clusters: dict[int, list[DataTransaction]] = {}
+    for r, i in zip(reports, of):
+        clusters.setdefault(roots[i], []).append(r)
+    return [clusters[root] for root in sorted(order, key=order.__getitem__)]
 
 
-def _medoid(cluster: list[DataTransaction]) -> DataTransaction:
-    """Report with minimum summed distance to the cluster; canonical-byte
-    order breaks ties."""
-    def key(r: DataTransaction) -> tuple[float, bytes]:
-        total = sum(distance_m(r.loc, o.loc) for o in cluster)
-        return (total, canonical_encode(r))
+def _medoid(groups: list[list[DataTransaction]], of: list[int]) -> Payload:
+    """Payload with minimum summed distance to the cluster's reports, summed
+    in report order (`of` gives each report's group); payload bytes break
+    ties."""
+    payloads = [_payload(g[0]) for g in groups]
+    if len(payloads) == 1:
+        return payloads[0]
 
-    return min(cluster, key=key)
+    def key(p: Payload) -> tuple[float, bytes]:
+        row = [distance_m(p.loc, q.loc) for q in payloads]
+        return (sum(row[i] for i in of), payload_bytes(p))
+
+    return min(payloads, key=key)
 
 
 def judge_clusters(clusters: list[list[DataTransaction]],
@@ -161,10 +202,11 @@ def judge_clusters(clusters: list[list[DataTransaction]],
     clusters are merely uncorroborated.
     """
     prepared = []
+    cluster_groups = []
     for c in clusters:
-        med = _medoid(c)
-        payload = Payload(loc=med.loc, event=med.event, timestamp=med.timestamp)
-        prepared.append((payload, c))
+        groups, of = _payload_groups(c)
+        prepared.append((_medoid(groups, of), c))
+        cluster_groups.append(groups)
 
     by_cell: dict[tuple[int, int], list[int]] = {}
     for idx, (payload, _) in enumerate(prepared):
@@ -199,20 +241,9 @@ def judge_clusters(clusters: list[list[DataTransaction]],
                              if len(cluster) >= policy.min_corroboration
                              else ClusterStatus.LONE_REPORT)
 
-    return [ClusterVerdict(payload=payload, status=status[idx], reports=cluster)
+    return [ClusterVerdict(payload=payload, status=status[idx], reports=cluster,
+                           groups=cluster_groups[idx])
             for idx, (payload, cluster) in enumerate(prepared)]
-
-
-def _exact_payload_groups(reports: list[DataTransaction]
-                          ) -> list[list[DataTransaction]]:
-    groups: dict[tuple, list[DataTransaction]] = {}
-    for r in reports:
-        key = (r.loc.lat_micro, r.loc.lon_micro, r.event.code,
-               r.event.speed_kmh, r.timestamp)
-        groups.setdefault(key, []).append(r)
-    return sorted(groups.values(), key=lambda g: (-len(g), g[0].loc.lat_micro,
-                                                  g[0].loc.lon_micro,
-                                                  g[0].timestamp))
 
 
 def close_window(scheme: SignatureScheme, rsi: RsiState,
@@ -237,10 +268,11 @@ def close_window(scheme: SignatureScheme, rsi: RsiState,
         if v.status is ClusterStatus.REJECTED_MINORITY:
             rsi.stats.rejected_reports += len(v.reports)
             continue
-        exact = _exact_payload_groups(v.reports)
-        carried = exact[0]
-        payload = Payload(loc=carried[0].loc, event=carried[0].event,
-                          timestamp=carried[0].timestamp)
+        # the exact-payload plurality; ties go to the smallest (lat, lon,
+        # timestamp), then to the first occurrence
+        carried = min(v.groups, key=lambda g: (-len(g), g[0].loc.lat_micro,
+                                               g[0].loc.lon_micro, g[0].timestamp))
+        payload = _payload(carried[0])
         members = sorted(((r.pk, r.vehicle_sign) for r in carried),
                          key=lambda m: m[0])
         rsi.stats.rejected_reports += len(v.reports) - len(carried)

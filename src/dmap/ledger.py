@@ -119,10 +119,27 @@ class MinerPolicy:
 class Ledger:
     rsi_region: str
     blocks: list[Block] = field(default_factory=list)
+    # digests of the txs in blocks[:_hashed], filled in by has_tx
+    _digests: set[bytes] = field(default_factory=set, init=False,
+                                 repr=False, compare=False)
+    _hashed: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def tip(self) -> Block:
         return self.blocks[-1]
+
+    def has_tx(self, digest: bytes) -> bool:
+        """Is a tx with this SHA-256 of its canonical encoding chained here?
+
+        Hashes only the blocks appended since the last call. The digests
+        of earlier blocks are kept, so a rewritten block is seen by
+        `validate_chain`, not here.
+        """
+        for block in self.blocks[self._hashed:]:
+            self._digests.update(sha256(encoding.canonical_encode(tx))
+                                 for tx in block.txs)
+        self._hashed = len(self.blocks)
+        return digest in self._digests
 
     def all_txs(self) -> list[ChainedTx]:
         return [tx for b in self.blocks for tx in b.txs]

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 
 from .crypto import Certificate, KeyPair, SignatureScheme, sha256, verify_certificate
-from .encoding import Writer, canonical_encode
+from .encoding import canonical_encode
 from .ledger import Ledger, MinerPolicy, append_block
 from .txmodel import (
     AccessTransaction,
@@ -38,6 +38,7 @@ from .txmodel import (
     contract_signing_bytes,
     data_request_signing_bytes,
     grant_signing_bytes,
+    payload_bytes,
 )
 
 INDEX_CELL_M = 500.0
@@ -82,14 +83,6 @@ class Record:
     provenance: bytes            # digest of the chained aggregate
     owner_pks: tuple[bytes, ...]
     size_bytes: int
-
-
-def _payload_size(payload: Payload) -> int:
-    w = Writer()
-    from .txmodel import _encode_payload  # same bytes the wire format uses
-
-    _encode_payload(payload, w)
-    return len(w.getvalue())
 
 
 @dataclass
@@ -203,19 +196,14 @@ class RuleTable:
         record = Record(record_id=self._next_record_id, region_id=region,
                         payload=rsi_tx.payload, provenance=digest,
                         owner_pks=tuple(rsi_tx.vehicle_pks),
-                        size_bytes=_payload_size(rsi_tx.payload))
+                        size_bytes=len(payload_bytes(rsi_tx.payload)))
         self._next_record_id += 1
         self.directories[region].add(record)
         return record.record_id
 
     def _tx_on_chain(self, region: str, digest: bytes) -> bool:
         ledger = self.ledgers.get(region)
-        if ledger is None:
-            return False
-        for tx in ledger.all_txs():
-            if sha256(canonical_encode(tx)) == digest:
-                return True
-        return False
+        return ledger is not None and ledger.has_tx(digest)
 
     # -- retrieval path ------------------------------------------------------
 

@@ -112,6 +112,27 @@ class AdversaryConfig:
     fab_loc: GeoPoint | None = None
 
 
+# (attribute, scenario field) pairs checked for type before any range check
+_INT_FIELDS = (
+    ("seed", "seed"), ("rows", "grid.rows"), ("cols", "grid.cols"),
+    ("vehicle_count", "vehicles.count"), ("duration_ms", "duration_ms"),
+    ("window_ms", "window_ms"), ("eps_time_ms", "consistency.eps_time_ms"),
+    ("min_corroboration", "consistency.min_corroboration"),
+    ("miner_m", "miner_m"),
+)
+_NUMBER_FIELDS = (
+    ("cell_size_m", "grid.cell_size_m"),
+    ("speed_min_mps", "vehicles.speed_min_mps"),
+    ("speed_max_mps", "vehicles.speed_max_mps"),
+    ("eps_distance_m", "consistency.eps_distance_m"),
+    ("sensing_radius_m", "sensing_radius_m"),
+)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class ScenarioConfig:
     seed: int
@@ -134,7 +155,15 @@ class ScenarioConfig:
     key_reuse_vehicles: list[int] = field(default_factory=list)
 
     def validate(self) -> None:
-        if not isinstance(self.seed, int) or self.seed < 0:
+        for attr, where in _INT_FIELDS:
+            if type(getattr(self, attr)) is not int:
+                raise ConfigError(where, "must be an integer")
+        for attr, where in _NUMBER_FIELDS:
+            if not _is_number(getattr(self, attr)):
+                raise ConfigError(where, "must be a number")
+        if not _is_number(self.adversary.fraction):
+            raise ConfigError("adversary.fraction", "must be a number")
+        if self.seed < 0:
             raise ConfigError("seed", "must be a non-negative integer")
         if self.rows < 1 or self.cols < 1:
             raise ConfigError("grid", "rows and cols must be >= 1")

@@ -223,6 +223,13 @@ def _encode_payload(p: Payload, w: Writer) -> None:
     w.u64(p.timestamp)
 
 
+def payload_bytes(p: Payload) -> bytes:
+    """The payload's wire bytes, as carried inside an aggregate."""
+    w = Writer()
+    _encode_payload(p, w)
+    return w.getvalue()
+
+
 def _decode_payload(r: Reader) -> Payload:
     return Payload(loc=_decode_geo(r), event=_decode_event(r), timestamp=r.u64())
 

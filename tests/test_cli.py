@@ -108,6 +108,26 @@ class TestRun:
         assert cli.main(["run", "--scenario", str(path)]) == 65
         assert "adversary.fraction" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("grid", "rows", "3"),
+        ("vehicles", "count", 60.5),
+        ("consistency", "eps_time_ms", None),
+    ])
+    def test_mistyped_field_exits_65_naming_field(self, tmp_path, capsys,
+                                                  section, field, value):
+        doc = json.loads((SCENARIO_DIR / "honest_majority.json").read_text())
+        doc[section][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--scenario", str(path)]) == 65
+        assert f"{section}.{field}" in capsys.readouterr().err
+
+    def test_non_integer_env_seed_exits_65(self, tiny_scenario, monkeypatch,
+                                           capsys):
+        monkeypatch.setenv("DMAP_SEED", "abc")
+        assert cli.main(["run", "--scenario", str(tiny_scenario)]) == 65
+        assert "DMAP_SEED" in capsys.readouterr().err
+
     def test_unwritable_out_exits_73(self, tiny_scenario, tmp_path):
         out = tmp_path / "missing-dir" / "report.json"
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import pytest
 
 from dmap import edge
 from dmap.crypto import KEYED_HASH, sha256
+from dmap.encoding import canonical_encode
 from dmap.edge import (
     ClusterStatus,
     ConsistencyPolicy,
@@ -17,10 +18,13 @@ from dmap.edge import (
 from dmap.rng import CounterRng
 from dmap.txmodel import (
     CLEAR,
+    DataTransaction,
     GeoPoint,
     ROAD_DAMAGE,
+    Payload,
     build_data_tx,
     distance_m,
+    traffic_speed,
     verify_data_tx,
 )
 from tests.test_txmodel import key
@@ -67,6 +71,96 @@ def oracle_partition(reports, policy):
                     queue.append(j)
         components.append(frozenset(reports[i].pk for i in comp))
     return frozenset(components)
+
+
+def allpairs_cluster_reports(reports, policy):
+    """The all-pairs clustering that the distinct-payload one replaces."""
+    n = len(reports)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if edge._compatible(reports[i], reports[j], policy):
+                parent[find(i)] = find(j)
+    groups = {}
+    for i, r in enumerate(reports):
+        groups.setdefault(find(i), []).append(r)
+    clusters = list(groups.values())
+    clusters.sort(key=lambda c: min(canonical_encode(r) for r in c))
+    return clusters
+
+
+def allpairs_medoid(cluster):
+    """The all-pairs medoid that the distinct-payload one replaces."""
+    def key(r):
+        return (sum(distance_m(r.loc, o.loc) for o in cluster),
+                canonical_encode(r))
+
+    med = min(cluster, key=key)
+    return Payload(loc=med.loc, event=med.event, timestamp=med.timestamp)
+
+
+DIFF_KINDS = (ROAD_DAMAGE, CLEAR, traffic_speed(30), traffic_speed(50))
+
+
+def random_window(rng, window):
+    """Byte-identical copies of a few payloads around a few loci (some at
+    negative lat/lon), shuffled; each report has its own key.
+
+    Every other window adds a separate cluster of four payloads in a plus
+    shape, with equal copy counts: the west and east ones are the medoid
+    candidates, and their summed distances are equal up to float rounding,
+    which depends on the order of summation.
+    """
+    loci = [(rng.uniform(-300, 300), rng.uniform(-300, 300))
+            for _ in range(rng.randint(1, 3))]
+    payloads = []
+    for _ in range(rng.randint(1, 12)):
+        x, y = loci[rng.randint(0, len(loci) - 1)]
+        payloads.append((geo(x + rng.uniform(-40, 40), y + rng.uniform(-40, 40)),
+                         DIFF_KINDS[rng.randint(0, len(DIFF_KINDS) - 1)],
+                         rng.randint(0, 3000), rng.randint(1, 6)))
+    if window % 2:
+        centre = geo(1000, -1000)
+        a = rng.randint(50, 150)
+        c = rng.randint(a + 20, 300)
+        kind = DIFF_KINDS[rng.randint(0, len(DIFF_KINDS) - 1)]
+        ts, copies = rng.randint(0, 3000), rng.randint(1, 5)
+        for dlat, dlon in ((0, -a), (0, a), (c, 0), (-c, 0)):
+            loc = GeoPoint(centre.lat_micro + dlat, centre.lon_micro + dlon)
+            payloads.append((loc, kind, ts, copies))
+    reports = []
+    for p, (loc, kind, ts, copies) in enumerate(payloads):
+        for c in range(copies):
+            pk = sha256(f"w{window}p{p}c{c}".encode())
+            reports.append(DataTransaction(loc=loc, event=kind, timestamp=ts,
+                                           pk=pk, vehicle_sign=sha256(pk)))
+    for i in range(len(reports) - 1, 0, -1):
+        j = rng.randint(0, i)
+        reports[i], reports[j] = reports[j], reports[i]
+    return reports
+
+
+def test_distinct_payload_clustering_matches_all_pairs():
+    rng = CounterRng(23, "distinct-payload-differential")
+    multi_payload_clusters = 0
+    for window in range(150):
+        reports = random_window(rng, window)
+        clusters = cluster_reports(reports, POLICY)
+        expected = allpairs_cluster_reports(reports, POLICY)
+        assert clusters == expected
+        medoids = [v.payload for v in judge_clusters(clusters, POLICY)]
+        assert medoids == [allpairs_medoid(c) for c in expected]
+        multi_payload_clusters += sum(
+            len({(r.loc, r.event, r.timestamp) for r in c}) > 1 for c in clusters)
+    # the medoid is only computed where a cluster holds several payloads
+    assert multi_payload_clusters >= 100
 
 
 class TestClusterReports:

@@ -23,8 +23,19 @@ from dmap.ledger import (
     miner_admit,
     validate_chain,
 )
+from dmap.market import build_access_tx, create_contract
 from dmap.rng import CounterRng
-from dmap.txmodel import Payload, ROAD_DAMAGE, RsiTransaction, build_rsi_tx
+from dmap.txmodel import (
+    GRANT_CONTRACT_REF,
+    Grant,
+    Payload,
+    ROAD_DAMAGE,
+    RsiTransaction,
+    Scope,
+    build_rsi_tx,
+)
+from tests.test_market import Setup as MarketSetup
+from tests.test_market import geo as market_geo
 from tests.test_txmodel import key, make_members, sample_loc
 
 scheme = KEYED_HASH
@@ -183,6 +194,73 @@ class TestAppendAdmitted:
         # before any signature check
         for pk in txs[2].vehicle_pks:
             assert counting.verified[pk] == 0
+
+
+def rescanned_digests(ledger: Ledger) -> set[bytes]:
+    return {sha256(canonical_encode(tx)) for tx in ledger.all_txs()}
+
+
+class TestHasTx:
+    def assert_agrees(self, ledger):
+        chained = rescanned_digests(ledger)
+        assert chained
+        assert all(ledger.has_tx(d) for d in chained)
+
+    def test_agrees_with_rescan_after_each_append(self, setup):
+        _, rsi_key, policy = setup
+        ledger = genesis("r0_c0")
+        assert not ledger.has_tx(sha256(canonical_encode(make_tx(rsi_key))))
+        for b in range(3):
+            append_block(scheme, ledger,
+                         [make_tx(rsi_key, ts=b, labels=(f"p{b}", f"q{b}"))],
+                         1000 + b, policy)
+            self.assert_agrees(ledger)
+            batch = [make_tx(rsi_key, ts=100 + b, labels=(f"r{b}", f"s{b}")),
+                     make_tx(rsi_key, ts=200 + b, flag=0,
+                             labels=(f"t{b}", f"u{b}"))]
+            append_admitted(scheme, ledger, batch, 2000 + b, policy)
+            self.assert_agrees(ledger)
+            # the flag-0 aggregate was refused, so it is not chained
+            assert not ledger.has_tx(sha256(canonical_encode(batch[1])))
+
+    def test_agrees_with_rescan_after_dump_round_trip(self, setup):
+        _, rsi_key, policy = setup
+        ledger = build_chain(rsi_key, policy, n_blocks=4)
+        restored = load_ledger(dump_ledger(ledger))
+        self.assert_agrees(restored)
+        assert rescanned_digests(restored) == rescanned_digests(ledger)
+
+    def test_never_chained_digest_is_absent(self, setup):
+        _, rsi_key, policy = setup
+        ledger = build_chain(rsi_key, policy, n_blocks=3)
+        unchained = make_tx(rsi_key, ts=99_999, labels=("never", "chained"))
+        assert not ledger.has_tx(sha256(canonical_encode(unchained)))
+        assert not ledger.has_tx(ZERO_DIGEST)
+        assert not ledger.has_tx(ledger.tip.block_hash)
+
+    def test_store_after_an_access_block_between_stores(self):
+        world = MarketSetup()
+        first = Payload(market_geo(10, 10), ROAD_DAMAGE, 500)
+        world.stored("r0_c0", first, ["a", "b"])
+        sp = key("sp")
+        scope = Scope(("r0_c0",), 0, 2000, (ROAD_DAMAGE.code,))
+        contract = create_contract(scheme, key("owner"), sp.public,
+                                   (0, 10_000), scope, price=1)
+        world.table.chain_contract(contract, now_ms=600)
+        access = build_access_tx(
+            scheme, sp, scope,
+            Grant(kind=GRANT_CONTRACT_REF, contract_id=contract.contract_id()))
+        result = world.table.evaluate_access(access, now_ms=700)
+        assert result.granted
+        # the rule table chained its access block on r0_c0, after the
+        # digests of the first store were taken
+        ledger = world.ledgers["r0_c0"]
+        assert ledger.tip.txs == (result.access_tx,)
+        second = Payload(market_geo(20, 20), ROAD_DAMAGE, 800)
+        rid, _ = world.stored("r0_c0", second, ["c", "d"])
+        assert rid == 1
+        assert ledger.has_tx(sha256(canonical_encode(result.access_tx)))
+        self.assert_agrees(ledger)
 
 
 def oracle_validate(ledger: Ledger):

@@ -38,6 +38,30 @@ class TestScenarioConfig:
             ScenarioConfig.from_dict(bad)
         assert exc.value.field == "adversary.fraction"
 
+    @pytest.mark.parametrize("path, value", [
+        (path, value)
+        for path in ("seed", "grid.rows", "grid.cols", "vehicles.count",
+                     "duration_ms", "window_ms", "consistency.eps_time_ms",
+                     "consistency.min_corroboration", "miner_m")
+        for value in ("5", 5.0, True, None)
+    ] + [
+        (path, value)
+        for path in ("grid.cell_size_m", "vehicles.speed_min_mps",
+                     "vehicles.speed_max_mps", "consistency.eps_distance_m",
+                     "sensing_radius_m", "adversary.fraction")
+        for value in ("5", False, None)
+    ])
+    def test_mistyped_field_names_field(self, path, value):
+        d = minimal_dict(adversary={"fraction": 0.0})
+        *sections, name = path.split(".")
+        container = d
+        for section in sections:
+            container = container[section]
+        container[name] = value
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig.from_dict(d)
+        assert exc.value.field == path
+
     def test_missing_grid_names_field(self):
         d = minimal_dict()
         del d["grid"]
