@@ -2,10 +2,9 @@
 with edge validation at road-side infrastructure and a deterministic
 simulation harness."""
 
-from . import cli, crypto, edge, encoding, fixtures, ledger, market, rng, sim, txmodel
+from . import crypto, edge, encoding, fixtures, ledger, market, rng, sim, txmodel
 
 __all__ = [
-    "cli",
     "crypto",
     "edge",
     "encoding",

@@ -81,7 +81,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     try:
         config = sim.ScenarioConfig.from_dict(raw)
-        world = sim.load_scenario(config)
+        world = sim.World(config)
     except sim.ConfigError as exc:
         print(f"invalid scenario field {exc.field}: {exc}", file=sys.stderr)
         return EXIT_BADCONFIG

@@ -84,10 +84,6 @@ class Reader:
         if self._pos != len(self._data):
             raise DecodeError("trailing bytes after object")
 
-    @property
-    def remaining(self) -> int:
-        return len(self._data) - self._pos
-
 
 # Type-tag registry. Modules register their wire types at import time;
 # the tag byte leads every canonical encoding.

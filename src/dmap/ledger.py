@@ -9,7 +9,6 @@ detectable by a full rescan.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from . import encoding
@@ -298,26 +297,3 @@ def load_ledger(data: bytes) -> Ledger:
     r.expect_eof()
     return Ledger(rsi_region=region, blocks=blocks)
 
-
-def ledger_to_json(ledger: Ledger) -> str:
-    """Human-readable export for debugging; not the canonical format."""
-    doc = {
-        "region": ledger.rsi_region,
-        "blocks": [
-            {
-                "height": b.height,
-                "prev_hash": b.prev_hash.hex(),
-                "timestamp": b.timestamp,
-                "block_hash": b.block_hash.hex(),
-                "txs": [
-                    {
-                        "type": type(tx).__name__,
-                        "bytes": encoding.canonical_encode(tx).hex(),
-                    }
-                    for tx in b.txs
-                ],
-            }
-            for b in ledger.blocks
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)

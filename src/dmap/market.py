@@ -15,7 +15,7 @@ used.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .crypto import Certificate, KeyPair, SignatureScheme, sha256, verify_certificate
 from .encoding import canonical_encode
@@ -162,11 +162,9 @@ class RuleTable:
     """The store/retrieve mediator; serializes all mutations per directory."""
 
     def __init__(self, scheme: SignatureScheme, key: KeyPair,
-                 ca_pk: bytes, policy: MinerPolicy,
-                 ledgers: dict[str, Ledger]) -> None:
+                 policy: MinerPolicy, ledgers: dict[str, Ledger]) -> None:
         self.scheme = scheme
         self.key = key
-        self.ca_pk = ca_pk
         self.policy = policy
         self.ledgers = ledgers
         self.directories: dict[str, DataDirectory] = {}
@@ -175,7 +173,7 @@ class RuleTable:
     # -- storage path --------------------------------------------------------
 
     def register_rsi_directory(self, cert: Certificate) -> DataDirectory:
-        if not verify_certificate(self.scheme, self.ca_pk, cert):
+        if not verify_certificate(self.scheme, self.policy.ca_pk, cert):
             raise CertError("certificate does not verify under the CA key")
         if cert.region_id in self.directories:
             raise AlreadyRegistered(cert.region_id)
@@ -243,16 +241,11 @@ class RuleTable:
         else:
             return AccessResult.denied(DENY_NO_GRANT)
 
-        approved = AccessTransaction(
-            requester_pk=access_tx.requester_pk, query=access_tx.query,
-            grant=access_tx.grant, requester_sign=access_tx.requester_sign,
-            ruletable_pk=self.key.public, ruletable_sign=b"")
+        # the countersigned bytes leave out the rule-table fields
         sig = self.scheme.sign(self.key.secret,
-                               access_ruletable_signing_bytes(approved))
-        approved = AccessTransaction(
-            requester_pk=approved.requester_pk, query=approved.query,
-            grant=approved.grant, requester_sign=approved.requester_sign,
-            ruletable_pk=self.key.public, ruletable_sign=sig)
+                               access_ruletable_signing_bytes(access_tx))
+        approved = replace(access_tx, ruletable_pk=self.key.public,
+                           ruletable_sign=sig)
         self._chain_access_tx(approved, records, now_ms)
         return AccessResult(granted=True, records=records, access_tx=approved)
 

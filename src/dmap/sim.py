@@ -13,7 +13,6 @@ metric, and nothing linkable ever enters a protocol message.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass, field
@@ -26,7 +25,6 @@ from .ledger import Ledger, MinerPolicy, append_admitted, genesis, miner_admit, 
 from .market import AccessResult, RuleTable, build_access_tx, build_data_request, create_contract
 from .rng import CounterRng
 from .txmodel import (
-    AccessTransaction,
     DataTransaction,
     EventKind,
     GeoPoint,
@@ -48,6 +46,7 @@ STRATEGY_FABRICATE = "FabricateEvent"
 STRATEGY_SUPPRESS = "SuppressReports"
 STRATEGY_REPLAY = "ReplayStale"
 STRATEGIES = (STRATEGY_FABRICATE, STRATEGY_SUPPRESS, STRATEGY_REPLAY)
+MARKET_ACTIONS = ("create_contract", "access", "data_request")
 
 
 class ConfigError(ValueError):
@@ -203,8 +202,12 @@ class ScenarioConfig:
                 raise ConfigError(f"ground_truth_events[{i}].active_ms",
                                   "need 0 <= start < end")
         for vid in self.key_reuse_vehicles:
-            if not 0 <= vid < self.vehicle_count:
-                raise ConfigError("key_reuse_vehicles", f"unknown vehicle {vid}")
+            if type(vid) is not int or not 0 <= vid < self.vehicle_count:
+                raise ConfigError("key_reuse_vehicles", f"unknown vehicle {vid!r}")
+        for i, action in enumerate(self.market_script):
+            if not isinstance(action, dict) or action.get("action") not in MARKET_ACTIONS:
+                raise ConfigError(f"market_script[{i}].action",
+                                  f"must be one of {MARKET_ACTIONS}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -213,6 +216,12 @@ class ScenarioConfig:
                 raise ConfigError(where, "missing")
             return container[key]
 
+        def need_list(key: str) -> list:
+            value = d.get(key, [])
+            if not isinstance(value, list):
+                raise ConfigError(key, "must be a list")
+            return list(value)
+
         grid = need(d, "grid", "grid")
         vehicles = need(d, "vehicles", "vehicles")
         consistency = need(d, "consistency", "consistency")
@@ -220,6 +229,8 @@ class ScenarioConfig:
         strategy_raw = adv_raw.get("strategy", {"type": STRATEGY_FABRICATE})
         if isinstance(strategy_raw, str):
             strategy_raw = {"type": strategy_raw}
+        if not isinstance(strategy_raw, dict):
+            raise ConfigError("adversary.strategy", "expected a name or object")
         adv = AdversaryConfig(
             fraction=adv_raw.get("fraction", 0.0),
             strategy=strategy_raw.get("type", STRATEGY_FABRICATE),
@@ -229,9 +240,13 @@ class ScenarioConfig:
                      if "loc" in strategy_raw else None),
         )
         events = []
-        for i, ev in enumerate(d.get("ground_truth_events", [])):
+        for i, ev in enumerate(need_list("ground_truth_events")):
             where = f"ground_truth_events[{i}]"
             active = need(ev, "active_ms", f"{where}.active_ms")
+            if not (isinstance(active, list) and len(active) == 2
+                    and all(type(t) is int for t in active)):
+                raise ConfigError(f"{where}.active_ms",
+                                  "expected [start_ms, end_ms] integers")
             events.append(GroundTruthEvent(
                 region=ev.get("region", ""),
                 loc=_parse_loc(need(ev, "loc", f"{where}.loc"), f"{where}.loc"),
@@ -256,8 +271,8 @@ class ScenarioConfig:
             sensing_radius_m=d.get("sensing_radius_m", 100.0),
             ground_truth_events=events,
             adversary=adv,
-            market_script=list(d.get("market_script", [])),
-            key_reuse_vehicles=list(d.get("key_reuse_vehicles", [])),
+            market_script=need_list("market_script"),
+            key_reuse_vehicles=need_list("key_reuse_vehicles"),
         )
         cfg.validate()
         return cfg
@@ -380,8 +395,7 @@ class World:
             sha256(b"dmap/ruletable" + struct.pack(">Q", seed)))
         rt_cert = issue_certificate(scheme, self.ca, rt_key.public, "ruletable")
         self.policy.cert_registry[rt_key.public] = rt_cert
-        self.rule_table = RuleTable(scheme, rt_key, self.ca.public,
-                                    self.policy, self.ledgers)
+        self.rule_table = RuleTable(scheme, rt_key, self.policy, self.ledgers)
         for region in sorted(self.rsis):
             self.rule_table.register_rsi_directory(
                 self.policy.cert_registry[self.rsis[region].key.public])
@@ -428,7 +442,6 @@ class World:
         self._script_fired = [False] * len(config.market_script)
         self._pending_autogrants: list[tuple[int, bytes, dict]] = []
         self._sp_keys: dict[str, KeyPair] = {}
-        self._finished = False
 
     # -- identity helpers ----------------------------------------------------
 
@@ -486,9 +499,8 @@ class World:
                 self._emit_replay(v, ts)
             # SuppressReports: silence
 
-    def _emit_honest(self, v: Vehicle, ts: int) -> bool:
+    def _emit_honest(self, v: Vehicle, ts: int) -> None:
         cfg = self.config
-        emitted = False
         for i in self._active_events(ts):
             ev = cfg.ground_truth_events[i]
             ex, ey = self._event_xy[i]
@@ -500,8 +512,6 @@ class World:
             key = v.fresh_key(self.scheme)
             tx = build_data_tx(self.scheme, key, ev.loc, ev.kind, ts)
             self._deliver(v, tx, fabricated=False)
-            emitted = True
-        return emitted
 
     def _emit_fabricated(self, v: Vehicle, ts: int) -> None:
         cfg = self.config
@@ -525,7 +535,7 @@ class World:
         tx = build_data_tx(self.scheme, key, p.loc, p.event, p.timestamp)
         self._deliver(v, tx, fabricated=False)
 
-    def _capture_replay_payload(self, v: Vehicle, ts: int) -> bool:
+    def _capture_replay_payload(self, v: Vehicle, ts: int) -> None:
         cfg = self.config
         for i in self._active_events(ts):
             ev = cfg.ground_truth_events[i]
@@ -536,8 +546,7 @@ class World:
             tx = build_data_tx(self.scheme, key, ev.loc, ev.kind, ts)
             v.replay_payload = Payload(tx.loc, tx.event, tx.timestamp)
             self._deliver(v, tx, fabricated=False)
-            return True
-        return False
+            return
 
     def _move_phase(self) -> None:
         cfg = self.config
@@ -615,8 +624,6 @@ class World:
             self._run_access(action)
         elif kind == "data_request":
             self._run_data_request(action)
-        else:
-            raise ConfigError("market_script", f"unknown action {kind!r}")
 
     def _run_access(self, action: dict) -> None:
         sp = self.sp_key(action["requester_sp"])
@@ -697,7 +704,6 @@ class World:
         for region in sorted(self.rsis):
             if self.rsis[region].window.reports:
                 self._close_region(region)
-        self._finished = True
         self.sweep_invariants()
         return self.compute_metrics()
 
@@ -711,15 +717,6 @@ class World:
                     and distance_m(payload.loc, ev.loc) <= cfg.eps_distance_m):
                 return True
         return False
-
-    def count_false_chained(self) -> int:
-        count = 0
-        for region_ledger in self.ledgers.values():
-            for tx in region_ledger.all_txs():
-                if isinstance(tx, RsiTransaction):
-                    if not self._payload_matches_truth(tx.payload):
-                        count += 1
-        return count
 
     def compute_linkability(self) -> dict:
         """Count protocol-visible key reuse per vehicle (ground-truth map)."""
@@ -738,17 +735,17 @@ class World:
         return {"linkability_violations": total,
                 "per_vehicle": {str(k): violations[k] for k in sorted(violations)}}
 
-    def audit_access_log(self) -> int:
-        """Independent replay of every grant; returns unauthorized_served."""
+    def audit_access_log(self, chained: dict[bytes, str],
+                         contracts: dict[bytes, SmartContract]) -> int:
+        """Independent replay of every grant; returns unauthorized_served.
+
+        `chained` maps the SHA-256 of each chained tx's canonical encoding
+        to its region; `contracts` maps each chained contract's id to it.
+        """
         unauthorized = 0
-        all_txs = [tx for led in self.ledgers.values() for tx in led.all_txs()]
-        chained_access = {canonical_encode(tx) for tx in all_txs
-                          if isinstance(tx, AccessTransaction)}
-        contracts = {tx.contract_id(): tx for tx in all_txs
-                     if isinstance(tx, SmartContract)}
         for result, granted_at in self.granted_log:
             tx = result.access_tx
-            if canonical_encode(tx) not in chained_access:
+            if sha256(canonical_encode(tx)) not in chained:
                 unauthorized += len(result.records)
                 continue
             ok = True
@@ -773,6 +770,7 @@ class World:
         return unauthorized
 
     def compute_metrics(self) -> dict:
+        """Run metrics; reads the counts that `sweep_invariants` kept."""
         per_region = {}
         totals = RegionStats()
         for region in sorted(self.rsis):
@@ -780,11 +778,10 @@ class World:
             per_region[region] = stats.as_dict()
             for name, value in vars(stats).items():
                 setattr(totals, name, getattr(totals, name) + value)
-        false_chained = self.count_false_chained()
+        false_chained = self.false_chained
         injected = self.injected_false
         detection = 1.0 if injected == 0 else 1.0 - false_chained / injected
         link = self.compute_linkability()
-        unauthorized = self.audit_access_log()
         global_metrics = dict(totals.as_dict())
         global_metrics.update({
             "false_data_chained": false_chained,
@@ -793,7 +790,7 @@ class World:
             "linkability_violations": link["linkability_violations"],
             "access_granted": self.access_granted,
             "access_denied": self.access_denied,
-            "unauthorized_served": unauthorized,
+            "unauthorized_served": self.unauthorized_served,
             "handovers": self.handover_count,
         })
         return {"global": global_metrics, "per_region": per_region}
@@ -812,31 +809,33 @@ class World:
             check(f"chain_valid[{region}]", status.ok,
                   f"first_bad_height={status.first_bad_height}")
 
+        # one pass over every chained tx, in region order: the digest map
+        # serves the isolation, provenance and grant checks
+        region_of: dict[bytes, str] = {}
+        contracts: dict[bytes, SmartContract] = {}
+        isolated = True
+        false_chained = 0
         for region in sorted(self.ledgers):
             for tx in self.ledgers[region].all_txs():
                 verdict = miner_admit(self.scheme, tx, self.policy, region)
                 check(f"admission_sound[{region}]", verdict.accepted,
                       verdict.reason)
+                digest = sha256(canonical_encode(tx))
+                if region_of.setdefault(digest, region) != region:
+                    isolated = False
                 if isinstance(tx, RsiTransaction):
                     check(f"flag_sweep[{region}]", tx.flag == 1, "flag=0 chained")
+                    if not self._payload_matches_truth(tx.payload):
+                        false_chained += 1
+                elif isinstance(tx, SmartContract):
+                    contracts[digest] = tx
         results.setdefault("admission_sound", "ok")
-
-        seen: dict[bytes, str] = {}
-        isolated = True
-        for region in sorted(self.ledgers):
-            for tx in self.ledgers[region].all_txs():
-                enc = canonical_encode(tx)
-                if enc in seen and seen[enc] != region:
-                    isolated = False
-                seen[enc] = region
         check("ledger_isolation", isolated)
 
-        chained = {sha256(canonical_encode(tx))
-                   for led in self.ledgers.values() for tx in led.all_txs()}
         for region, directory in sorted(self.rule_table.directories.items()):
             for record in directory.records:
                 check(f"store_provenance[{region}]",
-                      record.provenance in chained, "unchained record")
+                      record.provenance in region_of, "unchained record")
 
         for region in sorted(self.rsis):
             s = self.rsis[region].stats
@@ -846,15 +845,9 @@ class World:
             check(f"conservation[{region}]", s.reports_sent == consumed,
                   f"sent={s.reports_sent} consumed={consumed}")
 
-        check("unauthorized_served", self.audit_access_log() == 0)
+        self.unauthorized_served = self.audit_access_log(region_of, contracts)
+        check("unauthorized_served", self.unauthorized_served == 0)
+        self.false_chained = false_chained
         self.invariant_results = results
         return results
 
-
-def load_scenario(config: ScenarioConfig,
-                  scheme: SignatureScheme = KEYED_HASH) -> World:
-    return World(config, scheme)
-
-
-def metrics_to_json(metrics: dict) -> str:
-    return json.dumps(metrics, sort_keys=True, separators=(",", ":"))

@@ -34,7 +34,7 @@ def finished_worlds():
     """Each bundled scenario run to completion, shared across tests."""
     worlds = {}
     for name in SCENARIO_NAMES:
-        world = sim.load_scenario(load_scenario_config(name))
+        world = sim.World(load_scenario_config(name))
         metrics = world.run()
         worlds[name] = (world, metrics)
     return worlds

@@ -100,7 +100,7 @@ def test_criterion_02_honest_majority_detection(announce):
     assert cfg.duration_ms == 60_000
 
     started = time.monotonic()
-    world = sim.load_scenario(cfg)
+    world = sim.World(cfg)
     metrics = world.run()
     elapsed = time.monotonic() - started
 
@@ -216,7 +216,7 @@ def test_criterion_09_determinism(announce):
         cfg = load_scenario_config(name)
         reports = []
         for _ in range(2):
-            world = sim.load_scenario(cfg)
+            world = sim.World(cfg)
             metrics = world.run()
             report = cli.build_run_report(world, metrics)
             reports.append(json.dumps(report, sort_keys=True, indent=2))

@@ -112,15 +112,24 @@ class TestRun:
         ("grid", "rows", "3"),
         ("vehicles", "count", 60.5),
         ("consistency", "eps_time_ms", None),
+        ("ground_truth_events", "active_ms", "x"),
+        ("adversary", "strategy", 5),
+        ("", "key_reuse_vehicles", "ab"),
+        ("", "market_script", [{"time_ms": 0, "action": "bogus"}]),
     ])
     def test_mistyped_field_exits_65_naming_field(self, tmp_path, capsys,
                                                   section, field, value):
         doc = json.loads((SCENARIO_DIR / "honest_majority.json").read_text())
-        doc[section][field] = value
+        container = doc[section] if section else doc
+        if isinstance(container, list):
+            container = container[0]
+        container[field] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["run", "--scenario", str(path)]) == 65
-        assert f"{section}.{field}" in capsys.readouterr().err
+        # list items are named with their index: ground_truth_events[0].active_ms
+        err = capsys.readouterr().err
+        assert ".".join(filter(None, (section, field))) in err.replace("[0]", "")
 
     def test_non_integer_env_seed_exits_65(self, tiny_scenario, monkeypatch,
                                            capsys):
@@ -176,8 +185,10 @@ def test_module_invocation_smoke(tmp_path):
     package_root = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (package_root, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-m", "dmap.cli",
-                           "validate", "--ledger", str(path)],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert "ok:" in proc.stdout
+    for module in ("dmap", "dmap.cli"):
+        proc = subprocess.run([sys.executable, "-m", module,
+                               "validate", "--ledger", str(path)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, module
+        assert "ok:" in proc.stdout, module
+        assert "RuntimeWarning" not in proc.stderr, module

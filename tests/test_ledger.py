@@ -1,7 +1,6 @@
 import collections
 import dataclasses
 import hashlib
-import json
 
 import pytest
 
@@ -17,7 +16,6 @@ from dmap.ledger import (
     append_block,
     dump_ledger,
     genesis,
-    ledger_to_json,
     load_ledger,
     lookup_access_log,
     miner_admit,
@@ -357,14 +355,6 @@ class TestDumpLoad:
         assert restored.rsi_region == ledger.rsi_region
         assert restored.blocks == ledger.blocks
         assert validate_chain(restored).ok
-
-    def test_json_export_parses_and_matches(self, setup):
-        _, rsi_key, policy = setup
-        ledger = build_chain(rsi_key, policy, n_blocks=3)
-        doc = json.loads(ledger_to_json(ledger))
-        assert doc["region"] == "r0_c0"
-        assert len(doc["blocks"]) == 4
-        assert doc["blocks"][2]["block_hash"] == ledger.blocks[2].block_hash.hex()
 
 
 class TestAccessLog:

@@ -64,8 +64,7 @@ class Setup:
         self.policy = MinerPolicy(m=2, ca_pk=self.ca.public,
                                   cert_registry=registry)
         self.ledgers = {r: genesis(r) for r in REGIONS}
-        self.table = RuleTable(scheme, self.rt_key, self.ca.public,
-                               self.policy, self.ledgers)
+        self.table = RuleTable(scheme, self.rt_key, self.policy, self.ledgers)
         for r in REGIONS:
             self.table.register_rsi_directory(self.certs[r])
 

@@ -1,11 +1,23 @@
+import copy
+import dataclasses
 import json
 
 import pytest
 
-from dmap import sim
 from dmap.crypto import KEYED_HASH, verify_certificate
-from dmap.sim import ConfigError, Delivery, ScenarioConfig, World, load_scenario
-from dmap.txmodel import ROAD_DAMAGE, GeoPoint, build_data_tx
+from dmap.ledger import _link
+from dmap.market import AccessResult, build_access_tx, create_contract
+from dmap.sim import ConfigError, Delivery, InvariantViolation, ScenarioConfig, World
+from dmap.txmodel import (
+    GRANT_CONTRACT_REF,
+    ROAD_DAMAGE,
+    GeoPoint,
+    Grant,
+    RsiTransaction,
+    Scope,
+    build_data_tx,
+    build_rsi_tx,
+)
 from tests.conftest import SCENARIO_NAMES, load_scenario_config
 from tests.test_txmodel import key
 
@@ -50,13 +62,27 @@ class TestScenarioConfig:
                      "vehicles.speed_max_mps", "consistency.eps_distance_m",
                      "sensing_radius_m", "adversary.fraction")
         for value in ("5", False, None)
+    ] + [
+        ("ground_truth_events[0].active_ms", "x"),
+        ("key_reuse_vehicles", "ab"),
+        ("adversary.strategy", 5),
+        ("market_script[0].action", "bogus"),
     ])
     def test_mistyped_field_names_field(self, path, value):
-        d = minimal_dict(adversary={"fraction": 0.0})
+        d = minimal_dict(
+            adversary={"fraction": 0.0},
+            ground_truth_events=[{"loc": {"lat": 0.001, "lon": 0.001},
+                                  "kind": "RoadDamage",
+                                  "active_ms": [0, 10_000]}],
+            market_script=[{"time_ms": 0, "action": "data_request",
+                            "sp": "sp1", "area": [[0.0, 0.0], [0.001, 0.001]]}])
         *sections, name = path.split(".")
         container = d
         for section in sections:
+            section, _, index = section.partition("[")
             container = container[section]
+            if index:
+                container = container[int(index.rstrip("]"))]
         container[name] = value
         with pytest.raises(ConfigError) as exc:
             ScenarioConfig.from_dict(d)
@@ -106,12 +132,12 @@ class TestScenarioConfig:
 
 class TestWorldConstruction:
     def test_grid_yields_one_ledger_and_directory_per_region(self):
-        world = load_scenario(ScenarioConfig.from_dict(minimal_dict()))
+        world = World(ScenarioConfig.from_dict(minimal_dict()))
         assert sorted(world.ledgers) == ["r0_c0", "r0_c1", "r1_c0", "r1_c1"]
         assert sorted(world.rule_table.directories) == sorted(world.ledgers)
 
     def test_every_rsi_certified_under_the_ca(self):
-        world = load_scenario(ScenarioConfig.from_dict(minimal_dict()))
+        world = World(ScenarioConfig.from_dict(minimal_dict()))
         for region, rsi in world.rsis.items():
             cert = world.policy.cert_registry[rsi.key.public]
             assert cert.region_id == region
@@ -122,11 +148,11 @@ class TestWorldConstruction:
             "fraction": 0.5,
             "strategy": {"type": "FabricateEvent", "kind": "RoadDamage",
                          "loc": {"lat": 0.001, "lon": 0.001}}})
-        world = load_scenario(ScenarioConfig.from_dict(d))
+        world = World(ScenarioConfig.from_dict(d))
         assert sum(not v.honest for v in world.vehicles) == 2
 
     def test_vehicles_start_inside_grid(self):
-        world = load_scenario(ScenarioConfig.from_dict(minimal_dict()))
+        world = World(ScenarioConfig.from_dict(minimal_dict()))
         for v in world.vehicles:
             assert 0 <= v.x <= 1000 and 0 <= v.y <= 1000
             assert v.assoc_region in world.rsis
@@ -135,13 +161,13 @@ class TestWorldConstruction:
 class TestDeterminism:
     def test_identical_seeds_identical_metrics(self):
         cfg = load_scenario_config("honest_majority")
-        m1 = load_scenario(cfg).run()
-        m2 = load_scenario(cfg).run()
-        assert sim.metrics_to_json(m1) == sim.metrics_to_json(m2)
+        m1 = World(cfg).run()
+        m2 = World(cfg).run()
+        assert m1 == m2
 
     def test_state_digest_tracks_step_by_step(self):
         cfg = load_scenario_config("honest_majority")
-        a, b = load_scenario(cfg), load_scenario(cfg)
+        a, b = World(cfg), World(cfg)
         for _ in range(120):
             a.step()
             b.step()
@@ -150,7 +176,7 @@ class TestDeterminism:
     def test_different_seed_different_trajectory(self):
         cfg = load_scenario_config("honest_majority")
         other = ScenarioConfig.from_dict({**cfg.to_dict(), "seed": cfg.seed + 1})
-        a, b = load_scenario(cfg), load_scenario(other)
+        a, b = World(cfg), World(other)
         assert a.state_digest() != b.state_digest()
 
 
@@ -196,7 +222,7 @@ class TestScenarioOutcomes:
 
 class TestLinkabilityDetector:
     def make_world(self):
-        return load_scenario(ScenarioConfig.from_dict(minimal_dict()))
+        return World(ScenarioConfig.from_dict(minimal_dict()))
 
     def deliver(self, world, vid, keypair, ts):
         tx = build_data_tx(scheme, keypair, GeoPoint(1000, 1000),
@@ -242,10 +268,74 @@ class TestHandover:
         d = minimal_dict(duration_ms=30_000)
         d["vehicles"] = {"count": 10, "speed_min_mps": 20.0,
                          "speed_max_mps": 30.0}
-        world = load_scenario(ScenarioConfig.from_dict(d))
+        world = World(ScenarioConfig.from_dict(d))
         world.run()
         assert world.handover_count > 0
         # after every boundary, association matches physical region or is
         # one window behind via a pending handover
         for v in world.vehicles:
             assert v.assoc_region in world.rsis
+
+
+def _rewrite_block_timestamp(world):
+    ledger = world.ledgers["r0_c0"]
+    ledger.blocks[1] = dataclasses.replace(
+        ledger.blocks[1], timestamp=ledger.blocks[1].timestamp + 1)
+
+
+def _link_flag0_aggregate(world):
+    ledger = world.ledgers["r0_c0"]
+    chained = next(tx for tx in ledger.all_txs()
+                   if isinstance(tx, RsiTransaction))
+    tx = build_rsi_tx(scheme, world.rsis["r0_c0"].key, chained.payload,
+                      list(zip(chained.vehicle_pks, chained.vehicle_signs)),
+                      flag=0)
+    _link(ledger, [tx], world.clock_ms)
+
+
+def _link_contract_on_two_ledgers(world):
+    scope = Scope(region_ids=("r0_c0",), from_ms=0, to_ms=1000,
+                  kind_codes=(ROAD_DAMAGE.code,))
+    contract = create_contract(scheme, world.vehicles[0].grant_key,
+                               world.sp_key("sp1").public, (0, 1000), scope, 0)
+    for region in ("r0_c0", "r0_c1"):
+        _link(world.ledgers[region], [contract], world.clock_ms)
+
+
+def _add_unchained_record(world):
+    directory = world.rule_table.directories["r0_c0"]
+    directory.add(dataclasses.replace(directory.records[0], record_id=10_000,
+                                      provenance=bytes(32)))
+
+
+def _bump_reports_sent(world):
+    world.rsis["r0_c0"].stats.reports_sent += 1
+
+
+def _log_unchained_grant(world):
+    record = world.rule_table.directories["r0_c0"].records[0]
+    query = Scope(region_ids=("r0_c0",), from_ms=0,
+                  to_ms=world.config.duration_ms,
+                  kind_codes=(record.payload.event.code,))
+    access_tx = build_access_tx(scheme, world.sp_key("sp1"), query,
+                                Grant(kind=GRANT_CONTRACT_REF,
+                                      contract_id=bytes(32)))
+    world.granted_log.append((AccessResult(granted=True, records=[record],
+                                           access_tx=access_tx),
+                              world.clock_ms))
+
+
+@pytest.mark.parametrize("tamper, check", [
+    (_rewrite_block_timestamp, "chain_valid"),
+    (_link_flag0_aggregate, "admission_sound"),
+    (_link_contract_on_two_ledgers, "ledger_isolation"),
+    (_add_unchained_record, "store_provenance"),
+    (_bump_reports_sent, "conservation"),
+    (_log_unchained_grant, "unauthorized_served"),
+], ids=lambda p: getattr(p, "__name__", p).lstrip("_"))
+def test_sweep_names_the_failed_check(finished_worlds, tamper, check):
+    world = copy.deepcopy(finished_worlds["honest_majority"][0])
+    tamper(world)
+    with pytest.raises(InvariantViolation) as exc:
+        world.sweep_invariants()
+    assert str(exc.value).startswith(check)
