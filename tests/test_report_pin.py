@@ -1,12 +1,17 @@
-"""Golden pin of the run report bytes.
+"""Golden pins of the run report bytes and of the final world state.
 
-Each case runs a scenario to completion and hashes exactly the bytes
-`cli.emit_report` would write. A change that alters any chained byte,
-metric or invariant result changes a digest; a refactor must reproduce
-them, and a deliberate behaviour change must re-pin with its reason
-stated in CHANGES.md.
+Each case runs a scenario to completion. `PINNED` hashes exactly the
+bytes `cli.emit_report` would write; `PINNED_STATE` is the
+`World.state_digest()` after `run()`, which covers every vehicle's x, y,
+heading, speed, key counter and association bit for bit, where the
+report sees positions only through handover counts and chained bytes.
+A change that alters any chained byte, metric, invariant result or
+vehicle state changes a digest; a refactor must reproduce them, and a
+deliberate behaviour change must re-pin with its reason stated in
+CHANGES.md.
 """
 
+import functools
 import json
 
 import pytest
@@ -75,9 +80,35 @@ PINNED = {
 }
 
 
-def report_digest(scenario: dict) -> str:
-    world = sim.World(sim.ScenarioConfig.from_dict(scenario))
-    metrics = world.run()
+PINNED_STATE = {
+    "honest_majority":
+        "5bc06ab105fc76c5eac0198acdb2572796744b32936ebef0cf30ef9941faa269",
+    "majority_capture":
+        "cb2b3d2447ea57c92170867bbc6484f4a75f1f976d7f2ed52f747f598ab85f21",
+    "market_suite":
+        "9a33786601bf80b75ef0cb3539a635b0734d3ce5c0259f478e2e1fda8e79bb65",
+    "key_reuse":
+        "038ae512e5006c54bdf2e3c81ab81d28df3ab1e8916c2e46ed1debfeb98d51c2",
+    "honest_majority_partial_final_window":
+        "5041c0ca71ff331b4b1b2aa266d89c6dc20ad23f742cb5330f59295f03908a97",
+    "honest_majority_partial_final_window_chained":
+        "ac12e0a625fc3aa4909dc009dc9074e3005482f7908e835110d79f4b7dcc9234",
+    "honest_majority_miner_m3":
+        "56eb25bd72b680778fddcaec577d016892e7d9b6b5ed9c868bd611d3a701c832",
+    "honest_majority_200_vehicles":
+        "296ac6153301cb018f38a9fd66c11efa36b19ed0c8f96dadeeb940b05dd0f346",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _finished(case: str) -> tuple[sim.World, dict]:
+    # both tables read the same finished world, so each case runs once
+    world = sim.World(sim.ScenarioConfig.from_dict(CASES[case]()))
+    return world, world.run()
+
+
+def report_digest(case: str) -> str:
+    world, metrics = _finished(case)
     report = cli.build_run_report(world, metrics)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     return sha256(text.encode("utf-8")).hex()
@@ -85,4 +116,9 @@ def report_digest(scenario: dict) -> str:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_run_report_digest_pinned(case):
-    assert report_digest(CASES[case]()) == PINNED[case]
+    assert report_digest(case) == PINNED[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_state_digest_pinned(case):
+    assert _finished(case)[0].state_digest().hex() == PINNED_STATE[case]
