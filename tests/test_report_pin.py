@@ -42,6 +42,14 @@ def _miner_m3() -> dict:
     return d
 
 
+def _replay_stale() -> dict:
+    # the only case whose adversaries replay a captured payload, so the
+    # replay path's stale drops reach both pins
+    d = _scenario_dict("honest_majority")
+    d["adversary"] = {"fraction": 0.2, "strategy": {"type": "ReplayStale"}}
+    return d
+
+
 def _vehicles_200() -> dict:
     d = _scenario_dict("honest_majority")
     d["vehicles"]["count"] = 200
@@ -58,6 +66,7 @@ CASES = {
         lambda: _partial_final_window(-2_700),
     "honest_majority_miner_m3": _miner_m3,
     "honest_majority_200_vehicles": _vehicles_200,
+    "honest_majority_replay_stale": _replay_stale,
 }
 
 PINNED = {
@@ -77,6 +86,8 @@ PINNED = {
         "00f15797c9316a8031c6cd98f302500172f27a45c3b01ceef33e338725018130",
     "honest_majority_200_vehicles":
         "e2a7c3c266c8637f8af62f5572ef4b79d578cbdd6550daaf3283eb58a6b008c0",
+    "honest_majority_replay_stale":
+        "9024b796861b757b83dcb9fb600b2ac9fb6c25e53050c2f158c8ed04e9e47cbe",
 }
 
 
@@ -97,6 +108,8 @@ PINNED_STATE = {
         "56eb25bd72b680778fddcaec577d016892e7d9b6b5ed9c868bd611d3a701c832",
     "honest_majority_200_vehicles":
         "296ac6153301cb018f38a9fd66c11efa36b19ed0c8f96dadeeb940b05dd0f346",
+    "honest_majority_replay_stale":
+        "3a9f3134e8e7410f610ebc5eea32124e547bd50ec84aa50d27fadb0f82060309",
 }
 
 
