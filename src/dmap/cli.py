@@ -7,7 +7,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 tampered ledger, 2 invariant violation during a
 run, 64 missing/unreadable input, 65 invalid scenario field or DMAP_SEED,
-73 unwritable output path.
+70 unexpected internal error during a run, 73 unwritable output path.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ EXIT_TAMPERED = 1
 EXIT_INVARIANT = 2
 EXIT_NOINPUT = 64
 EXIT_BADCONFIG = 65
+EXIT_SOFTWARE = 70
 EXIT_CANTCREAT = 73
 
 
@@ -80,18 +81,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raw["seed"] = seed
 
     try:
-        config = sim.ScenarioConfig.from_dict(raw)
-        world = sim.World(config)
+        world = sim.World(sim.ScenarioConfig.from_dict(raw))
+        started = time.monotonic()
+        metrics = world.run()
     except sim.ConfigError as exc:
         print(f"invalid scenario field {exc.field}: {exc}", file=sys.stderr)
         return EXIT_BADCONFIG
-
-    started = time.monotonic()
-    try:
-        metrics = world.run()
     except sim.InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except Exception as exc:  # exit 1 means only a tampered ledger
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_SOFTWARE
     runtime_ms = round((time.monotonic() - started) * 1000)
 
     report = build_run_report(world, metrics)

@@ -293,19 +293,10 @@ def close_window(scheme: SignatureScheme, rsi: RsiState,
     return txs
 
 
-def handover(vehicle, to_region: str, rsis: dict[str, RsiState]) -> None:
+def handover(vehicle, to_region: str) -> None:
     """Soft handover: the new association takes effect at the next window
-    boundary; until then in-flight reports keep flowing to the old RSI.
-
-    A vehicle entering a region with no certified RSI buffers locally
-    until it next reaches covered ground.
-    """
+    boundary; until then in-flight reports keep flowing to the old RSI."""
     if to_region == vehicle.assoc_region:
         vehicle.pending_region = None
-        return
-    if to_region in rsis:
-        vehicle.pending_region = to_region
-        vehicle.buffering = False
     else:
-        vehicle.pending_region = None
-        vehicle.buffering = True
+        vehicle.pending_region = to_region

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -129,7 +130,10 @@ _NUMBER_FIELDS = (
 
 
 def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # the range test also rejects JSON's NaN and Infinity, and integers too
+    # large for the float arithmetic the simulation does with them
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 @dataclass
@@ -208,6 +212,8 @@ class ScenarioConfig:
             if not isinstance(action, dict) or action.get("action") not in MARKET_ACTIONS:
                 raise ConfigError(f"market_script[{i}].action",
                                   f"must be one of {MARKET_ACTIONS}")
+            if not _is_number(action.get("time_ms", 0)):
+                raise ConfigError(f"market_script[{i}].time_ms", "must be a number")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -226,6 +232,8 @@ class ScenarioConfig:
         vehicles = need(d, "vehicles", "vehicles")
         consistency = need(d, "consistency", "consistency")
         adv_raw = d.get("adversary", {})
+        if not isinstance(adv_raw, dict):
+            raise ConfigError("adversary", "must be an object")
         strategy_raw = adv_raw.get("strategy", {"type": STRATEGY_FABRICATE})
         if isinstance(strategy_raw, str):
             strategy_raw = {"type": strategy_raw}
@@ -329,19 +337,12 @@ class Vehicle:
     master_seed: bytes
     grant_key: KeyPair
     rng: CounterRng
-    assoc_region: str | None
+    assoc_region: str
     pending_region: str | None = None
-    buffering: bool = False
-    buffer: list[DataTransaction] = field(default_factory=list)
     key_counter: int = 0
     used_keypairs: list[KeyPair] = field(default_factory=list)
     reuse_key: KeyPair | None = None
     replay_payload: Payload | None = None
-
-    def region(self, cfg: ScenarioConfig) -> str:
-        row = min(int(self.y // cfg.cell_size_m), cfg.rows - 1)
-        col = min(int(self.x // cfg.cell_size_m), cfg.cols - 1)
-        return region_name(max(row, 0), max(col, 0))
 
     def fresh_key(self, scheme: SignatureScheme) -> KeyPair:
         if self.reuse_key is not None:
@@ -409,26 +410,24 @@ class World:
             master = sha256(b"dmap/vehicle-master"
                             + struct.pack(">QQ", seed, vid))
             grant_key = scheme.generate_keypair(master + b"/grant")
-            v = Vehicle(vid=vid,
-                        x=rng.uniform(0.0, width), y=rng.uniform(0.0, height),
+            x, y = rng.uniform(0.0, width), rng.uniform(0.0, height)
+            v = Vehicle(vid=vid, x=x, y=y,
                         heading=rng.uniform(0.0, 2 * math.pi),
                         speed=rng.uniform(config.speed_min_mps,
                                           config.speed_max_mps),
                         honest=vid >= n_adv,
                         master_seed=master, grant_key=grant_key, rng=rng,
-                        assoc_region=None)
-            v.assoc_region = v.region(config)
+                        assoc_region=region_name(*self._cell(x, y)))
             if vid in config.key_reuse_vehicles:
                 v.reuse_key = scheme.generate_keypair(master + b"/reused")
             self.vehicles.append(v)
 
-        self._event_xy = [_geo_to_xy(ev.loc) for ev in config.ground_truth_events]
+        self._events = [(ev, *_geo_to_xy(ev.loc))
+                        for ev in config.ground_truth_events]
         self._fab_region: str | None = None
         if config.adversary.fab_loc is not None:
-            fx, fy = _geo_to_xy(config.adversary.fab_loc)
-            row = min(int(fy // config.cell_size_m), config.rows - 1)
-            col = min(int(fx // config.cell_size_m), config.cols - 1)
-            self._fab_region = region_name(max(row, 0), max(col, 0))
+            self._fab_region = region_name(
+                *self._cell(*_geo_to_xy(config.adversary.fab_loc)))
 
         self.window_index = 0
         self.delivery_log: list[Delivery] = []
@@ -439,7 +438,12 @@ class World:
         self.access_denied = 0
         self.contracts_created: list[SmartContract] = []
         self.granted_log: list[tuple[AccessResult, int]] = []
-        self._script_fired = [False] * len(config.market_script)
+        # (first due tick, action); the stable sort keeps script order
+        # among actions due in the same tick
+        self._script = sorted(
+            ((max(math.ceil(a.get("time_ms", 0) / TICK_MS), 0), a)
+             for a in config.market_script), key=lambda due_action: due_action[0])
+        self._script_next = 0
         self._pending_autogrants: list[tuple[int, bytes, dict]] = []
         self._sp_keys: dict[str, KeyPair] = {}
 
@@ -458,60 +462,53 @@ class World:
         for v in self.vehicles:
             h_parts.append(struct.pack(">Qddddq", v.vid, v.x, v.y, v.heading,
                                        v.speed, v.key_counter))
-            h_parts.append((v.assoc_region or "").encode())
+            h_parts.append(v.assoc_region.encode())
         for region in sorted(self.ledgers):
             h_parts.append(self.ledgers[region].tip.block_hash)
         return sha256(b"".join(h_parts))
 
     # -- event loop ----------------------------------------------------------
 
-    def _active_events(self, ts: int) -> list[int]:
-        return [i for i, ev in enumerate(self.config.ground_truth_events)
-                if ev.start_ms <= ts < ev.end_ms]
+    def _cell(self, x: float, y: float) -> tuple[int, int]:
+        """Grid (row, col) of a position, clamped into the grid."""
+        cfg = self.config
+        row = min(int(y // cfg.cell_size_m), cfg.rows - 1)
+        col = min(int(x // cfg.cell_size_m), cfg.cols - 1)
+        return max(row, 0), max(col, 0)
 
-    def _deliver(self, v: Vehicle, tx: DataTransaction, fabricated: bool) -> None:
+    def _deliver(self, v: Vehicle, loc: GeoPoint, kind: EventKind, ts: int,
+                 fabricated: bool = False) -> None:
+        """Sign a report under a fresh key and send it to the serving RSI."""
+        tx = build_data_tx(self.scheme, v.fresh_key(self.scheme), loc, kind, ts)
         self.pk_owner.setdefault(tx.pk, v.vid)
-        if v.buffering or v.assoc_region is None:
-            v.buffer.append(tx)
-            return
         region = v.assoc_region
         edge.ingest(self.scheme, self.rsis[region], tx, self.clock_ms)
         self.delivery_log.append(Delivery(self.window_index, region, v.vid,
                                           tx, fabricated))
 
+    def _sensed(self, v: Vehicle, active: list[tuple[GroundTruthEvent, float, float]]
+                ) -> list[GroundTruthEvent]:
+        """Active events within the vehicle's sensing radius, in scenario order."""
+        radius = self.config.sensing_radius_m
+        return [ev for ev, ex, ey in active
+                if math.hypot(v.x - ex, v.y - ey) <= radius]
+
     def _emit_phase(self) -> None:
         cfg = self.config
         ts = self.clock_ms
+        active = [e for e in self._events if e[0].start_ms <= ts < e[0].end_ms]
         for v in self.vehicles:
-            if not v.buffering and v.buffer and v.assoc_region is not None:
-                for old in v.buffer:
-                    edge.ingest(self.scheme, self.rsis[v.assoc_region], old, ts)
-                    self.delivery_log.append(
-                        Delivery(self.window_index, v.assoc_region, v.vid,
-                                 old, False))
-                v.buffer.clear()
-
             if v.honest:
-                self._emit_honest(v, ts)
+                # corroborating reports must be byte-identical for the member
+                # signatures to verify against the deduplicated payload, so
+                # every sensing vehicle reports the event's own location
+                for ev in self._sensed(v, active):
+                    self._deliver(v, ev.loc, ev.kind, ts)
             elif cfg.adversary.strategy == STRATEGY_FABRICATE:
                 self._emit_fabricated(v, ts)
             elif cfg.adversary.strategy == STRATEGY_REPLAY:
-                self._emit_replay(v, ts)
+                self._emit_replay(v, ts, active)
             # SuppressReports: silence
-
-    def _emit_honest(self, v: Vehicle, ts: int) -> None:
-        cfg = self.config
-        for i in self._active_events(ts):
-            ev = cfg.ground_truth_events[i]
-            ex, ey = self._event_xy[i]
-            if math.hypot(v.x - ex, v.y - ey) > cfg.sensing_radius_m:
-                continue
-            # corroborating reports must be byte-identical for the member
-            # signatures to verify against the deduplicated payload, so
-            # every sensing vehicle reports the event's own location
-            key = v.fresh_key(self.scheme)
-            tx = build_data_tx(self.scheme, key, ev.loc, ev.kind, ts)
-            self._deliver(v, tx, fabricated=False)
 
     def _emit_fabricated(self, v: Vehicle, ts: int) -> None:
         cfg = self.config
@@ -519,42 +516,30 @@ class World:
         # claim is at least geographically plausible
         if self._fab_region is None or v.assoc_region != self._fab_region:
             return
-        key = v.fresh_key(self.scheme)
-        tx = build_data_tx(self.scheme, key, cfg.adversary.fab_loc,
-                           cfg.adversary.fab_kind, ts)
         self.injected_false += 1
-        self._deliver(v, tx, fabricated=True)
+        self._deliver(v, cfg.adversary.fab_loc, cfg.adversary.fab_kind, ts,
+                      fabricated=True)
 
-    def _emit_replay(self, v: Vehicle, ts: int) -> None:
-        if v.replay_payload is None:
-            # capture phase: behave like an honest reporter once
-            self._capture_replay_payload(v, ts)
-            return
+    def _emit_replay(self, v: Vehicle, ts: int,
+                     active: list[tuple[GroundTruthEvent, float, float]]) -> None:
         p = v.replay_payload
-        key = v.fresh_key(self.scheme)
-        tx = build_data_tx(self.scheme, key, p.loc, p.event, p.timestamp)
-        self._deliver(v, tx, fabricated=False)
-
-    def _capture_replay_payload(self, v: Vehicle, ts: int) -> None:
-        cfg = self.config
-        for i in self._active_events(ts):
-            ev = cfg.ground_truth_events[i]
-            ex, ey = self._event_xy[i]
-            if math.hypot(v.x - ex, v.y - ey) > cfg.sensing_radius_m:
-                continue
-            key = v.fresh_key(self.scheme)
-            tx = build_data_tx(self.scheme, key, ev.loc, ev.kind, ts)
-            v.replay_payload = Payload(tx.loc, tx.event, tx.timestamp)
-            self._deliver(v, tx, fabricated=False)
-            return
+        if p is None:
+            # capture phase: report the first sensed event honestly; every
+            # later emit replays that same payload
+            sensed = self._sensed(v, active)
+            if not sensed:
+                return
+            p = v.replay_payload = Payload(sensed[0].loc, sensed[0].kind, ts)
+        self._deliver(v, p.loc, p.event, p.timestamp)
 
     def _move_phase(self) -> None:
         cfg = self.config
         dt = TICK_MS / 1000.0
         width = cfg.cols * cfg.cell_size_m
         height = cfg.rows * cfg.cell_size_m
+        cell = self._cell
         for v in self.vehicles:
-            before = v.region(cfg)
+            before = cell(v.x, v.y)
             v.x += math.cos(v.heading) * v.speed * dt
             v.y += math.sin(v.heading) * v.speed * dt
             if v.x < 0 or v.x > width:
@@ -563,11 +548,11 @@ class World:
             if v.y < 0 or v.y > height:
                 v.y = min(max(v.y, 0.0), height)
                 v.heading = -v.heading
-            after = v.region(cfg)
+            after = cell(v.x, v.y)
             if after != before:
                 v.heading = v.rng.uniform(0.0, 2 * math.pi)
                 self.handover_count += 1
-                edge.handover(v, after, self.rsis)
+                edge.handover(v, region_name(*after))
 
     def _close_region(self, region: str) -> None:
         """Close the region's window, chain what miners admit, store it."""
@@ -585,18 +570,17 @@ class World:
             if v.pending_region is not None:
                 v.assoc_region = v.pending_region
                 v.pending_region = None
-            elif v.buffering:
-                v.assoc_region = None
         self.window_index += 1
         self._fire_autogrants()
 
     # -- marketplace script ---------------------------------------------------
 
     def _fire_market_actions(self) -> None:
-        for i, action in enumerate(self.config.market_script):
-            if self._script_fired[i] or action.get("time_ms", 0) > self.clock_ms:
-                continue
-            self._script_fired[i] = True
+        tick = self.clock_ms // TICK_MS
+        script = self._script
+        while self._script_next < len(script) and script[self._script_next][0] <= tick:
+            _, action = script[self._script_next]
+            self._script_next += 1
             self._run_action(action)
 
     def _parse_scope(self, obj: dict) -> Scope:

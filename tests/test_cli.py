@@ -116,10 +116,13 @@ class TestRun:
         ("adversary", "strategy", 5),
         ("", "key_reuse_vehicles", "ab"),
         ("", "market_script", [{"time_ms": 0, "action": "bogus"}]),
+        ("", "adversary", 5),
+        ("market_script", "time_ms", "x"),
+        ("grid", "cell_size_m", float("nan")),
     ])
     def test_mistyped_field_exits_65_naming_field(self, tmp_path, capsys,
                                                   section, field, value):
-        doc = json.loads((SCENARIO_DIR / "honest_majority.json").read_text())
+        doc = json.loads((SCENARIO_DIR / "market_suite.json").read_text())
         container = doc[section] if section else doc
         if isinstance(container, list):
             container = container[0]
@@ -130,6 +133,23 @@ class TestRun:
         # list items are named with their index: ground_truth_events[0].active_ms
         err = capsys.readouterr().err
         assert ".".join(filter(None, (section, field))) in err.replace("[0]", "")
+
+    @pytest.mark.parametrize("index, field, value", [
+        (1, "grant", {"contract_index": 99}),
+        (0, "owner_vehicle", "zero"),
+    ])
+    def test_unexpected_run_error_exits_70(self, tmp_path, capsys,
+                                           index, field, value):
+        # well-typed enough to pass validation, wrong only once the run
+        # reaches the action
+        doc = json.loads((SCENARIO_DIR / "market_suite.json").read_text())
+        doc["market_script"][index][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--scenario", str(path)]) == 70
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
 
     def test_non_integer_env_seed_exits_65(self, tiny_scenario, monkeypatch,
                                            capsys):

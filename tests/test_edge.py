@@ -332,32 +332,24 @@ class _FakeVehicle:
     def __init__(self):
         self.assoc_region = "r0_c0"
         self.pending_region = None
-        self.buffering = False
 
 
 class TestHandover:
-    def test_pending_set_on_covered_region(self, rsi):
+    def test_pending_set_on_covered_region(self):
         v = _FakeVehicle()
-        handover(v, "r0_c1", {"r0_c0": rsi, "r0_c1": rsi})
+        handover(v, "r0_c1")
         assert v.pending_region == "r0_c1"
         assert v.assoc_region == "r0_c0"  # soft: old RSI serves this window
 
-    def test_no_boundary_cross_is_noop(self, rsi):
+    def test_no_boundary_cross_is_noop(self):
         v = _FakeVehicle()
-        handover(v, "r0_c0", {"r0_c0": rsi})
+        handover(v, "r0_c0")
         assert v.pending_region is None
 
-    def test_crossing_back_clears_pending(self, rsi):
+    def test_crossing_back_clears_pending(self):
         v = _FakeVehicle()
-        rsis = {"r0_c0": rsi, "r0_c1": rsi}
-        handover(v, "r0_c1", rsis)
-        handover(v, "r0_c0", rsis)
-        assert v.pending_region is None
-
-    def test_uncovered_region_starts_buffering(self, rsi):
-        v = _FakeVehicle()
-        handover(v, "r9_c9", {"r0_c0": rsi})
-        assert v.buffering
+        handover(v, "r0_c1")
+        handover(v, "r0_c0")
         assert v.pending_region is None
 
 

@@ -61,12 +61,19 @@ class TestScenarioConfig:
         for path in ("grid.cell_size_m", "vehicles.speed_min_mps",
                      "vehicles.speed_max_mps", "consistency.eps_distance_m",
                      "sensing_radius_m", "adversary.fraction")
-        for value in ("5", False, None)
+        for value in ("5", False, None, float("nan"), float("inf"))
     ] + [
         ("ground_truth_events[0].active_ms", "x"),
         ("key_reuse_vehicles", "ab"),
         ("adversary.strategy", 5),
+        ("adversary", 5),
         ("market_script[0].action", "bogus"),
+        ("market_script[0].time_ms", "x"),
+        ("market_script[0].time_ms", True),
+        ("market_script[0].time_ms", float("nan")),
+        pytest.param("grid.cell_size_m", 10**400, id="grid.cell_size_m-10**400"),
+        pytest.param("market_script[0].time_ms", 10**400,
+                     id="market_script[0].time_ms-10**400"),
     ])
     def test_mistyped_field_names_field(self, path, value):
         d = minimal_dict(
@@ -275,6 +282,25 @@ class TestHandover:
         # one window behind via a pending handover
         for v in world.vehicles:
             assert v.assoc_region in world.rsis
+
+
+class TestMarketScript:
+    def test_same_tick_actions_fire_in_script_order(self):
+        def contract(time_ms, price):
+            return {"time_ms": time_ms, "action": "create_contract",
+                    "owner_vehicle": 0, "grantee_sp": "sp1",
+                    "timespan": [0, 10_000], "scope": {"period": [0, 10_000]},
+                    "price": price}
+
+        # 150 ms and 120 ms both first fall due at the 200 ms tick, where
+        # script index, not time_ms, orders them
+        world = World(ScenarioConfig.from_dict(minimal_dict(
+            market_script=[contract(150, 1), contract(120, 2)])))
+        world.step()
+        world.step()
+        assert world.contracts_created == []
+        world.step()
+        assert [c.price for c in world.contracts_created] == [1, 2]
 
 
 def _rewrite_block_timestamp(world):
