@@ -17,7 +17,7 @@ import json
 import pytest
 
 from dmap import cli, sim
-from dmap.crypto import sha256
+from dmap.crypto import ED25519, KEYED_HASH, sha256
 from tests.conftest import SCENARIO_DIR
 
 
@@ -67,7 +67,12 @@ CASES = {
     "honest_majority_miner_m3": _miner_m3,
     "honest_majority_200_vehicles": _vehicles_200,
     "honest_majority_replay_stale": _replay_stale,
+    "honest_majority_ed25519": lambda: _scenario_dict("honest_majority"),
 }
+
+# cases run under a scheme other than the default keyed-hash one; the
+# Ed25519 case pins the signing and verification paths of the real scheme
+SCHEMES = {"honest_majority_ed25519": ED25519}
 
 PINNED = {
     "honest_majority":
@@ -88,6 +93,8 @@ PINNED = {
         "e2a7c3c266c8637f8af62f5572ef4b79d578cbdd6550daaf3283eb58a6b008c0",
     "honest_majority_replay_stale":
         "9024b796861b757b83dcb9fb600b2ac9fb6c25e53050c2f158c8ed04e9e47cbe",
+    "honest_majority_ed25519":
+        "7ef08227a1ea819b2ab8210a99799c53388416eaa2f6326ce88ae3606098f7f2",
 }
 
 
@@ -110,13 +117,16 @@ PINNED_STATE = {
         "296ac6153301cb018f38a9fd66c11efa36b19ed0c8f96dadeeb940b05dd0f346",
     "honest_majority_replay_stale":
         "3a9f3134e8e7410f610ebc5eea32124e547bd50ec84aa50d27fadb0f82060309",
+    "honest_majority_ed25519":
+        "32cfe6bbcd1798d4ceaca34a225ed9be513485d4e5439ea40c20d99a318673b3",
 }
 
 
 @functools.lru_cache(maxsize=None)
 def _finished(case: str) -> tuple[sim.World, dict]:
     # both tables read the same finished world, so each case runs once
-    world = sim.World(sim.ScenarioConfig.from_dict(CASES[case]()))
+    world = sim.World(sim.ScenarioConfig.from_dict(CASES[case]()),
+                      SCHEMES.get(case, KEYED_HASH))
     return world, world.run()
 
 
