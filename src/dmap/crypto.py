@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -42,6 +42,10 @@ def sha256(message: bytes) -> bytes:
 class KeyPair:
     public: bytes
     secret: bytes  # never serialized into any protocol message
+    # the scheme's parsed private key, kept so that signing skips
+    # re-parsing `secret`; not part of the key's value
+    private_key: Ed25519PrivateKey | None = field(default=None, compare=False,
+                                                  repr=False)
 
 
 class SignatureScheme:
@@ -52,7 +56,7 @@ class SignatureScheme:
     def generate_keypair(self, seed: bytes) -> KeyPair:
         raise NotImplementedError
 
-    def sign(self, secret: bytes, message: bytes) -> bytes:
+    def sign(self, key: KeyPair, message: bytes) -> bytes:
         raise NotImplementedError
 
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
@@ -72,10 +76,13 @@ class Ed25519Scheme(SignatureScheme):
         )
 
         public = sk.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-        return KeyPair(public=public, secret=seed)
+        return KeyPair(public=public, secret=seed, private_key=sk)
 
-    def sign(self, secret: bytes, message: bytes) -> bytes:
-        return Ed25519PrivateKey.from_private_bytes(secret).sign(message)
+    def sign(self, key: KeyPair, message: bytes) -> bytes:
+        sk = key.private_key
+        if sk is None:
+            sk = Ed25519PrivateKey.from_private_bytes(key.secret)
+        return sk.sign(message)
 
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
         if len(public) != 32:
@@ -97,9 +104,8 @@ class KeyedHashScheme(SignatureScheme):
         public = sha256(b"dmap/keyed-hash/public" + secret)
         return KeyPair(public=public, secret=secret)
 
-    def sign(self, secret: bytes, message: bytes) -> bytes:
-        public = sha256(b"dmap/keyed-hash/public" + secret)
-        return self._mac(public, message)
+    def sign(self, key: KeyPair, message: bytes) -> bytes:
+        return self._mac(key.public, message)
 
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
         if len(public) != 32 or len(signature) != 32:
@@ -141,13 +147,27 @@ def certificate_signing_bytes(subject_pk: bytes, region_id: str) -> bytes:
 
 def issue_certificate(scheme: SignatureScheme, ca: KeyPair,
                       subject_pk: bytes, region_id: str) -> Certificate:
-    sig = scheme.sign(ca.secret, certificate_signing_bytes(subject_pk, region_id))
+    sig = scheme.sign(ca, certificate_signing_bytes(subject_pk, region_id))
     return Certificate(subject_pk=subject_pk, region_id=region_id, ca_signature=sig)
 
 
-def verify_certificate(scheme: SignatureScheme, ca_pk: bytes,
-                       cert: Certificate) -> bool:
-    return scheme.verify(ca_pk, cert.signing_bytes(), cert.ca_signature)
+def verify_certificate(scheme: SignatureScheme, ca_pk: bytes, cert: Certificate,
+                       verified: set[tuple[bytes, Certificate]] | None = None
+                       ) -> bool:
+    """Does the CA key `ca_pk` sign `cert`?
+
+    `verified`, when given, memoises successes: it holds the (CA key,
+    certificate) pairs that verified, and a pair found there is not
+    verified again. A certificate compares by all of its fields, so a
+    forged one (any field changed) misses the memo and is verified.
+    Failures are never stored.
+    """
+    if verified is not None and (ca_pk, cert) in verified:
+        return True
+    ok = scheme.verify(ca_pk, cert.signing_bytes(), cert.ca_signature)
+    if ok and verified is not None:
+        verified.add((ca_pk, cert))
+    return ok
 
 
 def _encode_certificate(cert: Certificate, w: Writer) -> None:

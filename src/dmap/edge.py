@@ -19,11 +19,11 @@ from .txmodel import (
     DataTransaction,
     Payload,
     RsiTransaction,
-    build_rsi_tx,
     canonical_encode,
     cell_of,
     distance_m,
     payload_bytes,
+    sign_rsi_tx,
     verify_data_tx,
 )
 
@@ -260,6 +260,9 @@ def close_window(scheme: SignatureScheme, rsi: RsiState,
     signed exactly the deduplicated payload. Within a surviving cluster
     the exact-payload plurality is aggregated; compatible-but-divergent
     leftovers cannot be carried verifiably and are counted rejected.
+    `ingest` verified every report in the window, and each carried member
+    signed exactly the payload, so aggregates are signed without a second
+    member check; miner admission is the independent one.
     """
     clusters = cluster_reports(rsi.window.reports, policy)
     verdicts = judge_clusters(clusters, policy)
@@ -277,11 +280,11 @@ def close_window(scheme: SignatureScheme, rsi: RsiState,
                          key=lambda m: m[0])
         rsi.stats.rejected_reports += len(v.reports) - len(carried)
         if v.status is ClusterStatus.TRUSTED and len(carried) >= policy.min_corroboration:
-            txs.append(build_rsi_tx(scheme, rsi.key, payload, members, flag=1))
+            txs.append(sign_rsi_tx(scheme, rsi.key, payload, members, flag=1))
             rsi.stats.trusted_tx += 1
             rsi.stats.trusted_members += len(members)
         else:
-            txs.append(build_rsi_tx(scheme, rsi.key, payload, members, flag=0))
+            txs.append(sign_rsi_tx(scheme, rsi.key, payload, members, flag=0))
             rsi.stats.lone_tx += 1
             rsi.stats.lone_reports += 1
             rsi.stats.lone_members += len(members)

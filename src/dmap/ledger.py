@@ -108,6 +108,10 @@ class MinerPolicy:
     m: int  # minimum member-signature count for aggregates
     ca_pk: bytes
     cert_registry: dict[bytes, Certificate] = field(default_factory=dict)
+    # the certificates that verified, as in Bitcoin Core's signature cache
+    # (see `verify_certificate`); None verifies every certificate each time
+    verified_certs: set[tuple[bytes, Certificate]] | None = field(
+        default_factory=set, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -156,8 +160,8 @@ def miner_admit(scheme: SignatureScheme, tx: ChainedTx, policy: MinerPolicy,
         cert = policy.cert_registry.get(tx.rsi_pk)
         if cert is not None and cert.region_id != region:
             return Verdict.reject(REJECT_WRONG_LEDGER)
-        return verify_rsi_tx(scheme, tx, policy.ca_pk,
-                             policy.cert_registry, policy.m)
+        return verify_rsi_tx(scheme, tx, policy.ca_pk, policy.cert_registry,
+                             policy.m, policy.verified_certs)
     if isinstance(tx, AccessTransaction):
         return _admit_access_tx(scheme, tx, policy)
     if isinstance(tx, SmartContract):
@@ -180,7 +184,8 @@ def _admit_access_tx(scheme: SignatureScheme, tx: AccessTransaction,
     if not tx.is_approved():
         return Verdict.reject("MissingRuleTableSignature")
     cert = policy.cert_registry.get(tx.ruletable_pk)
-    if cert is None or not verify_certificate(scheme, policy.ca_pk, cert):
+    if cert is None or not verify_certificate(scheme, policy.ca_pk, cert,
+                                              policy.verified_certs):
         return Verdict.reject("UncertifiedRuleTable")
     if not scheme.verify(tx.ruletable_pk, access_ruletable_signing_bytes(tx),
                          tx.ruletable_sign):

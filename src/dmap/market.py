@@ -123,7 +123,7 @@ def create_contract(scheme: SignatureScheme, owner_key: KeyPair,
         raise RangeError("scope period must satisfy from <= to")
     if price < 0:
         raise RangeError("price must be non-negative")
-    sig = scheme.sign(owner_key.secret,
+    sig = scheme.sign(owner_key,
                       contract_signing_bytes(owner_key.public, grantee_pk,
                                              start_ms, end_ms, scope, price))
     return SmartContract(owner_pk=owner_key.public, grantee_pk=grantee_pk,
@@ -133,7 +133,7 @@ def create_contract(scheme: SignatureScheme, owner_key: KeyPair,
 
 def build_access_tx(scheme: SignatureScheme, requester_key: KeyPair,
                     query: Scope, grant: Grant) -> AccessTransaction:
-    sig = scheme.sign(requester_key.secret,
+    sig = scheme.sign(requester_key,
                       access_requester_signing_bytes(requester_key.public,
                                                      query, grant))
     return AccessTransaction(requester_pk=requester_key.public, query=query,
@@ -150,7 +150,7 @@ def build_data_request(scheme: SignatureScheme, sp_key: KeyPair,
         raise TargetError("degenerate request area")
     if from_ms > to_ms:
         raise TargetError("period must satisfy from <= to")
-    sig = scheme.sign(sp_key.secret,
+    sig = scheme.sign(sp_key,
                       data_request_signing_bytes(sp_key.public, area_min,
                                                  area_max, from_ms, to_ms))
     return DataRequestTransaction(sp_pk=sp_key.public, area_min=area_min,
@@ -242,7 +242,7 @@ class RuleTable:
             return AccessResult.denied(DENY_NO_GRANT)
 
         # the countersigned bytes leave out the rule-table fields
-        sig = self.scheme.sign(self.key.secret,
+        sig = self.scheme.sign(self.key,
                                access_ruletable_signing_bytes(access_tx))
         approved = replace(access_tx, ruletable_pk=self.key.public,
                            ruletable_sign=sig)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from . import edge, txmodel
@@ -338,9 +338,10 @@ class Vehicle:
     grant_key: KeyPair
     rng: CounterRng
     assoc_region: str
+    cell: tuple[int, int]  # World._cell(x, y), kept up to date by moves
     pending_region: str | None = None
     key_counter: int = 0
-    used_keypairs: list[KeyPair] = field(default_factory=list)
+    first_key: KeyPair | None = None  # signs owner-signature grants
     reuse_key: KeyPair | None = None
     replay_payload: Payload | None = None
 
@@ -350,7 +351,8 @@ class Vehicle:
         seed = sha256(self.master_seed + struct.pack(">Q", self.key_counter))
         self.key_counter += 1
         key = scheme.generate_keypair(seed)
-        self.used_keypairs.append(key)
+        if self.first_key is None:
+            self.first_key = key
         return key
 
 
@@ -411,13 +413,14 @@ class World:
                             + struct.pack(">QQ", seed, vid))
             grant_key = scheme.generate_keypair(master + b"/grant")
             x, y = rng.uniform(0.0, width), rng.uniform(0.0, height)
+            cell = self._cell(x, y)
             v = Vehicle(vid=vid, x=x, y=y,
                         heading=rng.uniform(0.0, 2 * math.pi),
                         speed=rng.uniform(config.speed_min_mps,
                                           config.speed_max_mps),
                         honest=vid >= n_adv,
                         master_seed=master, grant_key=grant_key, rng=rng,
-                        assoc_region=region_name(*self._cell(x, y)))
+                        assoc_region=region_name(*cell), cell=cell)
             if vid in config.key_reuse_vehicles:
                 v.reuse_key = scheme.generate_keypair(master + b"/reused")
             self.vehicles.append(v)
@@ -539,7 +542,6 @@ class World:
         height = cfg.rows * cfg.cell_size_m
         cell = self._cell
         for v in self.vehicles:
-            before = cell(v.x, v.y)
             v.x += math.cos(v.heading) * v.speed * dt
             v.y += math.sin(v.heading) * v.speed * dt
             if v.x < 0 or v.x > width:
@@ -549,7 +551,8 @@ class World:
                 v.y = min(max(v.y, 0.0), height)
                 v.heading = -v.heading
             after = cell(v.x, v.y)
-            if after != before:
+            if after != v.cell:
+                v.cell = after
                 v.heading = v.rng.uniform(0.0, 2 * math.pi)
                 self.handover_count += 1
                 edge.handover(v, region_name(*after))
@@ -619,9 +622,9 @@ class World:
                           contract_id=contract.contract_id())
         elif "owner_sig_vehicle" in g:
             owner = self.vehicles[g["owner_sig_vehicle"]]
-            key = owner.used_keypairs[0] if owner.used_keypairs else owner.grant_key
+            key = owner.first_key or owner.grant_key
             sig = self.scheme.sign(
-                key.secret, txmodel.grant_signing_bytes(sp.public, query))
+                key, txmodel.grant_signing_bytes(sp.public, query))
             grant = Grant(kind=GRANT_OWNER_SIG, owner_pk=key.public,
                           owner_sign=sig)
         else:
@@ -794,20 +797,25 @@ class World:
                   f"first_bad_height={status.first_bad_height}")
 
         # one pass over every chained tx, in region order: the digest map
-        # serves the isolation, provenance and grant checks
+        # serves the isolation, provenance and grant checks. Admission is
+        # replayed without the certificate memo, so every certificate of
+        # every chained tx is verified here.
+        replay = replace(self.policy, verified_certs=None)
         region_of: dict[bytes, str] = {}
         contracts: dict[bytes, SmartContract] = {}
         isolated = True
         false_chained = 0
         for region in sorted(self.ledgers):
             for tx in self.ledgers[region].all_txs():
-                verdict = miner_admit(self.scheme, tx, self.policy, region)
+                verdict = miner_admit(self.scheme, tx, replay, region)
                 check(f"admission_sound[{region}]", verdict.accepted,
                       verdict.reason)
                 digest = sha256(canonical_encode(tx))
                 if region_of.setdefault(digest, region) != region:
                     isolated = False
                 if isinstance(tx, RsiTransaction):
+                    # cannot fail: admission rejects flag 0 and is checked
+                    # first; kept as a check that does not rest on it
                     check(f"flag_sweep[{region}]", tx.flag == 1, "flag=0 chained")
                     if not self._payload_matches_truth(tx.payload):
                         false_chained += 1

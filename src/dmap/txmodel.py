@@ -175,7 +175,7 @@ def build_data_tx(scheme: SignatureScheme, vehicle_key: KeyPair,
     loc.check_range()
     if ts < 0:
         raise RangeError("timestamp must be non-negative")
-    sig = scheme.sign(vehicle_key.secret,
+    sig = scheme.sign(vehicle_key,
                       data_tx_signing_bytes(loc, event, ts, vehicle_key.public))
     return DataTransaction(loc=loc, event=event, timestamp=ts,
                            pk=vehicle_key.public, vehicle_sign=sig)
@@ -276,9 +276,20 @@ def build_rsi_tx(scheme: SignatureScheme, rsi_key: KeyPair, payload: Payload,
                                     payload.timestamp, pk)
         if not scheme.verify(pk, msg, sig):
             raise MemberSignatureError("member signature does not verify")
+    return sign_rsi_tx(scheme, rsi_key, payload, members, flag)
+
+
+def sign_rsi_tx(scheme: SignatureScheme, rsi_key: KeyPair, payload: Payload,
+                members: list[tuple[bytes, bytes]], flag: int) -> RsiTransaction:
+    """Sign an aggregate without re-checking its members.
+
+    For callers that have already verified every (pk, sign) pair against
+    exactly `payload`, as `edge.ingest` does for each report of a window;
+    `build_rsi_tx` is the checked form.
+    """
     pks = tuple(pk for pk, _ in members)
     signs = tuple(sig for _, sig in members)
-    rsi_sign = scheme.sign(rsi_key.secret,
+    rsi_sign = scheme.sign(rsi_key,
                            rsi_tx_signing_bytes(rsi_key.public, payload,
                                                 signs, pks, flag))
     return RsiTransaction(rsi_pk=rsi_key.public, payload=payload,
@@ -310,16 +321,19 @@ REJECT_MALFORMED = "Malformed"
 
 
 def verify_rsi_tx(scheme: SignatureScheme, tx: RsiTransaction, ca_pk: bytes,
-                  cert_registry: dict[bytes, "object"], m: int) -> Verdict:
+                  cert_registry: dict[bytes, "object"], m: int,
+                  verified_certs: set | None = None) -> Verdict:
     """Miner-side admission check for an aggregate transaction.
 
     Accept requires a CA-certified RSI key, a valid RSI signature, every
     member signature verifying, at least `m` members, and flag = 1.
+    `verified_certs` is the certificate memo of `verify_certificate`.
     """
     from .crypto import Certificate, verify_certificate
 
     cert = cert_registry.get(tx.rsi_pk)
-    if not isinstance(cert, Certificate) or not verify_certificate(scheme, ca_pk, cert):
+    if not isinstance(cert, Certificate) or not verify_certificate(
+            scheme, ca_pk, cert, verified_certs):
         return Verdict.reject(REJECT_UNCERTIFIED_RSI)
     if len(tx.vehicle_signs) != len(tx.vehicle_pks) or not tx.vehicle_pks:
         return Verdict.reject(REJECT_MALFORMED)

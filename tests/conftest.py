@@ -1,10 +1,11 @@
+import collections
 import json
 import pathlib
 
 import pytest
 
 from dmap import sim
-from dmap.crypto import KEYED_HASH, sha256
+from dmap.crypto import KEYED_HASH, SignatureScheme, sha256
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -12,6 +13,28 @@ FIXTURE_DIR = REPO_ROOT / "fixtures"
 
 SCENARIO_NAMES = ("honest_majority", "majority_capture", "market_suite",
                   "key_reuse")
+
+
+class CountingScheme(SignatureScheme):
+    """Keyed-hash scheme that counts verify calls per public key."""
+
+    name = "counting"
+
+    def __init__(self):
+        self.verified = collections.Counter()
+
+    def generate_keypair(self, seed):
+        return KEYED_HASH.generate_keypair(seed)
+
+    def sign(self, key, message):
+        return KEYED_HASH.sign(key, message)
+
+    def verify(self, public, message, signature):
+        self.verified[public] += 1
+        return KEYED_HASH.verify(public, message, signature)
+
+    def verify_calls(self) -> int:
+        return sum(self.verified.values())
 
 
 def load_scenario_config(name: str) -> sim.ScenarioConfig:

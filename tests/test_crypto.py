@@ -6,6 +6,7 @@ from dmap import fixtures
 from dmap.crypto import (
     ED25519,
     KEYED_HASH,
+    KeyPair,
     issue_certificate,
     sha256,
     verify_certificate,
@@ -65,14 +66,24 @@ class TestSignVerify:
     @BOTH_SCHEMES
     def test_round_trip(self, sch):
         k = sch.generate_keypair(sha256(b"rt"))
-        sig = sch.sign(k.secret, b"message")
+        sig = sch.sign(k, b"message")
         assert sch.verify(k.public, b"message", sig)
+
+    @BOTH_SCHEMES
+    def test_key_without_parsed_private_key_signs_identically(self, sch):
+        k = sch.generate_keypair(sha256(b"parsed"))
+        bare = KeyPair(public=k.public, secret=k.secret)
+        assert bare.private_key is None
+        assert (k.private_key is not None) == (sch is ED25519)
+        assert bare == k and repr(bare) == repr(k)
+        for m in (b"", b"message", bytes(range(256))):
+            assert sch.sign(bare, m) == sch.sign(k, m)
 
     @BOTH_SCHEMES
     def test_bit_flip_breaks_verification(self, sch):
         k = sch.generate_keypair(sha256(b"flip"))
         m = b"the quick brown fox"
-        sig = sch.sign(k.secret, m)
+        sig = sch.sign(k, m)
         tampered = bytes([m[0] ^ 0x01]) + m[1:]
         assert not sch.verify(k.public, tampered, sig)
 
@@ -80,7 +91,7 @@ class TestSignVerify:
     def test_wrong_key_fails(self, sch):
         k = sch.generate_keypair(sha256(b"one"))
         other = sch.generate_keypair(sha256(b"two"))
-        sig = sch.sign(k.secret, b"m")
+        sig = sch.sign(k, b"m")
         assert not sch.verify(other.public, b"m", sig)
 
     @BOTH_SCHEMES
@@ -98,7 +109,7 @@ class TestSignVerify:
         for i in range(n):
             k = sch.generate_keypair(sha256(b"sweep" + struct.pack(">Q", i)))
             m = sha256(struct.pack(">Q", i * 7919))
-            sig = sch.sign(k.secret, m)
+            sig = sch.sign(k, m)
             assert sch.verify(k.public, m, sig)
             assert not sch.verify(k.public, m + b"x", sig)
 

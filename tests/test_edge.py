@@ -23,10 +23,12 @@ from dmap.txmodel import (
     ROAD_DAMAGE,
     Payload,
     build_data_tx,
+    build_rsi_tx,
     distance_m,
     traffic_speed,
     verify_data_tx,
 )
+from tests.conftest import CountingScheme
 from tests.test_txmodel import key
 
 scheme = KEYED_HASH
@@ -321,6 +323,22 @@ class TestCloseWindow:
         assert len(txs) == 1
         assert len(txs[0].vehicle_signs) == 2
         assert rsi.stats.rejected_reports == 1
+
+    def test_signs_without_re_verifying_members(self, rsi):
+        # ingest verified every member; close_window must not verify again,
+        # and its aggregates equal those of the checked build_rsi_tx
+        counting = CountingScheme()
+        for i in range(3):
+            ingest(counting, rsi, report(f"v{i}", ts=100), now=100)
+        ingest(counting, rsi, report("solo", x=500.0, ts=100), now=100)
+        at_ingest = counting.verify_calls()
+        txs = close_window(counting, rsi, POLICY)
+        assert counting.verify_calls() == at_ingest == 4
+        assert [t.flag for t in txs] == [1, 0]
+        for tx in txs:
+            members = list(zip(tx.vehicle_pks, tx.vehicle_signs))
+            assert tx == build_rsi_tx(scheme, rsi.key, tx.payload, members,
+                                      tx.flag)
 
     def test_next_window_opens(self, rsi):
         close_window(scheme, rsi, POLICY)

@@ -1,10 +1,9 @@
-import collections
 import dataclasses
 import hashlib
 
 import pytest
 
-from dmap.crypto import KEYED_HASH, ZERO_DIGEST, SignatureScheme, issue_certificate, sha256
+from dmap.crypto import KEYED_HASH, ZERO_DIGEST, issue_certificate, sha256
 from dmap.encoding import canonical_encode
 from dmap.ledger import (
     AdmissionError,
@@ -32,6 +31,7 @@ from dmap.txmodel import (
     Scope,
     build_rsi_tx,
 )
+from tests.conftest import CountingScheme
 from tests.test_market import Setup as MarketSetup
 from tests.test_market import geo as market_geo
 from tests.test_txmodel import key, make_members, sample_loc
@@ -121,25 +121,6 @@ class TestAppendBlock:
                          [make_tx(rsi_key, flag=0)], 1000, policy)
 
 
-class CountingScheme(SignatureScheme):
-    """Keyed-hash scheme that counts verify calls per public key."""
-
-    name = "counting"
-
-    def __init__(self):
-        self.verified = collections.Counter()
-
-    def generate_keypair(self, seed):
-        return scheme.generate_keypair(seed)
-
-    def sign(self, secret, message):
-        return scheme.sign(secret, message)
-
-    def verify(self, public, message, signature):
-        self.verified[public] += 1
-        return scheme.verify(public, message, signature)
-
-
 class TestAppendAdmitted:
     @pytest.fixture
     def batch(self, setup):
@@ -192,6 +173,63 @@ class TestAppendAdmitted:
         # before any signature check
         for pk in txs[2].vehicle_pks:
             assert counting.verified[pk] == 0
+
+
+def approved_access_tx(ca, policy):
+    """An access tx countersigned by a certified rule table."""
+    from dmap.txmodel import access_ruletable_signing_bytes
+
+    rt_key = key("ruletable")
+    policy.cert_registry[rt_key.public] = issue_certificate(
+        scheme, ca, rt_key.public, "ruletable")
+    tx = build_access_tx(scheme, key("sp"), Scope(("r0_c0",), 0, 100, (0,)),
+                         Grant(kind=GRANT_CONTRACT_REF, contract_id=bytes(32)))
+    tx = dataclasses.replace(tx, ruletable_pk=rt_key.public)
+    return dataclasses.replace(tx, ruletable_sign=scheme.sign(
+        rt_key, access_ruletable_signing_bytes(tx)))
+
+
+class TestCertificateMemo:
+    def test_certificate_verified_once_across_admissions(self, setup):
+        ca, rsi_key, policy = setup
+        counting = CountingScheme()
+        access = approved_access_tx(ca, policy)
+        for tx in (make_tx(rsi_key, ts=1), make_tx(rsi_key, ts=2), access,
+                   access):
+            assert miner_admit(counting, tx, policy, "r0_c0").accepted
+        # one verify per certificate: the RSI's and the rule table's
+        assert counting.verified[ca.public] == 2
+
+    @pytest.mark.parametrize("forge", [
+        {"ca_signature": bytes(32)},
+        {"region_id": "r9_c9"},
+    ], ids=lambda f: next(iter(f)))
+    def test_forged_certificate_misses_the_memo(self, setup, forge):
+        ca, rsi_key, policy = setup
+        access = approved_access_tx(ca, policy)
+        rt_pk = access.ruletable_pk
+        tx = make_tx(rsi_key)
+        assert miner_admit(scheme, tx, policy, "r0_c0").accepted
+        assert miner_admit(scheme, access, policy, "r0_c0").accepted
+        for pk in (rsi_key.public, rt_pk):
+            policy.cert_registry[pk] = dataclasses.replace(
+                policy.cert_registry[pk], **forge)
+        region = policy.cert_registry[rsi_key.public].region_id
+        assert (miner_admit(scheme, tx, policy, region).reason
+                == "UncertifiedRsi")
+        assert (miner_admit(scheme, access, policy, "r0_c0").reason
+                == "UncertifiedRuleTable")
+
+    def test_failures_are_not_memoised(self, setup):
+        ca, rsi_key, policy = setup
+        genuine = policy.cert_registry[rsi_key.public]
+        policy.cert_registry[rsi_key.public] = dataclasses.replace(
+            genuine, ca_signature=bytes(32))
+        tx = make_tx(rsi_key)
+        assert not miner_admit(scheme, tx, policy, "r0_c0").accepted
+        assert not policy.verified_certs
+        policy.cert_registry[rsi_key.public] = genuine
+        assert miner_admit(scheme, tx, policy, "r0_c0").accepted
 
 
 def rescanned_digests(ledger: Ledger) -> set[bytes]:
@@ -376,13 +414,13 @@ class TestAccessLog:
             query = Scope(("r0_c0",), period[0], period[1], (0,))
             grant = Grant(kind=GRANT_OWNER_SIG, owner_pk=owner.public,
                           owner_sign=scheme.sign(
-                              owner.secret,
+                              owner,
                               grant_signing_bytes(sp.public, query)))
             tx = build_access_tx(scheme, sp, query, grant)
             tx = dataclasses.replace(tx, ruletable_pk=rt_key.public)
             tx = dataclasses.replace(
                 tx, ruletable_sign=scheme.sign(
-                    rt_key.secret, access_ruletable_signing_bytes(tx)))
+                    rt_key, access_ruletable_signing_bytes(tx)))
             txs.append(tx)
         append_block(scheme, ledger, [txs[0]], 100, policy)
         append_block(scheme, ledger, [txs[1]], 200, policy)

@@ -263,7 +263,7 @@ class TestOwnerSigAccess:
         query = Scope(("r0_c0",), 0, 2000, (0,))
         grant = Grant(kind=GRANT_OWNER_SIG, owner_pk=owner.public,
                       owner_sign=scheme.sign(
-                          owner.secret, grant_signing_bytes(sp.public, query)))
+                          owner, grant_signing_bytes(sp.public, query)))
         res = world.table.evaluate_access(
             build_access_tx(scheme, sp, query, grant), now_ms=700)
         assert res.granted

@@ -11,6 +11,7 @@ from dmap.sim import ConfigError, Delivery, InvariantViolation, ScenarioConfig, 
 from dmap.txmodel import (
     GRANT_CONTRACT_REF,
     ROAD_DAMAGE,
+    AccessTransaction,
     GeoPoint,
     Grant,
     RsiTransaction,
@@ -18,7 +19,12 @@ from dmap.txmodel import (
     build_data_tx,
     build_rsi_tx,
 )
-from tests.conftest import SCENARIO_NAMES, load_scenario_config
+from tests.conftest import (
+    SCENARIO_DIR,
+    SCENARIO_NAMES,
+    CountingScheme,
+    load_scenario_config,
+)
 from tests.test_txmodel import key
 
 scheme = KEYED_HASH
@@ -351,9 +357,28 @@ def _log_unchained_grant(world):
                               world.clock_ms))
 
 
+def _forge_certificate(world):
+    # the write path has memoised the genuine certificate
+    pk = world.rsis["r0_c0"].key.public
+    world.policy.cert_registry[pk] = dataclasses.replace(
+        world.policy.cert_registry[pk], region_id="r9_c9")
+
+
+def _forge_memoised_certificate(world):
+    # a forged RSI certificate replaces the genuine one, and the write
+    # path's memo is made to hold it, as if admission had accepted it
+    pk = world.rsis["r0_c0"].key.public
+    forged = dataclasses.replace(world.policy.cert_registry[pk],
+                                 ca_signature=bytes(32))
+    world.policy.cert_registry[pk] = forged
+    world.policy.verified_certs.add((world.policy.ca_pk, forged))
+
+
 @pytest.mark.parametrize("tamper, check", [
     (_rewrite_block_timestamp, "chain_valid"),
     (_link_flag0_aggregate, "admission_sound"),
+    (_forge_certificate, "admission_sound"),
+    (_forge_memoised_certificate, "admission_sound"),
     (_link_contract_on_two_ledgers, "ledger_isolation"),
     (_add_unchained_record, "store_provenance"),
     (_bump_reports_sent, "conservation"),
@@ -365,3 +390,37 @@ def test_sweep_names_the_failed_check(finished_worlds, tamper, check):
     with pytest.raises(InvariantViolation) as exc:
         world.sweep_invariants()
     assert str(exc.value).startswith(check)
+
+
+def test_sweep_verifies_every_certificate(finished_worlds):
+    # the write path has memoised every certificate; the sweep still
+    # verifies one per chained aggregate and per chained access
+    world = copy.deepcopy(finished_worlds["market_suite"][0])
+    assert world.policy.verified_certs
+    world.scheme = counting = CountingScheme()
+    world.sweep_invariants()
+    certified = sum(isinstance(tx, (RsiTransaction, AccessTransaction))
+                    for ledger in world.ledgers.values()
+                    for tx in ledger.all_txs())
+    assert certified > 0
+    assert counting.verified[world.ca.public] == certified
+
+
+def test_write_path_verifies_each_report_about_twice():
+    # ingest verifies each report once and miner admission once more;
+    # aggregation, certificates and the sweep add no per-report verify
+    d = json.loads((SCENARIO_DIR / "honest_majority.json").read_text())
+    d["vehicles"]["count"] = 600
+    counting = CountingScheme()
+    world = World(ScenarioConfig.from_dict(d), counting)
+    sweep = world.sweep_invariants
+    before_sweep = []
+
+    def counted_sweep():
+        before_sweep.append(counting.verify_calls())
+        return sweep()
+
+    world.sweep_invariants = counted_sweep
+    world.run()
+    reports = sum(r.stats.reports_sent for r in world.rsis.values())
+    assert before_sweep[0] / reports <= 2.1

@@ -41,7 +41,7 @@ def make_members(payload, labels):
     members = []
     for label in labels:
         k = key(label)
-        sig = scheme.sign(k.secret,
+        sig = scheme.sign(k,
                           data_tx_signing_bytes(payload.loc, payload.event,
                                                 payload.timestamp, k.public))
         members.append((k.public, sig))
