@@ -68,6 +68,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         print(f"scenario is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_BADCONFIG
+    if not isinstance(raw, dict):
+        print("scenario is not a JSON object", file=sys.stderr)
+        return EXIT_BADCONFIG
 
     seed = args.seed
     if seed is None and "DMAP_SEED" in os.environ:

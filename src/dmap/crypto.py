@@ -16,18 +16,17 @@ Hashing is fixed to SHA-256 everywhere.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 from dataclasses import dataclass, field
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
+from typing import TYPE_CHECKING
 
 from . import encoding
 from .encoding import Reader, Writer
+
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 DIGEST_LEN = 32
 ZERO_DIGEST = b"\x00" * DIGEST_LEN
@@ -63,13 +62,24 @@ class SignatureScheme:
         raise NotImplementedError
 
 
+@functools.cache
+def _ed25519():
+    """``cryptography``'s Ed25519 module and `InvalidSignature`, imported on
+    first use: the bindings add about 6 MB to the resident size of a
+    process that only uses the keyed hash."""
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives.asymmetric import ed25519
+
+    return ed25519, InvalidSignature
+
+
 class Ed25519Scheme(SignatureScheme):
     name = "ed25519"
 
     def generate_keypair(self, seed: bytes) -> KeyPair:
         if len(seed) != 32:
             seed = sha256(seed)
-        sk = Ed25519PrivateKey.from_private_bytes(seed)
+        sk = _ed25519()[0].Ed25519PrivateKey.from_private_bytes(seed)
         from cryptography.hazmat.primitives.serialization import (
             Encoding,
             PublicFormat,
@@ -81,16 +91,18 @@ class Ed25519Scheme(SignatureScheme):
     def sign(self, key: KeyPair, message: bytes) -> bytes:
         sk = key.private_key
         if sk is None:
-            sk = Ed25519PrivateKey.from_private_bytes(key.secret)
+            sk = _ed25519()[0].Ed25519PrivateKey.from_private_bytes(key.secret)
         return sk.sign(message)
 
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
         if len(public) != 32:
             return False
+        ed25519, invalid_signature = _ed25519()
         try:
-            Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
+            ed25519.Ed25519PublicKey.from_public_bytes(public).verify(
+                signature, message)
             return True
-        except (InvalidSignature, ValueError):
+        except (invalid_signature, ValueError):
             return False
 
 

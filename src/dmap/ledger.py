@@ -126,6 +126,11 @@ class Ledger:
     _digests: set[bytes] = field(default_factory=set, init=False,
                                  repr=False, compare=False)
     _hashed: int = field(default=0, init=False, repr=False, compare=False)
+    # contract id -> contract for the contracts in blocks[:_indexed],
+    # filled in by find_contract
+    _contracts: dict[bytes, SmartContract] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _indexed: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def tip(self) -> Block:
@@ -143,6 +148,20 @@ class Ledger:
                                  for tx in block.txs)
         self._hashed = len(self.blocks)
         return digest in self._digests
+
+    def find_contract(self, contract_id: bytes) -> SmartContract | None:
+        """The contract with this id chained here, or None.
+
+        Like `has_tx`, indexes only the blocks appended since the last call
+        and hashes only their contracts, so a rewritten block is seen by
+        `validate_chain`, not here.
+        """
+        for block in self.blocks[self._indexed:]:
+            for tx in block.txs:
+                if isinstance(tx, SmartContract):
+                    self._contracts.setdefault(tx.contract_id(), tx)
+        self._indexed = len(self.blocks)
+        return self._contracts.get(contract_id)
 
     def all_txs(self) -> list[ChainedTx]:
         return [tx for b in self.blocks for tx in b.txs]

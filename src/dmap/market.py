@@ -207,9 +207,9 @@ class RuleTable:
 
     def find_contract(self, contract_id: bytes) -> SmartContract | None:
         for ledger in self.ledgers.values():
-            for tx in ledger.all_txs():
-                if isinstance(tx, SmartContract) and tx.contract_id() == contract_id:
-                    return tx
+            contract = ledger.find_contract(contract_id)
+            if contract is not None:
+                return contract
         return None
 
     def evaluate_access(self, access_tx: AccessTransaction,

@@ -42,6 +42,7 @@ from .txmodel import (
 )
 
 TICK_MS = 100
+TICK_S = TICK_MS / 1000.0
 
 STRATEGY_FABRICATE = "FabricateEvent"
 STRATEGY_SUPPRESS = "SuppressReports"
@@ -78,6 +79,8 @@ def _parse_kind(obj: Any, where: str) -> EventKind:
         name, speed = obj.get("name", ""), obj.get("speed_kmh", 0)
     else:
         raise ConfigError(where, "expected event kind name or object")
+    if type(speed) is not int or not 0 <= speed < 2**32:
+        raise ConfigError(f"{where}.speed_kmh", "must be an integer in [0, 2**32)")
     try:
         return EventKind.from_name(name, speed)
     except txmodel.RangeError as exc:
@@ -87,10 +90,14 @@ def _parse_kind(obj: Any, where: str) -> EventKind:
 def _parse_loc(obj: Any, where: str) -> GeoPoint:
     if not isinstance(obj, dict) or "lat" not in obj or "lon" not in obj:
         raise ConfigError(where, "expected {lat, lon}")
-    loc = GeoPoint.from_degrees(obj["lat"], obj["lon"])
+    for key in ("lat", "lon"):
+        if not _is_number(obj[key]):
+            raise ConfigError(f"{where}.{key}", "must be a number")
     try:
+        # OverflowError: a magnitude so large that degrees * 1e6 is infinite
+        loc = GeoPoint.from_degrees(obj["lat"], obj["lon"])
         loc.check_range()
-    except txmodel.RangeError as exc:
+    except (txmodel.RangeError, OverflowError) as exc:
         raise ConfigError(where, str(exc)) from exc
     return loc
 
@@ -222,15 +229,23 @@ class ScenarioConfig:
                 raise ConfigError(where, "missing")
             return container[key]
 
+        def need_object(container: dict, key: str, where: str) -> dict:
+            value = need(container, key, where)
+            if not isinstance(value, dict):
+                raise ConfigError(where, "must be an object")
+            return value
+
         def need_list(key: str) -> list:
             value = d.get(key, [])
             if not isinstance(value, list):
                 raise ConfigError(key, "must be a list")
             return list(value)
 
-        grid = need(d, "grid", "grid")
-        vehicles = need(d, "vehicles", "vehicles")
-        consistency = need(d, "consistency", "consistency")
+        if not isinstance(d, dict):
+            raise ConfigError("scenario", "must be an object")
+        grid = need_object(d, "grid", "grid")
+        vehicles = need_object(d, "vehicles", "vehicles")
+        consistency = need_object(d, "consistency", "consistency")
         adv_raw = d.get("adversary", {})
         if not isinstance(adv_raw, dict):
             raise ConfigError("adversary", "must be an object")
@@ -250,6 +265,10 @@ class ScenarioConfig:
         events = []
         for i, ev in enumerate(need_list("ground_truth_events")):
             where = f"ground_truth_events[{i}]"
+            if not isinstance(ev, dict):
+                raise ConfigError(where, "must be an object")
+            if not isinstance(ev.get("region", ""), str):
+                raise ConfigError(f"{where}.region", "must be a string")
             active = need(ev, "active_ms", f"{where}.active_ms")
             if not (isinstance(active, list) and len(active) == 2
                     and all(type(t) is int for t in active)):
@@ -339,11 +358,26 @@ class Vehicle:
     rng: CounterRng
     assoc_region: str
     cell: tuple[int, int]  # World._cell(x, y), kept up to date by moves
+    # raw x // cell_size_m and y // cell_size_m; the cell can change only
+    # when one of them does
+    floor_x: float
+    floor_y: float
     pending_region: str | None = None
     key_counter: int = 0
     first_key: KeyPair | None = None  # signs owner-signature grants
     reuse_key: KeyPair | None = None
     replay_payload: Payload | None = None
+    # the move of one tick, refreshed by `turn` whenever the heading changes
+    step_x: float = field(init=False, repr=False, compare=False)
+    step_y: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.turn(self.heading)
+
+    def turn(self, heading: float) -> None:
+        self.heading = heading
+        self.step_x = math.cos(heading) * self.speed * TICK_S
+        self.step_y = math.sin(heading) * self.speed * TICK_S
 
     def fresh_key(self, scheme: SignatureScheme) -> KeyPair:
         if self.reuse_key is not None:
@@ -420,7 +454,9 @@ class World:
                                           config.speed_max_mps),
                         honest=vid >= n_adv,
                         master_seed=master, grant_key=grant_key, rng=rng,
-                        assoc_region=region_name(*cell), cell=cell)
+                        assoc_region=region_name(*cell), cell=cell,
+                        floor_x=x // config.cell_size_m,
+                        floor_y=y // config.cell_size_m)
             if vid in config.key_reuse_vehicles:
                 v.reuse_key = scheme.generate_keypair(master + b"/reused")
             self.vehicles.append(v)
@@ -536,26 +572,39 @@ class World:
         self._deliver(v, p.loc, p.event, p.timestamp)
 
     def _move_phase(self) -> None:
+        """Move every vehicle one tick. Trigonometry runs only on a turn and
+        `_cell` only when a raw floor changes; positions are the same floats
+        as recomputing the step and the cell every tick."""
         cfg = self.config
-        dt = TICK_MS / 1000.0
-        width = cfg.cols * cfg.cell_size_m
-        height = cfg.rows * cfg.cell_size_m
+        cell_size = cfg.cell_size_m
+        width = cfg.cols * cell_size
+        height = cfg.rows * cell_size
+        pi = math.pi
         cell = self._cell
         for v in self.vehicles:
-            v.x += math.cos(v.heading) * v.speed * dt
-            v.y += math.sin(v.heading) * v.speed * dt
-            if v.x < 0 or v.x > width:
-                v.x = min(max(v.x, 0.0), width)
-                v.heading = math.pi - v.heading
-            if v.y < 0 or v.y > height:
-                v.y = min(max(v.y, 0.0), height)
-                v.heading = -v.heading
-            after = cell(v.x, v.y)
-            if after != v.cell:
-                v.cell = after
-                v.heading = v.rng.uniform(0.0, 2 * math.pi)
-                self.handover_count += 1
-                edge.handover(v, region_name(*after))
+            x = v.x + v.step_x
+            y = v.y + v.step_y
+            if x < 0 or x > width:
+                x = min(max(x, 0.0), width)
+                v.turn(pi - v.heading)
+            if y < 0 or y > height:
+                y = min(max(y, 0.0), height)
+                v.turn(-v.heading)
+            v.x = x
+            v.y = y
+            floor_x = x // cell_size
+            floor_y = y // cell_size
+            if floor_x != v.floor_x or floor_y != v.floor_y:
+                v.floor_x = floor_x
+                v.floor_y = floor_y
+                # at x == width or y == height the floor moves past the
+                # last cell but the clamped cell stays: no handover
+                after = cell(x, y)
+                if after != v.cell:
+                    v.cell = after
+                    v.turn(v.rng.uniform(0.0, 2 * pi))
+                    self.handover_count += 1
+                    edge.handover(v, region_name(*after))
 
     def _close_region(self, region: str) -> None:
         """Close the region's window, chain what miners admit, store it."""

@@ -119,6 +119,9 @@ class TestRun:
         ("", "adversary", 5),
         ("market_script", "time_ms", "x"),
         ("grid", "cell_size_m", float("nan")),
+        ("", "grid", 5),
+        ("", "consistency", None),
+        ("ground_truth_events", "loc", {"lat": "a", "lon": 0}),
     ])
     def test_mistyped_field_exits_65_naming_field(self, tmp_path, capsys,
                                                   section, field, value):
@@ -133,6 +136,13 @@ class TestRun:
         # list items are named with their index: ground_truth_events[0].active_ms
         err = capsys.readouterr().err
         assert ".".join(filter(None, (section, field))) in err.replace("[0]", "")
+
+    @pytest.mark.parametrize("seed_args", [[], ["--seed", "3"]])
+    def test_non_object_scenario_exits_65(self, tmp_path, capsys, seed_args):
+        path = tmp_path / "list.json"
+        path.write_text("[5]")
+        assert cli.main(["run", "--scenario", str(path), *seed_args]) == 65
+        assert "not a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("index, field, value", [
         (1, "grant", {"contract_index": 99}),

@@ -1,7 +1,12 @@
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 
 import pytest
 
+import dmap
 from dmap import fixtures
 from dmap.crypto import (
     ED25519,
@@ -12,6 +17,7 @@ from dmap.crypto import (
     verify_certificate,
 )
 from dmap.encoding import canonical_encode
+from tests.conftest import SCENARIO_DIR
 
 BOTH_SCHEMES = pytest.mark.parametrize("sch", [KEYED_HASH, ED25519],
                                        ids=["keyed-hash", "ed25519"])
@@ -157,3 +163,19 @@ def test_no_secret_key_bytes_in_any_protocol_encoding():
         blob = canonical_encode(obj)
         for secret in secrets:
             assert secret not in blob
+
+
+def test_keyed_hash_run_does_not_load_cryptography(tmp_path):
+    # the bindings add about 6 MB of resident size; only Ed25519 needs them
+    package_root = str(pathlib.Path(dmap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+    scenario = SCENARIO_DIR / "market_suite.json"
+    code = ("import sys\n"
+            "from dmap import cli\n"
+            f"status = cli.main(['run', '--scenario', {str(scenario)!r},"
+            f" '--out', {str(tmp_path / 'r.json')!r}])\n"
+            "print(status, 'cryptography' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr

@@ -299,6 +299,41 @@ class TestHasTx:
         self.assert_agrees(ledger)
 
 
+class TestFindContract:
+    def contract(self, region, price):
+        scope = Scope((region,), 0, 2000, (ROAD_DAMAGE.code,))
+        return create_contract(scheme, key("owner"), key("sp").public,
+                               (0, 10_000), scope, price=price)
+
+    def test_contract_appended_after_first_lookup_is_found(self):
+        world = MarketSetup()
+        first = self.contract("r0_c1", price=1)
+        world.table.chain_contract(first, now_ms=100)
+        assert world.table.find_contract(first.contract_id()) == first
+        # an aggregate block and a second contract land after the lookup
+        world.stored("r0_c1", Payload(market_geo(10, 10), ROAD_DAMAGE, 500),
+                     ["a", "b"])
+        second = self.contract("r0_c1", price=2)
+        world.table.chain_contract(second, now_ms=200)
+        assert world.table.find_contract(second.contract_id()) == second
+        assert world.table.find_contract(first.contract_id()) == first
+
+    def test_contract_chained_by_append_block_is_found(self):
+        world = MarketSetup()
+        contract = self.contract("r0_c0", price=3)
+        assert world.table.find_contract(contract.contract_id()) is None
+        append_block(scheme, world.ledgers["r0_c1"], [contract], 100,
+                     world.policy)
+        assert world.table.find_contract(contract.contract_id()) == contract
+        assert world.ledgers["r0_c0"].find_contract(contract.contract_id()) is None
+
+    def test_unknown_id_is_none(self):
+        world = MarketSetup()
+        world.table.chain_contract(self.contract("r0_c0", price=4), now_ms=100)
+        assert world.table.find_contract(ZERO_DIGEST) is None
+        assert world.table.find_contract(b"\xff" * 32) is None
+
+
 def oracle_validate(ledger: Ledger):
     """Independent full-link recompute: hashes via the canonical encoding
     rather than Block.compute_hash."""

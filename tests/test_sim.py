@@ -1,9 +1,14 @@
+import collections
 import copy
 import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dmap import sim
 from dmap.crypto import KEYED_HASH, verify_certificate
 from dmap.ledger import _link
 from dmap.market import AccessResult, build_access_tx, create_contract
@@ -80,12 +85,24 @@ class TestScenarioConfig:
         pytest.param("grid.cell_size_m", 10**400, id="grid.cell_size_m-10**400"),
         pytest.param("market_script[0].time_ms", 10**400,
                      id="market_script[0].time_ms-10**400"),
+        ("grid", 5),
+        ("consistency", None),
+        ("vehicles", [1]),
+        ("ground_truth_events[0]", 5),
+        ("ground_truth_events[0].region", 7),
+        ("ground_truth_events[0].loc.lat", "a"),
+        ("ground_truth_events[0].loc.lon", float("nan")),
+        pytest.param("ground_truth_events[0].loc.lat", 10**400,
+                     id="ground_truth_events[0].loc.lat-10**400"),
+        ("ground_truth_events[0].kind.speed_kmh", "fast"),
+        ("ground_truth_events[0].kind.speed_kmh", 2**32),
     ])
     def test_mistyped_field_names_field(self, path, value):
         d = minimal_dict(
             adversary={"fraction": 0.0},
             ground_truth_events=[{"loc": {"lat": 0.001, "lon": 0.001},
-                                  "kind": "RoadDamage",
+                                  "kind": {"name": "TrafficSpeed",
+                                           "speed_kmh": 30},
                                   "active_ms": [0, 10_000]}],
             market_script=[{"time_ms": 0, "action": "data_request",
                             "sp": "sp1", "area": [[0.0, 0.0], [0.001, 0.001]]}])
@@ -96,10 +113,72 @@ class TestScenarioConfig:
             container = container[section]
             if index:
                 container = container[int(index.rstrip("]"))]
+        name, _, index = name.partition("[")
+        if index:
+            container = container[name]
+            name = int(index.rstrip("]"))
         container[name] = value
         with pytest.raises(ConfigError) as exc:
             ScenarioConfig.from_dict(d)
         assert exc.value.field == path
+
+    @pytest.mark.parametrize("lat", [91.0, 1e308])
+    def test_out_of_range_loc_names_loc(self, lat):
+        # 1e308 degrees overflows the conversion to micro-degrees
+        d = minimal_dict(ground_truth_events=[{
+            "loc": {"lat": lat, "lon": 0.0}, "kind": "RoadDamage",
+            "active_ms": [0, 10_000]}])
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig.from_dict(d)
+        assert exc.value.field == "ground_truth_events[0].loc"
+
+    def test_any_json_value_anywhere_gives_config_or_config_error(self):
+        base = minimal_dict(
+            miner_m=2, sensing_radius_m=100.0, key_reuse_vehicles=[0],
+            adversary={"fraction": 0.5, "strategy": {
+                "type": "FabricateEvent",
+                "kind": {"name": "TrafficSpeed", "speed_kmh": 30},
+                "loc": {"lat": 0.001, "lon": 0.001}}},
+            ground_truth_events=[{"region": "r0_c0",
+                                  "loc": {"lat": 0.001, "lon": 0.001},
+                                  "kind": "RoadDamage",
+                                  "active_ms": [0, 10_000]}],
+            market_script=[{"time_ms": 0, "action": "data_request",
+                            "sp": "sp1", "area": [[0.0, 0.0], [0.001, 0.001]]}])
+        ScenarioConfig.from_dict(base)
+        paths = []
+
+        def walk(node, path):
+            items = (node.items() if isinstance(node, dict)
+                     else enumerate(node) if isinstance(node, list) else ())
+            for key, child in items:
+                paths.append(path + (key,))
+                walk(child, path + (key,))
+
+        walk(base, ())
+        json_values = st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats()
+            | st.just(10**400) | st.text(max_size=8),
+            lambda inner: (st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=8), inner,
+                                             max_size=3)),
+            max_leaves=6)
+
+        @settings(max_examples=200, derandomize=True, deadline=None,
+                  database=None)
+        @given(path=st.sampled_from(paths), value=json_values)
+        def check(path, value):
+            d = copy.deepcopy(base)
+            container = d
+            for key in path[:-1]:
+                container = container[key]
+            container[path[-1]] = value
+            try:
+                ScenarioConfig.from_dict(d)
+            except ConfigError:
+                pass
+
+        check()
 
     def test_missing_grid_names_field(self):
         d = minimal_dict()
@@ -288,6 +367,55 @@ class TestHandover:
         # one window behind via a pending handover
         for v in world.vehicles:
             assert v.assoc_region in world.rsis
+
+    def test_cached_step_and_cell_stay_exact(self, monkeypatch):
+        cfg = dataclasses.replace(load_scenario_config("honest_majority"),
+                                  speed_min_mps=20.0, speed_max_mps=40.0,
+                                  duration_ms=20_000)
+        world = World(cfg)
+        calls = collections.Counter()
+        real_cell = world._cell
+
+        def counting_cell(x, y):
+            calls["cell"] += 1
+            return real_cell(x, y)
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def cos(self, a):
+                calls["trig"] += 1
+                return math.cos(a)
+
+            def sin(self, a):
+                calls["trig"] += 1
+                return math.sin(a)
+
+        monkeypatch.setattr(world, "_cell", counting_cell)
+        monkeypatch.setattr(sim, "math", CountingMath())
+        dt = sim.TICK_MS / 1000.0
+        size = cfg.cell_size_m
+        width, height = cfg.cols * size, cfg.rows * size
+        x_bounces = y_bounces = 0
+        while world.clock_ms < cfg.duration_ms:
+            before = [(v.heading, v.x // size, v.y // size)
+                      for v in world.vehicles]
+            calls.clear()
+            world.step()
+            turned = floors_moved = 0
+            for v, (heading, floor_x, floor_y) in zip(world.vehicles, before):
+                turned += v.heading != heading
+                floors_moved += (v.x // size, v.y // size) != (floor_x, floor_y)
+                x_bounces += v.x in (0.0, width)
+                y_bounces += v.y in (0.0, height)
+                assert v.step_x.hex() == (math.cos(v.heading) * v.speed * dt).hex()
+                assert v.step_y.hex() == (math.sin(v.heading) * v.speed * dt).hex()
+                assert v.cell == real_cell(v.x, v.y)
+            # a turn refreshes both steps, at most three turns a tick
+            assert calls["trig"] <= 6 * turned
+            assert calls["cell"] == floors_moved
+        assert x_bounces and y_bounces and world.handover_count
 
 
 class TestMarketScript:
