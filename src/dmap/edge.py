@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 from .crypto import KeyPair, SignatureScheme
 from .txmodel import (
     DataTransaction,
     Payload,
     RsiTransaction,
-    canonical_encode,
     cell_of,
     distance_m,
     payload_bytes,
@@ -292,7 +292,7 @@ def close_window(scheme: SignatureScheme, rsi: RsiState,
     rsi.window = ValidationWindow(window_id=w.window_id + 1,
                                   opens_at=w.closes_at,
                                   closes_at=w.closes_at + rsi.window_ms)
-    txs.sort(key=canonical_encode)
+    txs.sort(key=attrgetter("wire"))
     return txs
 
 

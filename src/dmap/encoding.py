@@ -17,7 +17,15 @@ class DecodeError(ValueError):
     """Raised when bytes do not parse as a well-formed protocol object."""
 
 
+_U8 = struct.Struct(">B").pack
+_U32 = struct.Struct(">I").pack
+_U64 = struct.Struct(">Q").pack
+_I32 = struct.Struct(">i").pack
+
+
 class Writer:
+    __slots__ = ("_chunks",)
+
     def __init__(self) -> None:
         self._chunks: list[bytes] = []
 
@@ -25,26 +33,40 @@ class Writer:
         self._chunks.append(bytes(data))
 
     def u8(self, value: int) -> None:
-        self._chunks.append(struct.pack(">B", value))
+        self._chunks.append(_U8(value))
 
     def u32(self, value: int) -> None:
-        self._chunks.append(struct.pack(">I", value))
+        self._chunks.append(_U32(value))
 
     def u64(self, value: int) -> None:
-        self._chunks.append(struct.pack(">Q", value))
+        self._chunks.append(_U64(value))
 
     def i32(self, value: int) -> None:
-        self._chunks.append(struct.pack(">i", value))
+        self._chunks.append(_I32(value))
 
     def bytes_(self, data: bytes) -> None:
-        self.u32(len(data))
-        self.raw(data)
+        chunks = self._chunks
+        chunks.append(_U32(len(data)))
+        chunks.append(bytes(data))
+
+    def bytes_list(self, items: tuple[bytes, ...]) -> None:
+        """A count-prefixed list of length-prefixed byte strings."""
+        chunks = self._chunks
+        chunks.append(_U32(len(items)))
+        for data in items:
+            chunks.append(_U32(len(data)))
+            chunks.append(bytes(data))
 
     def string(self, text: str) -> None:
         self.bytes_(text.encode("utf-8"))
 
     def getvalue(self) -> bytes:
         return b"".join(self._chunks)
+
+
+def length_prefixed(data: bytes) -> bytes:
+    """`data` as `Writer.bytes_` writes it: a 4-byte length, then the bytes."""
+    return _U32(len(data)) + data
 
 
 class Reader:

@@ -37,7 +37,9 @@ TAG_BLOCK = 0x03
 
 ChainedTx = RsiTransaction | AccessTransaction | SmartContract
 
-LEDGER_DUMP_MAGIC = b"DMAPLEDG"
+# the "2" marks dumps that store each block's hash; dumps without them
+# carry another magic and are refused
+LEDGER_DUMP_MAGIC = b"DMAPLDG2"
 
 
 class AdmissionError(ValueError):
@@ -77,7 +79,7 @@ def _block_body_bytes(height: int, prev_hash: bytes, timestamp: int,
     w.u64(timestamp)
     w.u32(len(txs))
     for tx in txs:
-        encoding.encode_into(tx, w)
+        w.raw(tx.wire)
     return w.getvalue()
 
 
@@ -86,7 +88,7 @@ def _encode_block(b: Block, w: Writer) -> None:
     w.raw(_block_body_bytes(b.height, b.prev_hash, b.timestamp, b.txs))
 
 
-def _decode_block(r: Reader) -> Block:
+def _decode_block_body(r: Reader) -> tuple[int, bytes, int, tuple[ChainedTx, ...]]:
     height = r.u64()
     prev_hash = r.raw(DIGEST_LEN)
     timestamp = r.u64()
@@ -96,8 +98,11 @@ def _decode_block(r: Reader) -> Block:
         if not isinstance(tx, (RsiTransaction, AccessTransaction, SmartContract)):
             raise DecodeError(f"{type(tx).__name__} cannot appear in a block")
         txs.append(tx)
-    return Block.make(height=height, prev_hash=prev_hash,
-                      timestamp=timestamp, txs=tuple(txs))
+    return height, prev_hash, timestamp, tuple(txs)
+
+
+def _decode_block(r: Reader) -> Block:
+    return Block.make(*_decode_block_body(r))
 
 
 encoding.register_codec(Block, TAG_BLOCK, _encode_block, _decode_block)
@@ -144,8 +149,7 @@ class Ledger:
         `validate_chain`, not here.
         """
         for block in self.blocks[self._hashed:]:
-            self._digests.update(sha256(encoding.canonical_encode(tx))
-                                 for tx in block.txs)
+            self._digests.update(tx.digest for tx in block.txs)
         self._hashed = len(self.blocks)
         return digest in self._digests
 
@@ -159,7 +163,7 @@ class Ledger:
         for block in self.blocks[self._indexed:]:
             for tx in block.txs:
                 if isinstance(tx, SmartContract):
-                    self._contracts.setdefault(tx.contract_id(), tx)
+                    self._contracts.setdefault(tx.digest, tx)
         self._indexed = len(self.blocks)
         return self._contracts.get(contract_id)
 
@@ -174,7 +178,15 @@ def genesis(region: str) -> Ledger:
 
 def miner_admit(scheme: SignatureScheme, tx: ChainedTx, policy: MinerPolicy,
                 region: str) -> Verdict:
-    """Would miners accept `tx` onto the ledger of `region`?"""
+    """Would miners accept `tx` onto the ledger of `region`?
+
+    Only an aggregate is bound to a region: its RSI certificate names the
+    one ledger it may land on. An access tx is certified by the rule
+    table's certificate, whose region is "ruletable", and a contract by
+    its owner's signature alone, so neither is checked against `region`;
+    the rule table picks their ledger. The post-run sweep's
+    `ledger_isolation` check catches a tx chained on two ledgers.
+    """
     if isinstance(tx, RsiTransaction):
         cert = policy.cert_registry.get(tx.rsi_pk)
         if cert is not None and cert.region_id != region:
@@ -298,26 +310,33 @@ def lookup_access_log(ledger: Ledger, owner_pk: bytes,
 # --- dump / load ------------------------------------------------------------
 
 def dump_ledger(ledger: Ledger) -> bytes:
+    """The ledger's region, then each block's canonical encoding followed
+    by its stored hash, so that `validate_chain` on the loaded copy checks
+    every block, the tip included, against the hash it was chained with."""
     w = Writer()
     w.raw(LEDGER_DUMP_MAGIC)
     w.string(ledger.rsi_region)
     w.u32(len(ledger.blocks))
     for b in ledger.blocks:
         encoding.encode_into(b, w)
+        w.raw(b.block_hash)
     return w.getvalue()
 
 
 def load_ledger(data: bytes) -> Ledger:
+    """Decode a `dump_ledger` dump; each block keeps its stored hash."""
     r = Reader(data)
     if r.raw(len(LEDGER_DUMP_MAGIC)) != LEDGER_DUMP_MAGIC:
         raise DecodeError("not a ledger dump")
     region = r.string()
     blocks = []
     for _ in range(r.u32()):
-        b = encoding.decode_from(r)
-        if not isinstance(b, Block):
+        if r.u8() != TAG_BLOCK:
             raise DecodeError("expected a block")
-        blocks.append(b)
+        height, prev_hash, timestamp, txs = _decode_block_body(r)
+        blocks.append(Block(height=height, prev_hash=prev_hash,
+                            timestamp=timestamp, txs=txs,
+                            block_hash=r.raw(DIGEST_LEN)))
     r.expect_eof()
     return Ledger(rsi_region=region, blocks=blocks)
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
-from .crypto import Certificate, KeyPair, SignatureScheme, sha256, verify_certificate
-from .encoding import canonical_encode
+from .crypto import Certificate, KeyPair, SignatureScheme, verify_certificate
 from .ledger import Ledger, MinerPolicy, append_block
 from .txmodel import (
     AccessTransaction,
@@ -188,7 +187,7 @@ class RuleTable:
         if cert is None or cert.region_id not in self.directories:
             raise UnknownRsi("no directory for this RSI key")
         region = cert.region_id
-        digest = sha256(canonical_encode(rsi_tx))
+        digest = rsi_tx.digest
         if not self._tx_on_chain(region, digest):
             raise NotChained("aggregate not found on its region's ledger")
         record = Record(record_id=self._next_record_id, region_id=region,

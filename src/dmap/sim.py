@@ -143,6 +143,12 @@ def _is_number(value: Any) -> bool:
             and -sys.float_info.max <= value <= sys.float_info.max)
 
 
+def _is_lat_lon(value: Any) -> bool:
+    return (isinstance(value, list) and len(value) == 2
+            and all(_is_number(v) for v in value)
+            and abs(value[0]) <= 90 and abs(value[1]) <= 180)
+
+
 @dataclass
 class ScenarioConfig:
     seed: int
@@ -221,6 +227,44 @@ class ScenarioConfig:
                                   f"must be one of {MARKET_ACTIONS}")
             if not _is_number(action.get("time_ms", 0)):
                 raise ConfigError(f"market_script[{i}].time_ms", "must be a number")
+            self._validate_action(action, f"market_script[{i}]")
+
+    def _validate_action(self, action: dict, where: str) -> None:
+        """Check the fields that name a vehicle, an SP or an area.
+
+        `grant.contract_index` is not checked: the contracts it may point
+        at include those that autogrants create during the run.
+        """
+        def vehicle(value: Any, name: str) -> None:
+            if type(value) is not int or not 0 <= value < self.vehicle_count:
+                raise ConfigError(f"{where}.{name}",
+                                  f"must be a vehicle index in [0, {self.vehicle_count})")
+
+        def sp_name(name: str) -> None:
+            if not isinstance(action.get(name), str):
+                raise ConfigError(f"{where}.{name}", "must be a string")
+
+        kind = action["action"]
+        if kind == "create_contract":
+            vehicle(action.get("owner_vehicle"), "owner_vehicle")
+            sp_name("grantee_sp")
+        elif kind == "access":
+            sp_name("requester_sp")
+            grant = action.get("grant", {})
+            if isinstance(grant, dict) and "owner_sig_vehicle" in grant:
+                vehicle(grant["owner_sig_vehicle"], "grant.owner_sig_vehicle")
+        else:
+            sp_name("sp")
+            area = action.get("area")
+            if not (isinstance(area, list) and len(area) == 2
+                    and all(_is_lat_lon(corner) for corner in area)):
+                raise ConfigError(f"{where}.area",
+                                  "expected [[lat, lon], [lat, lon]] in degrees")
+            autos = action.get("auto_grant_vehicles", [])
+            if not isinstance(autos, list):
+                raise ConfigError(f"{where}.auto_grant_vehicles", "must be a list")
+            for vid in autos:
+                vehicle(vid, "auto_grant_vehicles")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -848,7 +892,8 @@ class World:
         # one pass over every chained tx, in region order: the digest map
         # serves the isolation, provenance and grant checks. Admission is
         # replayed without the certificate memo, so every certificate of
-        # every chained tx is verified here.
+        # every chained tx is verified here. Each tx is encoded afresh, and
+        # the bytes its block hash was computed from must equal them.
         replay = replace(self.policy, verified_certs=None)
         region_of: dict[bytes, str] = {}
         contracts: dict[bytes, SmartContract] = {}
@@ -856,10 +901,13 @@ class World:
         false_chained = 0
         for region in sorted(self.ledgers):
             for tx in self.ledgers[region].all_txs():
+                fresh = canonical_encode(tx)
+                check(f"chain_valid[{region}]", fresh == tx.wire,
+                      "cached tx bytes differ from a fresh encoding")
                 verdict = miner_admit(self.scheme, tx, replay, region)
                 check(f"admission_sound[{region}]", verdict.accepted,
                       verdict.reason)
-                digest = sha256(canonical_encode(tx))
+                digest = sha256(fresh)
                 if region_of.setdefault(digest, region) != region:
                     isolated = False
                 if isinstance(tx, RsiTransaction):

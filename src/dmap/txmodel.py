@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import encoding
-from .crypto import KeyPair, SignatureScheme
+from .crypto import KeyPair, SignatureScheme, sha256
 from .encoding import DecodeError, Reader, Writer
 
 TAG_DATA_TX = 0x01
@@ -149,6 +150,13 @@ def _decode_event(r: Reader) -> EventKind:
         raise DecodeError(str(exc)) from exc
 
 
+def _encode_payload(loc: GeoPoint, event: EventKind, timestamp: int,
+                    w: Writer) -> None:
+    _encode_geo(loc, w)
+    _encode_event(event, w)
+    w.u64(timestamp)
+
+
 # --- vehicle report ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -163,11 +171,17 @@ class DataTransaction:
 def data_tx_signing_bytes(loc: GeoPoint, event: EventKind,
                           timestamp: int, pk: bytes) -> bytes:
     w = Writer()
-    _encode_geo(loc, w)
-    _encode_event(event, w)
-    w.u64(timestamp)
-    w.bytes_(pk)
-    return w.getvalue()
+    _encode_payload(loc, event, timestamp, w)
+    return member_signing_bytes(w.getvalue(), pk)
+
+
+def member_signing_bytes(payload_prefix: bytes, pk: bytes) -> bytes:
+    """What the report key `pk` signs, given its payload's wire bytes.
+
+    An aggregate's members share one payload, so a verifier encodes it
+    once and appends each member's length-prefixed key.
+    """
+    return payload_prefix + encoding.length_prefixed(pk)
 
 
 def build_data_tx(scheme: SignatureScheme, vehicle_key: KeyPair,
@@ -206,6 +220,29 @@ def _decode_data_tx(r: Reader) -> DataTransaction:
                            vehicle_sign=r.bytes_())
 
 
+# --- chained transactions ---------------------------------------------------
+
+class Chained:
+    """Canonical bytes and digest of an immutable tx, computed on first use.
+
+    `wire` is `canonical_encode(tx)` and `digest` is `sha256(wire)`. Both
+    live in the instance dict, outside the dataclass fields, so they take
+    no part in equality, hashing or repr. `dataclasses.replace` and
+    decoding build new objects with nothing cached, so a rewritten tx is
+    encoded afresh; a field changed in place with `object.__setattr__`
+    keeps its stale bytes, which the post-run sweep compares with a fresh
+    encoding.
+    """
+
+    @cached_property
+    def wire(self) -> bytes:
+        return encoding.canonical_encode(self)
+
+    @cached_property
+    def digest(self) -> bytes:
+        return sha256(self.wire)
+
+
 # --- RSI aggregate ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -217,16 +254,10 @@ class Payload:
     timestamp: int
 
 
-def _encode_payload(p: Payload, w: Writer) -> None:
-    _encode_geo(p.loc, w)
-    _encode_event(p.event, w)
-    w.u64(p.timestamp)
-
-
 def payload_bytes(p: Payload) -> bytes:
     """The payload's wire bytes, as carried inside an aggregate."""
     w = Writer()
-    _encode_payload(p, w)
+    _encode_payload(p.loc, p.event, p.timestamp, w)
     return w.getvalue()
 
 
@@ -235,7 +266,7 @@ def _decode_payload(r: Reader) -> Payload:
 
 
 @dataclass(frozen=True)
-class RsiTransaction:
+class RsiTransaction(Chained):
     rsi_pk: bytes
     payload: Payload
     vehicle_signs: tuple[bytes, ...]
@@ -249,13 +280,9 @@ def rsi_tx_signing_bytes(rsi_pk: bytes, payload: Payload,
                          vehicle_pks: tuple[bytes, ...], flag: int) -> bytes:
     w = Writer()
     w.bytes_(rsi_pk)
-    _encode_payload(payload, w)
-    w.u32(len(vehicle_signs))
-    for s in vehicle_signs:
-        w.bytes_(s)
-    w.u32(len(vehicle_pks))
-    for p in vehicle_pks:
-        w.bytes_(p)
+    _encode_payload(payload.loc, payload.event, payload.timestamp, w)
+    w.bytes_list(vehicle_signs)
+    w.bytes_list(vehicle_pks)
     w.u8(flag)
     return w.getvalue()
 
@@ -271,10 +298,9 @@ def build_rsi_tx(scheme: SignatureScheme, rsi_key: KeyPair, payload: Payload,
         raise RangeError(f"flag must be 0 or 1, got {flag}")
     if not members:
         raise MemberSignatureError("an aggregate needs at least one member")
+    prefix = payload_bytes(payload)
     for pk, sig in members:
-        msg = data_tx_signing_bytes(payload.loc, payload.event,
-                                    payload.timestamp, pk)
-        if not scheme.verify(pk, msg, sig):
+        if not scheme.verify(pk, member_signing_bytes(prefix, pk), sig):
             raise MemberSignatureError("member signature does not verify")
     return sign_rsi_tx(scheme, rsi_key, payload, members, flag)
 
@@ -343,10 +369,9 @@ def verify_rsi_tx(scheme: SignatureScheme, tx: RsiTransaction, ca_pk: bytes,
                                tx.vehicle_pks, tx.flag)
     if not scheme.verify(tx.rsi_pk, msg, tx.rsi_sign):
         return Verdict.reject(REJECT_BAD_RSI_SIGNATURE)
+    prefix = payload_bytes(tx.payload)
     for pk, sig in zip(tx.vehicle_pks, tx.vehicle_signs):
-        member_msg = data_tx_signing_bytes(tx.payload.loc, tx.payload.event,
-                                           tx.payload.timestamp, pk)
-        if not scheme.verify(pk, member_msg, sig):
+        if not scheme.verify(pk, member_signing_bytes(prefix, pk), sig):
             return Verdict.reject(REJECT_BAD_MEMBER_SIGNATURE)
     if len(tx.vehicle_pks) < m:
         return Verdict.reject(REJECT_INSUFFICIENT_MEMBERS)
@@ -410,7 +435,7 @@ def _decode_scope(r: Reader) -> Scope:
 
 
 @dataclass(frozen=True)
-class SmartContract:
+class SmartContract(Chained):
     owner_pk: bytes
     grantee_pk: bytes
     start_ms: int  # access permitted in [start_ms, end_ms)
@@ -420,9 +445,7 @@ class SmartContract:
     owner_sign: bytes
 
     def contract_id(self) -> bytes:
-        from .crypto import sha256
-
-        return sha256(encoding.canonical_encode(self))
+        return self.digest
 
 
 def contract_signing_bytes(owner_pk: bytes, grantee_pk: bytes, start_ms: int,
@@ -483,7 +506,7 @@ def _decode_grant(r: Reader) -> Grant:
 
 
 @dataclass(frozen=True)
-class AccessTransaction:
+class AccessTransaction(Chained):
     """The double-signed record of one data access.
 
     Built by the requester with `requester_sign`; the rule table adds its

@@ -6,10 +6,21 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmap import cli
+from dmap.encoding import DecodeError
 from dmap.crypto import KEYED_HASH, issue_certificate
-from dmap.ledger import Block, MinerPolicy, append_block, dump_ledger, genesis
+from dmap.ledger import (
+    Block,
+    MinerPolicy,
+    append_block,
+    dump_ledger,
+    genesis,
+    load_ledger,
+    validate_chain,
+)
 from dmap.txmodel import Payload, ROAD_DAMAGE, build_rsi_tx
 from tests.conftest import FIXTURE_DIR, SCENARIO_DIR
 from tests.test_txmodel import key, make_members, sample_loc
@@ -122,6 +133,10 @@ class TestRun:
         ("", "grid", 5),
         ("", "consistency", None),
         ("ground_truth_events", "loc", {"lat": "a", "lon": 0}),
+        ("market_script", "owner_vehicle", "zero"),
+        ("market_script", "owner_vehicle", 16),
+        ("market_script", "owner_vehicle", -1),
+        ("market_script", "grantee_sp", 5),
     ])
     def test_mistyped_field_exits_65_naming_field(self, tmp_path, capsys,
                                                   section, field, value):
@@ -146,12 +161,12 @@ class TestRun:
 
     @pytest.mark.parametrize("index, field, value", [
         (1, "grant", {"contract_index": 99}),
-        (0, "owner_vehicle", "zero"),
     ])
     def test_unexpected_run_error_exits_70(self, tmp_path, capsys,
                                            index, field, value):
         # well-typed enough to pass validation, wrong only once the run
-        # reaches the action
+        # reaches the action: the contracts an index may name include
+        # those that autogrants create during the run
         doc = json.loads((SCENARIO_DIR / "market_suite.json").read_text())
         doc["market_script"][index][field] = value
         path = tmp_path / "bad.json"
@@ -185,6 +200,55 @@ class TestValidate:
         path = make_dump(tmp_path, tamper=True)
         assert cli.main(["validate", "--ledger", str(path)]) == 1
         assert "first_bad_height=4" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("height", [3, 5])
+    def test_flipped_signature_byte_exits_1_at_its_height(self, tmp_path,
+                                                          capsys, height):
+        # the dump stores every block hash, so a block whose bytes changed
+        # fails at its own height, the tip (height 5) included
+        path = make_dump(tmp_path)
+        data = bytearray(path.read_bytes())
+        sig = load_ledger(bytes(data)).blocks[height].txs[0].rsi_sign
+        assert data.count(sig) == 1
+        data[data.index(sig) + len(sig) - 1] ^= 0x01
+        path.write_bytes(bytes(data))
+        assert cli.main(["validate", "--ledger", str(path)]) == 1
+        assert f"first_bad_height={height}" in capsys.readouterr().out
+
+    def test_any_edit_of_a_dump_gives_a_status_or_decode_error(
+            self, finished_worlds, tmp_path, capsys):
+        world, _ = finished_worlds["market_suite"]
+        data = dump_ledger(world.ledgers["r0_c0"])
+        path = tmp_path / "fuzzed.bin"
+        edits = st.lists(st.tuples(
+            st.sampled_from(("mutate", "delete", "insert")),
+            st.integers(0, len(data) - 1), st.integers(0, 255)),
+            min_size=1, max_size=4)
+
+        @settings(max_examples=200, derandomize=True, deadline=None,
+                  database=None)
+        @given(edits=edits)
+        def check(edits):
+            fuzzed = bytearray(data)
+            for op, at, value in edits:
+                at %= len(fuzzed) + 1
+                if op == "mutate" and at < len(fuzzed):
+                    fuzzed[at] = value
+                elif op == "delete" and at < len(fuzzed):
+                    del fuzzed[at]
+                elif op == "insert":
+                    fuzzed.insert(at, value)
+            try:
+                validate_chain(load_ledger(bytes(fuzzed)))
+            except DecodeError:
+                pass
+            path.write_bytes(bytes(fuzzed))
+            capsys.readouterr()
+            assert cli.main(["validate", "--ledger", str(path)]) in (0, 1)
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.out + captured.err
+
+        check()
 
     def test_garbage_file_exits_1(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -4,8 +4,9 @@ import hashlib
 import pytest
 
 from dmap.crypto import KEYED_HASH, ZERO_DIGEST, issue_certificate, sha256
-from dmap.encoding import canonical_encode
+from dmap.encoding import DecodeError, canonical_encode
 from dmap.ledger import (
+    LEDGER_DUMP_MAGIC,
     AdmissionError,
     Block,
     EmptyBlockError,
@@ -428,6 +429,51 @@ class TestDumpLoad:
         assert restored.rsi_region == ledger.rsi_region
         assert restored.blocks == ledger.blocks
         assert validate_chain(restored).ok
+
+    def test_previous_format_is_refused(self, setup):
+        # version 1 dumps had no stored hashes under the magic "DMAPLEDG"
+        _, rsi_key, policy = setup
+        data = dump_ledger(build_chain(rsi_key, policy, n_blocks=2))
+        with pytest.raises(DecodeError):
+            load_ledger(b"DMAPLEDG" + data[len(LEDGER_DUMP_MAGIC):])
+
+    def test_cached_bytes_match_a_fresh_encoding(self, finished_worlds):
+        world, _ = finished_worlds["market_suite"]
+        kinds = set()
+        for ledger in world.ledgers.values():
+            restored = load_ledger(dump_ledger(ledger))
+            for tx in ledger.all_txs() + restored.all_txs():
+                kinds.add(type(tx).__name__)
+                fresh = canonical_encode(tx)
+                assert tx.wire == fresh
+                assert tx.digest == sha256(fresh)
+        assert kinds == {"RsiTransaction", "SmartContract", "AccessTransaction"}
+
+    def test_every_byte_flip_in_a_block_is_caught(self, finished_worlds):
+        # a prefix of a market_suite ledger that holds an aggregate, a
+        # contract and an access; the region string before the blocks is
+        # not hashed
+        world, _ = finished_worlds["market_suite"]
+        ledger = world.ledgers["r0_c0"]
+        kinds = set()
+        end = 0
+        while len(kinds) < 3:
+            end += 1
+            kinds.update(type(tx) for tx in ledger.blocks[end].txs)
+        prefix = Ledger(rsi_region=ledger.rsi_region,
+                        blocks=ledger.blocks[:end + 1])
+        data = dump_ledger(prefix)
+        first_block = len(LEDGER_DUMP_MAGIC) + 4 + len(ledger.rsi_region) + 4
+        assert validate_chain(load_ledger(data)).ok
+        for at in range(first_block, len(data)):
+            for mask in (0x01, 0x80):
+                flipped = bytearray(data)
+                flipped[at] ^= mask
+                try:
+                    status = validate_chain(load_ledger(bytes(flipped)))
+                except DecodeError:
+                    continue
+                assert not status.ok, (at, mask)
 
 
 class TestAccessLog:

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmap import sim
+from dmap import sim, txmodel
 from dmap.crypto import KEYED_HASH, verify_certificate
-from dmap.ledger import _link
+from dmap.encoding import canonical_encode
+from dmap.ledger import _link, validate_chain
 from dmap.market import AccessResult, build_access_tx, create_contract
 from dmap.sim import ConfigError, Delivery, InvariantViolation, ScenarioConfig, World
 from dmap.txmodel import (
@@ -96,6 +97,20 @@ class TestScenarioConfig:
                      id="ground_truth_events[0].loc.lat-10**400"),
         ("ground_truth_events[0].kind.speed_kmh", "fast"),
         ("ground_truth_events[0].kind.speed_kmh", 2**32),
+        ("market_script[0].sp", 5),
+        ("market_script[0].area", "x"),
+        ("market_script[0].area", [[0.0, 0.0]]),
+        ("market_script[0].area", [[0.0, "a"], [0.001, 0.001]]),
+        ("market_script[0].area", [[91.0, 0.0], [0.001, 0.001]]),
+        ("market_script[0].auto_grant_vehicles", [4]),
+        ("market_script[0].auto_grant_vehicles", "ab"),
+        ("market_script[1].owner_vehicle", "zero"),
+        ("market_script[1].owner_vehicle", 4),
+        ("market_script[1].owner_vehicle", -1),
+        ("market_script[1].grantee_sp", None),
+        ("market_script[2].requester_sp", 7),
+        ("market_script[2].grant.owner_sig_vehicle", True),
+        ("market_script[2].grant.owner_sig_vehicle", 4),
     ])
     def test_mistyped_field_names_field(self, path, value):
         d = minimal_dict(
@@ -105,7 +120,15 @@ class TestScenarioConfig:
                                            "speed_kmh": 30},
                                   "active_ms": [0, 10_000]}],
             market_script=[{"time_ms": 0, "action": "data_request",
-                            "sp": "sp1", "area": [[0.0, 0.0], [0.001, 0.001]]}])
+                            "sp": "sp1", "area": [[0.0, 0.0], [0.001, 0.001]],
+                            "auto_grant_vehicles": [3]},
+                           {"time_ms": 0, "action": "create_contract",
+                            "owner_vehicle": 0, "grantee_sp": "sp1",
+                            "timespan": [0, 10_000], "scope": {}},
+                           {"time_ms": 0, "action": "access",
+                            "requester_sp": "sp1",
+                            "grant": {"owner_sig_vehicle": 1}, "query": {}}])
+        ScenarioConfig.from_dict(copy.deepcopy(d))
         *sections, name = path.split(".")
         container = d
         for section in sections:
@@ -502,8 +525,19 @@ def _forge_memoised_certificate(world):
     world.policy.verified_certs.add((world.policy.ca_pk, forged))
 
 
+def _rewrite_chained_tx_in_place(world):
+    # the block hash was computed from the tx's cached bytes, which a field
+    # changed in place leaves stale, so validate_chain still passes
+    ledger = world.ledgers["r0_c0"]
+    tx = next(tx for tx in ledger.all_txs() if isinstance(tx, RsiTransaction))
+    assert tx.wire and tx.digest
+    object.__setattr__(tx, "rsi_sign", bytes(len(tx.rsi_sign)))
+    assert validate_chain(ledger).ok
+
+
 @pytest.mark.parametrize("tamper, check", [
     (_rewrite_block_timestamp, "chain_valid"),
+    (_rewrite_chained_tx_in_place, "chain_valid"),
     (_link_flag0_aggregate, "admission_sound"),
     (_forge_certificate, "admission_sound"),
     (_forge_memoised_certificate, "admission_sound"),
@@ -518,6 +552,28 @@ def test_sweep_names_the_failed_check(finished_worlds, tamper, check):
     with pytest.raises(InvariantViolation) as exc:
         world.sweep_invariants()
     assert str(exc.value).startswith(check)
+
+
+def test_replaced_chained_aggregate_fails_chain_and_sweep(finished_worlds):
+    # the forgery is built after the original's cached bytes and digest
+    # were read; `replace` gives it none of them
+    world = copy.deepcopy(finished_worlds["honest_majority"][0])
+    ledger = world.ledgers["r0_c0"]
+    height, block = next((h, b) for h, b in enumerate(ledger.blocks)
+                         if b.txs and isinstance(b.txs[0], RsiTransaction))
+    original = block.txs[0]
+    assert original.wire and original.digest
+    sig = bytearray(original.rsi_sign)
+    sig[-1] ^= 0x01
+    forged = dataclasses.replace(original, rsi_sign=bytes(sig))
+    assert forged.wire == canonical_encode(forged) != original.wire
+    ledger.blocks[height] = dataclasses.replace(
+        block, txs=(forged,) + block.txs[1:])
+    status = validate_chain(ledger)
+    assert not status.ok and status.first_bad_height == height
+    with pytest.raises(InvariantViolation) as exc:
+        world.sweep_invariants()
+    assert str(exc.value).startswith("chain_valid[r0_c0]")
 
 
 def test_sweep_verifies_every_certificate(finished_worlds):
@@ -552,3 +608,32 @@ def test_write_path_verifies_each_report_about_twice():
     world.run()
     reports = sum(r.stats.reports_sent for r in world.rsis.values())
     assert before_sweep[0] / reports <= 2.1
+
+
+def test_write_path_encodes_each_aggregate_at_most_three_times(monkeypatch):
+    # signing, the close_window sort (which fills the cached `wire`) and
+    # admission each encode an aggregate once; block hashes, has_tx and
+    # store_record read the cache
+    calls = collections.Counter()
+    real = txmodel.rsi_tx_signing_bytes
+
+    def counted(*args):
+        calls["encode"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(txmodel, "rsi_tx_signing_bytes", counted)
+    world = World(load_scenario_config("honest_majority"))
+    sweep = world.sweep_invariants
+    before_sweep = []
+
+    def counted_sweep():
+        before_sweep.append(calls["encode"])
+        return sweep()
+
+    world.sweep_invariants = counted_sweep
+    world.run()
+    aggregates = sum(r.stats.trusted_tx + r.stats.lone_tx
+                     for r in world.rsis.values())
+    stored = sum(len(d.records) for d in world.rule_table.directories.values())
+    assert stored > 0
+    assert before_sweep[0] <= 3 * aggregates
