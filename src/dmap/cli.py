@@ -7,7 +7,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 tampered ledger, 2 invariant violation during a
 run, 64 missing/unreadable input, 65 invalid scenario field or DMAP_SEED,
-70 unexpected internal error during a run, 73 unwritable output path.
+70 internal bug only, 73 unwritable output path.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         started = time.monotonic()
         metrics = world.run()
     except sim.ConfigError as exc:
-        print(f"invalid scenario field {exc.field}: {exc}", file=sys.stderr)
+        print(f"invalid scenario field {exc}", file=sys.stderr)
         return EXIT_BADCONFIG
     except sim.InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

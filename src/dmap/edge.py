@@ -34,12 +34,6 @@ class ConsistencyPolicy:
     eps_time: int            # ms, max timestamp spread
     min_corroboration: int   # reports needed for flag = 1
 
-    def __post_init__(self) -> None:
-        if self.eps_distance <= 0 or self.eps_time <= 0:
-            raise ValueError("eps parameters must be positive")
-        if self.min_corroboration < 2:
-            raise ValueError("min_corroboration must be >= 2")
-
 
 class ClusterStatus(Enum):
     TRUSTED = "Trusted"

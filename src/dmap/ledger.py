@@ -118,10 +118,6 @@ class MinerPolicy:
     verified_certs: set[tuple[bytes, Certificate]] | None = field(
         default_factory=set, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-
 
 @dataclass
 class Ledger:

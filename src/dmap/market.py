@@ -14,7 +14,6 @@ used.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 from .crypto import Certificate, KeyPair, SignatureScheme, verify_certificate
@@ -313,19 +312,3 @@ class RuleTable:
                 and area_min.lon_micro <= payload.loc.lon_micro <= area_max.lon_micro
                 and from_ms <= payload.timestamp < to_ms)
 
-
-def export_records(directory: DataDirectory) -> str:
-    """One JSON object per line, the store's bulk export format."""
-    lines = []
-    for r in directory.records:
-        obj = {
-            "loc": {"lat": r.payload.loc.lat_micro / 1e6,
-                    "lon": r.payload.loc.lon_micro / 1e6},
-            "event": r.payload.event.name,
-            "timestamp": r.payload.timestamp,
-            "provenance": r.provenance.hex(),
-        }
-        if r.payload.event.code == 2:
-            obj["speed_kmh"] = r.payload.event.speed_kmh
-        lines.append(json.dumps(obj, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -13,11 +13,13 @@ metric, and nothing linkable ever enters a protocol message.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 import struct
 import sys
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Callable
 
 from . import edge, txmodel
 from .crypto import KEYED_HASH, KeyPair, SignatureScheme, issue_certificate, sha256
@@ -48,7 +50,6 @@ STRATEGY_FABRICATE = "FabricateEvent"
 STRATEGY_SUPPRESS = "SuppressReports"
 STRATEGY_REPLAY = "ReplayStale"
 STRATEGIES = (STRATEGY_FABRICATE, STRATEGY_SUPPRESS, STRATEGY_REPLAY)
-MARKET_ACTIONS = ("create_contract", "access", "data_request")
 
 
 class ConfigError(ValueError):
@@ -71,35 +72,140 @@ def region_name(row: int, col: int) -> str:
 
 
 # --- configuration ----------------------------------------------------------
+#
+# A scenario is read through tables of (path, parser, default) rows, one
+# row per field, in the order of the fields of the type the table makes.
+# A parser takes (value, field name) and returns the typed value or raises
+# ConfigError naming the field; a dotted path reads a nested object; a
+# callable default is called for each value it supplies.
 
-def _parse_kind(obj: Any, where: str) -> EventKind:
-    if isinstance(obj, str):
-        name, speed = obj, 0
-    elif isinstance(obj, dict):
-        name, speed = obj.get("name", ""), obj.get("speed_kmh", 0)
-    else:
-        raise ConfigError(where, "expected event kind name or object")
-    if type(speed) is not int or not 0 <= speed < 2**32:
-        raise ConfigError(f"{where}.speed_kmh", "must be an integer in [0, 2**32)")
-    try:
-        return EventKind.from_name(name, speed)
-    except txmodel.RangeError as exc:
-        raise ConfigError(where, str(exc)) from exc
+_REQUIRED = object()  # the default of a field that must be given
+Parser = Callable[[Any, str], Any]
 
 
-def _parse_loc(obj: Any, where: str) -> GeoPoint:
-    if not isinstance(obj, dict) or "lat" not in obj or "lon" not in obj:
-        raise ConfigError(where, "expected {lat, lon}")
-    for key in ("lat", "lon"):
-        if not _is_number(obj[key]):
-            raise ConfigError(f"{where}.{key}", "must be a number")
+def _values(obj: Any, where: str, table: tuple) -> list[Any]:
+    """The value of each row of `table` in the object `obj`, named `where`."""
+    if not isinstance(obj, dict):
+        raise ConfigError(where or "scenario", "must be an object")
+    prefix = where + "." if where else ""
+    return [parse(obj[path], prefix + path) if "." not in path and path in obj
+            else _nested(obj, where, path, parse, default)
+            for path, parse, default in table]
+
+
+def _nested(obj: Any, where: str, path: str, parse: Parser, default: Any) -> Any:
+    """The value of a row that `_values` did not find at the top of `obj`."""
+    for key in path.split("."):
+        if not isinstance(obj, dict):
+            raise ConfigError(where, "must be an object")
+        where = f"{where}.{key}" if where else key
+        if key not in obj:
+            if default is _REQUIRED:
+                raise ConfigError(where, "missing")
+            return default() if callable(default) else default
+        obj = obj[key]
+    return parse(obj, where)
+
+
+def _object(table: tuple, build: Callable[..., Any]) -> Parser:
+    """An object read by `table`; `build(where, *values)` makes its value."""
+    return lambda value, where: build(where, *_values(value, where, table))
+
+
+def _check(ok: Callable[[Any], bool], message: str) -> Parser:
+    """A value that `ok` accepts; a `TypeError` from `ok` is a refusal."""
+    def parse(value: Any, where: str) -> Any:
+        try:
+            if ok(value):
+                return value
+        except TypeError:
+            pass
+        raise ConfigError(where, message)
+    parse.ok, parse.message = ok, message  # for `_list`
+    return parse
+
+
+def _list(item: Parser, nonempty: bool = False, indexed: bool = False) -> Parser:
+    """A list of values that `item` parses, as a tuple. When `indexed`, each
+    is named by its index; else `item` is a `_check` and the list is named."""
+    def parse(value: Any, where: str) -> tuple:
+        if not isinstance(value, list) or (nonempty and not value):
+            raise ConfigError(where, f"must be a {'non-empty ' if nonempty else ''}list")
+        if indexed:
+            return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
+        try:
+            if all(map(item.ok, value)):
+                return tuple(value)
+        except TypeError:
+            pass
+        raise ConfigError(where, item.message)
+    return parse
+
+
+def _is_number(value: Any) -> bool:
+    # the range test also rejects JSON's NaN and Infinity, and integers too
+    # large for the float arithmetic the simulation does with them
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
+
+
+def _integer(lo: float = 0, hi: float = 2**64) -> Parser:
+    """An integer in [lo, hi); times and prices go on the wire as u64."""
+    return _check(lambda v: type(v) is int and lo <= v < hi,
+                  f"must be an integer in [{lo}, {hi})")
+
+
+def _interval(strict: bool) -> Parser:
+    """[start, end] integer milliseconds in [0, 2**64), as a pair; start < end
+    when `strict`, else start <= end."""
+    check = _check(lambda v: type(v) is list and len(v) == 2 and type(v[0]) is int
+                   and type(v[1]) is int and 0 <= v[0] <= v[1] - strict and v[1] < 2**64,
+                   f"expected [start, end], 0 <= start {'<' if strict else '<='} end")
+    return lambda value, where: tuple(check(value, where))
+
+
+# SP names are encoded into key seeds, so a lone surrogate is refused
+_string = _check(lambda v: isinstance(v, str) and v.encode(errors="ignore").decode() == v,
+                 "must be a string of valid Unicode")
+_NUMBER = _check(_is_number, "must be a number")
+_POSITIVE = _check(lambda v: _is_number(v) and v > 0, "must be a positive number")
+_KIND_NAME = _check(frozenset(EventKind.CODE_NAMES).__contains__, "must name an event kind")
+
+
+def _geo(where: str, lat: float, lon: float) -> GeoPoint:
     try:
         # OverflowError: a magnitude so large that degrees * 1e6 is infinite
-        loc = GeoPoint.from_degrees(obj["lat"], obj["lon"])
+        loc = GeoPoint.from_degrees(lat, lon)
         loc.check_range()
     except (txmodel.RangeError, OverflowError) as exc:
         raise ConfigError(where, str(exc)) from exc
     return loc
+
+
+_LOC = _object((("lat", _NUMBER, _REQUIRED), ("lon", _NUMBER, _REQUIRED)), _geo)
+
+
+def _area(value: Any, where: str) -> tuple[GeoPoint, GeoPoint]:
+    if not (type(value) is list and len(value) == 2 and all(
+            type(c) is list and len(c) == 2 and all(map(_is_number, c)) for c in value)):
+        raise ConfigError(where, "expected [[lat, lon], [lat, lon]] in degrees")
+    low, high = (_geo(where, *corner) for corner in value)
+    if low.lat_micro >= high.lat_micro or low.lon_micro >= high.lon_micro:
+        raise ConfigError(where, "the first corner must lie south-west of the second")
+    return low, high
+
+
+_KIND_FIELDS = (("name", _KIND_NAME, _REQUIRED),
+                ("speed_kmh", _integer(0, 2**32), 0))
+
+
+def _kind(value: Any, where: str) -> EventKind:
+    """An event kind: its name, or {name, speed_kmh} for TrafficSpeed."""
+    name, speed = _values({"name": value} if isinstance(value, str) else value,
+                          where, _KIND_FIELDS)
+    if name != "TrafficSpeed" and speed:
+        raise ConfigError(where, "speed only valid for TrafficSpeed")
+    return EventKind(EventKind.CODE_NAMES.index(name), speed)
 
 
 @dataclass
@@ -111,7 +217,7 @@ class GroundTruthEvent:
     end_ms: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdversaryConfig:
     fraction: float = 0.0
     strategy: str = STRATEGY_FABRICATE
@@ -119,34 +225,165 @@ class AdversaryConfig:
     fab_loc: GeoPoint | None = None
 
 
-# (attribute, scenario field) pairs checked for type before any range check
-_INT_FIELDS = (
-    ("seed", "seed"), ("rows", "grid.rows"), ("cols", "grid.cols"),
-    ("vehicle_count", "vehicles.count"), ("duration_ms", "duration_ms"),
-    ("window_ms", "window_ms"), ("eps_time_ms", "consistency.eps_time_ms"),
-    ("min_corroboration", "consistency.min_corroboration"),
-    ("miner_m", "miner_m"),
+_ADVERSARY_FIELDS = (
+    ("fraction", _check(lambda v: _is_number(v) and 0 <= v <= 1,
+                        "must be a number in [0, 1]"), 0.0),
+    ("strategy.type", _check(lambda v: v in STRATEGIES, f"must be one of {STRATEGIES}"),
+     STRATEGY_FABRICATE),
+    ("strategy.kind", _kind, None),
+    ("strategy.loc", _LOC, None),
 )
-_NUMBER_FIELDS = (
-    ("cell_size_m", "grid.cell_size_m"),
-    ("speed_min_mps", "vehicles.speed_min_mps"),
-    ("speed_max_mps", "vehicles.speed_max_mps"),
-    ("eps_distance_m", "consistency.eps_distance_m"),
-    ("sensing_radius_m", "sensing_radius_m"),
+_EVENT = _object((
+    ("region", _string, ""),
+    ("loc", _LOC, _REQUIRED),
+    ("kind", _kind, _REQUIRED),
+    ("active_ms", _interval(strict=True), _REQUIRED),
+), lambda where, region, loc, kind, active: GroundTruthEvent(region, loc, kind, *active))
+
+# ScenarioConfig's fields that need no other to be checked; to_dict repeats
+# the scalar ones as given
+_SCALAR_FIELDS = (
+    ("seed", _integer(), _REQUIRED),
+    ("grid.rows", _integer(1, math.inf), _REQUIRED),
+    ("grid.cols", _integer(1, math.inf), _REQUIRED),
+    ("grid.cell_size_m", _POSITIVE, _REQUIRED),
+    ("vehicles.count", _integer(0, math.inf), _REQUIRED),
+    ("vehicles.speed_min_mps",
+     _check(lambda v: _is_number(v) and v >= 0, "must be non-negative"), _REQUIRED),
+    ("vehicles.speed_max_mps", _NUMBER, _REQUIRED),
+    ("duration_ms", _integer(1, math.inf), _REQUIRED),
+    ("window_ms", _check(lambda v: type(v) is int and v > 0 and v % TICK_MS == 0,
+                         f"must be a positive multiple of {TICK_MS}"), _REQUIRED),
+    ("consistency.eps_distance_m", _POSITIVE, _REQUIRED),
+    ("consistency.eps_time_ms", _integer(1, math.inf), _REQUIRED),
+    ("consistency.min_corroboration", _integer(2, math.inf), _REQUIRED),
+    ("miner_m", _integer(1, math.inf), 2),
+    ("sensing_radius_m", _POSITIVE, 100.0),
+)
+_CONFIG_FIELDS = _SCALAR_FIELDS + (
+    ("ground_truth_events", _list(_EVENT, indexed=True), ()),
+    ("adversary", _object(_ADVERSARY_FIELDS, lambda where, *f: AdversaryConfig(*f)),
+     AdversaryConfig),
 )
 
 
-def _is_number(value: Any) -> bool:
-    # the range test also rejects JSON's NaN and Infinity, and integers too
-    # large for the float arithmetic the simulation does with them
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and -sys.float_info.max <= value <= sys.float_info.max)
+# --- market script ------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MarketAction:
+    tick: int  # the first tick at which the action is due
+    raw: dict = field(compare=False, repr=False)  # the entry, for the report
 
 
-def _is_lat_lon(value: Any) -> bool:
-    return (isinstance(value, list) and len(value) == 2
-            and all(_is_number(v) for v in value)
-            and abs(value[0]) <= 90 and abs(value[1]) <= 180)
+@dataclass(frozen=True)
+class CreateContract(MarketAction):
+    owner_vehicle: int
+    grantee_sp: str
+    timespan: tuple[int, int]
+    scope: Scope
+    price: int
+
+
+@dataclass(frozen=True)
+class Access(MarketAction):
+    """Cites `contract_index`, else a signature of `owner_sig_vehicle`."""
+
+    requester_sp: str
+    query: Scope
+    contract_index: int | None
+    owner_sig_vehicle: int | None
+
+
+@dataclass(frozen=True)
+class DataRequest(MarketAction):
+    """The SP signs a `DataRequestTransaction` for the target regions. At
+    the next window boundary each auto-grant vehicle checks the SP
+    signature and that its serving region is targeted; if both hold, it
+    grants the SP a contract over the target regions and the period. The
+    area is advertised only: no grant is scoped by it."""
+
+    sp: str
+    area: tuple[GeoPoint, GeoPoint]
+    period: tuple[int, int]
+    target_regions: tuple[str, ...]
+    auto_grant_vehicles: tuple[int, ...]
+
+
+def _fleet_fields(cfg: "ScenarioConfig") -> tuple:
+    """The rows of `key_reuse_vehicles` and `market_script`, whose checks
+    need the grid, the fleet and the run length of `cfg`."""
+    vehicle = _integer(0, cfg.vehicle_count)
+
+    @functools.cache
+    def is_region(v: str) -> bool:
+        m = re.fullmatch(r"r(0|[1-9][0-9]*)_c(0|[1-9][0-9]*)", v)
+        return bool(m) and int(m[1]) < cfg.rows and int(m[2]) < cfg.cols
+
+    region = _check(is_region, "must name a grid region")
+    # every region, listed only when an action leaves its regions out
+    regions = functools.cache(lambda: tuple(sorted(
+        region_name(row, col) for row in range(cfg.rows) for col in range(cfg.cols))))
+    scope = _object((
+        ("regions", _list(region), regions),
+        ("period", _interval(strict=False), (0, cfg.duration_ms)),
+        ("kinds", _list(_KIND_NAME), EventKind.CODE_NAMES),
+    ), lambda where, region_ids, period, kinds: Scope(
+        region_ids, *period, tuple(map(EventKind.CODE_NAMES.index, kinds))))
+    actions = {  # each table's first row gives the due time, the rest the fields
+        "create_contract": (CreateContract, (
+            ("time_ms", _NUMBER, 0),
+            ("owner_vehicle", vehicle, _REQUIRED),
+            ("grantee_sp", _string, _REQUIRED),
+            ("timespan", _interval(strict=True), _REQUIRED),
+            ("scope", scope, _REQUIRED),
+            ("price", _integer(), 0))),
+        "access": (Access, (
+            ("time_ms", _NUMBER, 0),
+            ("requester_sp", _string, _REQUIRED),
+            ("query", scope, _REQUIRED),
+            ("grant.contract_index", _integer(), None),
+            ("grant.owner_sig_vehicle", vehicle, None))),
+        "data_request": (DataRequest, (
+            ("time_ms", _NUMBER, 0),
+            ("sp", _string, _REQUIRED),
+            ("area", _area, _REQUIRED),
+            ("period", _interval(strict=False), (0, cfg.duration_ms)),
+            ("target_regions", _list(region, nonempty=True), regions),
+            ("auto_grant_vehicles", _list(vehicle), ()))),
+    }
+
+    def action(raw: Any, where: str) -> MarketAction:
+        kind = raw.get("action") if isinstance(raw, dict) else None
+        if not isinstance(kind, str) or kind not in actions:
+            raise ConfigError(f"{where}.action", f"must be one of {tuple(actions)}")
+        cls, table = actions[kind]
+        time_ms, *values = _values(raw, where, table)
+        return cls(max(math.ceil(time_ms / TICK_MS), 0), raw, *values)
+
+    def script(value: Any, where: str) -> tuple[MarketAction, ...]:
+        """The actions. A `grant.contract_index` must name a contract made
+        before its access is due: one per `create_contract` due before it in
+        script order, one per auto-grant vehicle of each `data_request` whose
+        next window boundary is at or before its tick, granting or not."""
+        parsed = _list(action, indexed=True)(value, where)
+        window_ticks = cfg.window_ms // TICK_MS
+        made = 0
+        pending: list[tuple[int, int]] = []  # (boundary tick, contracts), in order
+        for i in sorted(range(len(parsed)), key=lambda j: parsed[j].tick):
+            act = parsed[i]
+            while pending and pending[0][0] <= act.tick:
+                made += pending.pop(0)[1]
+            if isinstance(act, CreateContract):
+                made += 1
+            elif isinstance(act, DataRequest):
+                boundary = (act.tick // window_ticks + 1) * window_ticks
+                pending.append((boundary, len(act.auto_grant_vehicles)))
+            elif act.contract_index is not None and act.contract_index >= made:
+                raise ConfigError(f"{where}[{i}].grant.contract_index",
+                                  f"only {made} contracts exist by tick {act.tick}")
+        return parsed
+
+    return (("key_reuse_vehicles", _list(vehicle), ()), ("market_script", script, ()))
 
 
 @dataclass
@@ -165,226 +402,54 @@ class ScenarioConfig:
     min_corroboration: int
     miner_m: int
     sensing_radius_m: float
-    ground_truth_events: list[GroundTruthEvent] = field(default_factory=list)
-    adversary: AdversaryConfig = field(default_factory=AdversaryConfig)
-    market_script: list[dict] = field(default_factory=list)
-    key_reuse_vehicles: list[int] = field(default_factory=list)
-
-    def validate(self) -> None:
-        for attr, where in _INT_FIELDS:
-            if type(getattr(self, attr)) is not int:
-                raise ConfigError(where, "must be an integer")
-        for attr, where in _NUMBER_FIELDS:
-            if not _is_number(getattr(self, attr)):
-                raise ConfigError(where, "must be a number")
-        if not _is_number(self.adversary.fraction):
-            raise ConfigError("adversary.fraction", "must be a number")
-        if self.seed < 0:
-            raise ConfigError("seed", "must be a non-negative integer")
-        if self.rows < 1 or self.cols < 1:
-            raise ConfigError("grid", "rows and cols must be >= 1")
-        if self.cell_size_m <= 0:
-            raise ConfigError("grid.cell_size_m", "must be positive")
-        if self.vehicle_count < 0:
-            raise ConfigError("vehicles.count", "must be non-negative")
-        if self.speed_min_mps < 0 or self.speed_max_mps < self.speed_min_mps:
-            raise ConfigError("vehicles.speed", "need 0 <= min <= max")
-        if self.duration_ms <= 0:
-            raise ConfigError("duration_ms", "must be positive")
-        if self.window_ms <= 0 or self.window_ms % TICK_MS != 0:
-            raise ConfigError("window_ms", f"must be a positive multiple of {TICK_MS}")
-        if self.eps_distance_m <= 0:
-            raise ConfigError("consistency.eps_distance_m", "must be positive")
-        if self.eps_time_ms <= 0:
-            raise ConfigError("consistency.eps_time_ms", "must be positive")
-        if self.min_corroboration < 2:
-            raise ConfigError("consistency.min_corroboration", "must be >= 2")
-        if self.miner_m < 1:
-            raise ConfigError("miner_m", "must be >= 1")
-        if self.sensing_radius_m <= 0:
-            raise ConfigError("sensing_radius_m", "must be positive")
-        if not 0.0 <= self.adversary.fraction <= 1.0:
-            raise ConfigError("adversary.fraction", "must be in [0, 1]")
-        if self.adversary.strategy not in STRATEGIES:
-            raise ConfigError("adversary.strategy",
-                              f"must be one of {STRATEGIES}")
-        if (self.adversary.strategy == STRATEGY_FABRICATE
-                and self.adversary.fraction > 0
-                and (self.adversary.fab_kind is None
-                     or self.adversary.fab_loc is None)):
-            raise ConfigError("adversary.strategy",
-                              "FabricateEvent needs kind and loc")
-        for i, ev in enumerate(self.ground_truth_events):
-            if ev.start_ms < 0 or ev.end_ms <= ev.start_ms:
-                raise ConfigError(f"ground_truth_events[{i}].active_ms",
-                                  "need 0 <= start < end")
-        for vid in self.key_reuse_vehicles:
-            if type(vid) is not int or not 0 <= vid < self.vehicle_count:
-                raise ConfigError("key_reuse_vehicles", f"unknown vehicle {vid!r}")
-        for i, action in enumerate(self.market_script):
-            if not isinstance(action, dict) or action.get("action") not in MARKET_ACTIONS:
-                raise ConfigError(f"market_script[{i}].action",
-                                  f"must be one of {MARKET_ACTIONS}")
-            if not _is_number(action.get("time_ms", 0)):
-                raise ConfigError(f"market_script[{i}].time_ms", "must be a number")
-            self._validate_action(action, f"market_script[{i}]")
-
-    def _validate_action(self, action: dict, where: str) -> None:
-        """Check the fields that name a vehicle, an SP or an area.
-
-        `grant.contract_index` is not checked: the contracts it may point
-        at include those that autogrants create during the run.
-        """
-        def vehicle(value: Any, name: str) -> None:
-            if type(value) is not int or not 0 <= value < self.vehicle_count:
-                raise ConfigError(f"{where}.{name}",
-                                  f"must be a vehicle index in [0, {self.vehicle_count})")
-
-        def sp_name(name: str) -> None:
-            if not isinstance(action.get(name), str):
-                raise ConfigError(f"{where}.{name}", "must be a string")
-
-        kind = action["action"]
-        if kind == "create_contract":
-            vehicle(action.get("owner_vehicle"), "owner_vehicle")
-            sp_name("grantee_sp")
-        elif kind == "access":
-            sp_name("requester_sp")
-            grant = action.get("grant", {})
-            if isinstance(grant, dict) and "owner_sig_vehicle" in grant:
-                vehicle(grant["owner_sig_vehicle"], "grant.owner_sig_vehicle")
-        else:
-            sp_name("sp")
-            area = action.get("area")
-            if not (isinstance(area, list) and len(area) == 2
-                    and all(_is_lat_lon(corner) for corner in area)):
-                raise ConfigError(f"{where}.area",
-                                  "expected [[lat, lon], [lat, lon]] in degrees")
-            autos = action.get("auto_grant_vehicles", [])
-            if not isinstance(autos, list):
-                raise ConfigError(f"{where}.auto_grant_vehicles", "must be a list")
-            for vid in autos:
-                vehicle(vid, "auto_grant_vehicles")
+    ground_truth_events: tuple[GroundTruthEvent, ...]
+    adversary: AdversaryConfig
+    key_reuse_vehicles: tuple[int, ...]
+    market_script: tuple[MarketAction, ...]
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioConfig":
-        def need(container: dict, key: str, where: str) -> Any:
-            if key not in container:
-                raise ConfigError(where, "missing")
-            return container[key]
-
-        def need_object(container: dict, key: str, where: str) -> dict:
-            value = need(container, key, where)
-            if not isinstance(value, dict):
-                raise ConfigError(where, "must be an object")
-            return value
-
-        def need_list(key: str) -> list:
-            value = d.get(key, [])
-            if not isinstance(value, list):
-                raise ConfigError(key, "must be a list")
-            return list(value)
-
-        if not isinstance(d, dict):
-            raise ConfigError("scenario", "must be an object")
-        grid = need_object(d, "grid", "grid")
-        vehicles = need_object(d, "vehicles", "vehicles")
-        consistency = need_object(d, "consistency", "consistency")
-        adv_raw = d.get("adversary", {})
-        if not isinstance(adv_raw, dict):
-            raise ConfigError("adversary", "must be an object")
-        strategy_raw = adv_raw.get("strategy", {"type": STRATEGY_FABRICATE})
-        if isinstance(strategy_raw, str):
-            strategy_raw = {"type": strategy_raw}
-        if not isinstance(strategy_raw, dict):
-            raise ConfigError("adversary.strategy", "expected a name or object")
-        adv = AdversaryConfig(
-            fraction=adv_raw.get("fraction", 0.0),
-            strategy=strategy_raw.get("type", STRATEGY_FABRICATE),
-            fab_kind=(_parse_kind(strategy_raw["kind"], "adversary.strategy.kind")
-                      if "kind" in strategy_raw else None),
-            fab_loc=(_parse_loc(strategy_raw["loc"], "adversary.strategy.loc")
-                     if "loc" in strategy_raw else None),
-        )
-        events = []
-        for i, ev in enumerate(need_list("ground_truth_events")):
-            where = f"ground_truth_events[{i}]"
-            if not isinstance(ev, dict):
-                raise ConfigError(where, "must be an object")
-            if not isinstance(ev.get("region", ""), str):
-                raise ConfigError(f"{where}.region", "must be a string")
-            active = need(ev, "active_ms", f"{where}.active_ms")
-            if not (isinstance(active, list) and len(active) == 2
-                    and all(type(t) is int for t in active)):
-                raise ConfigError(f"{where}.active_ms",
-                                  "expected [start_ms, end_ms] integers")
-            events.append(GroundTruthEvent(
-                region=ev.get("region", ""),
-                loc=_parse_loc(need(ev, "loc", f"{where}.loc"), f"{where}.loc"),
-                kind=_parse_kind(need(ev, "kind", f"{where}.kind"), f"{where}.kind"),
-                start_ms=active[0], end_ms=active[1]))
-        cfg = cls(
-            seed=need(d, "seed", "seed"),
-            rows=need(grid, "rows", "grid.rows"),
-            cols=need(grid, "cols", "grid.cols"),
-            cell_size_m=need(grid, "cell_size_m", "grid.cell_size_m"),
-            vehicle_count=need(vehicles, "count", "vehicles.count"),
-            speed_min_mps=need(vehicles, "speed_min_mps", "vehicles.speed_min_mps"),
-            speed_max_mps=need(vehicles, "speed_max_mps", "vehicles.speed_max_mps"),
-            duration_ms=need(d, "duration_ms", "duration_ms"),
-            window_ms=need(d, "window_ms", "window_ms"),
-            eps_distance_m=need(consistency, "eps_distance_m",
-                                "consistency.eps_distance_m"),
-            eps_time_ms=need(consistency, "eps_time_ms", "consistency.eps_time_ms"),
-            min_corroboration=need(consistency, "min_corroboration",
-                                   "consistency.min_corroboration"),
-            miner_m=d.get("miner_m", 2),
-            sensing_radius_m=d.get("sensing_radius_m", 100.0),
-            ground_truth_events=events,
-            adversary=adv,
-            market_script=need_list("market_script"),
-            key_reuse_vehicles=need_list("key_reuse_vehicles"),
-        )
-        cfg.validate()
+    def from_dict(cls, d: Any) -> "ScenarioConfig":
+        """Parse a scenario, checking every field once; raises ConfigError
+        naming the first field that is missing, mistyped or out of range."""
+        cfg = cls(*_values(d, "", _CONFIG_FIELDS), (), ())
+        if cfg.speed_max_mps < cfg.speed_min_mps:
+            raise ConfigError("vehicles.speed", "need 0 <= min <= max")
+        adv = cfg.adversary
+        if (adv.strategy == STRATEGY_FABRICATE and adv.fraction > 0
+                and (adv.fab_kind is None or adv.fab_loc is None)):
+            raise ConfigError("adversary.strategy", "FabricateEvent needs kind and loc")
+        cfg.key_reuse_vehicles, cfg.market_script = _values(d, "", _fleet_fields(cfg))
         return cfg
 
     def to_dict(self) -> dict:
-        strategy: dict[str, Any] = {"type": self.adversary.strategy}
-        if self.adversary.fab_kind is not None:
-            strategy["kind"] = self.adversary.fab_kind.name
-            if self.adversary.fab_kind.code == 2:
+        """The scenario as the run report repeats it, defaults filled in."""
+        out: dict[str, Any] = {}
+        for (path, _, _), attr in zip(_SCALAR_FIELDS, fields(self)):
+            *parents, key = path.split(".")
+            node = out
+            for parent in parents:
+                node = node.setdefault(parent, {})
+            node[key] = getattr(self, attr.name)
+        adv = self.adversary
+        strategy: dict[str, Any] = {"type": adv.strategy}
+        if adv.fab_kind is not None:
+            strategy["kind"] = adv.fab_kind.name
+            if adv.fab_kind.code == 2:
                 strategy["kind"] = {"name": "TrafficSpeed",
-                                    "speed_kmh": self.adversary.fab_kind.speed_kmh}
-        if self.adversary.fab_loc is not None:
-            strategy["loc"] = {"lat": self.adversary.fab_loc.lat_micro / 1e6,
-                               "lon": self.adversary.fab_loc.lon_micro / 1e6}
-        return {
-            "seed": self.seed,
-            "grid": {"rows": self.rows, "cols": self.cols,
-                     "cell_size_m": self.cell_size_m},
-            "vehicles": {"count": self.vehicle_count,
-                         "speed_min_mps": self.speed_min_mps,
-                         "speed_max_mps": self.speed_max_mps},
-            "duration_ms": self.duration_ms,
-            "window_ms": self.window_ms,
-            "consistency": {"eps_distance_m": self.eps_distance_m,
-                            "eps_time_ms": self.eps_time_ms,
-                            "min_corroboration": self.min_corroboration},
-            "miner_m": self.miner_m,
-            "sensing_radius_m": self.sensing_radius_m,
-            "ground_truth_events": [
-                {"region": ev.region,
-                 "loc": {"lat": ev.loc.lat_micro / 1e6,
-                         "lon": ev.loc.lon_micro / 1e6},
-                 "kind": ev.kind.name,
-                 "active_ms": [ev.start_ms, ev.end_ms]}
-                for ev in self.ground_truth_events
-            ],
-            "adversary": {"fraction": self.adversary.fraction,
-                          "strategy": strategy},
-            "market_script": self.market_script,
-            "key_reuse_vehicles": list(self.key_reuse_vehicles),
-        }
+                                    "speed_kmh": adv.fab_kind.speed_kmh}
+        if adv.fab_loc is not None:
+            strategy["loc"] = {"lat": adv.fab_loc.lat_micro / 1e6,
+                               "lon": adv.fab_loc.lon_micro / 1e6}
+        out["adversary"] = {"fraction": adv.fraction, "strategy": strategy}
+        out["ground_truth_events"] = [
+            {"region": ev.region,
+             "loc": {"lat": ev.loc.lat_micro / 1e6, "lon": ev.loc.lon_micro / 1e6},
+             "kind": ev.kind.name,
+             "active_ms": [ev.start_ms, ev.end_ms]}
+            for ev in self.ground_truth_events]
+        out["market_script"] = [action.raw for action in self.market_script]
+        out["key_reuse_vehicles"] = list(self.key_reuse_vehicles)
+        return out
 
 
 # --- world state -------------------------------------------------------------
@@ -446,7 +511,6 @@ class Delivery:
 class World:
     def __init__(self, config: ScenarioConfig,
                  scheme: SignatureScheme = KEYED_HASH) -> None:
-        config.validate()
         self.config = config
         self.scheme = scheme
         self.clock_ms = 0
@@ -519,15 +583,13 @@ class World:
         self.handover_count = 0
         self.access_granted = 0
         self.access_denied = 0
-        self.contracts_created: list[SmartContract] = []
+        # None stands for an auto-grant that granted nothing, so indexes hold
+        self.contracts_created: list[SmartContract | None] = []
         self.granted_log: list[tuple[AccessResult, int]] = []
-        # (first due tick, action); the stable sort keeps script order
-        # among actions due in the same tick
-        self._script = sorted(
-            ((max(math.ceil(a.get("time_ms", 0) / TICK_MS), 0), a)
-             for a in config.market_script), key=lambda due_action: due_action[0])
-        self._script_next = 0
-        self._pending_autogrants: list[tuple[int, bytes, dict]] = []
+        # due order, last first, for popping; the stable sort keeps script
+        # order among actions due in one tick
+        self._script = sorted(config.market_script, key=lambda a: a.tick)[::-1]
+        self._pending_autogrants: list[tuple[DataRequest, txmodel.DataRequestTransaction]] = []
         self._sp_keys: dict[str, KeyPair] = {}
 
     # -- identity helpers ----------------------------------------------------
@@ -672,58 +734,44 @@ class World:
     # -- marketplace script ---------------------------------------------------
 
     def _fire_market_actions(self) -> None:
-        tick = self.clock_ms // TICK_MS
-        script = self._script
-        while self._script_next < len(script) and script[self._script_next][0] <= tick:
-            _, action = script[self._script_next]
-            self._script_next += 1
-            self._run_action(action)
+        while self._script and self._script[-1].tick * TICK_MS <= self.clock_ms:
+            self._run_action(self._script.pop())
 
-    def _parse_scope(self, obj: dict) -> Scope:
-        period = obj.get("period", [0, self.config.duration_ms])
-        kinds = obj.get("kinds")
-        if kinds is None:
-            codes = tuple(range(len(EventKind.CODE_NAMES)))
-        else:
-            codes = tuple(EventKind.CODE_NAMES.index(k) for k in kinds)
-        return Scope(region_ids=tuple(obj.get("regions", sorted(self.rsis))),
-                     from_ms=period[0], to_ms=period[1], kind_codes=codes)
-
-    def _run_action(self, action: dict) -> None:
-        kind = action.get("action")
-        if kind == "create_contract":
-            owner = self.vehicles[action["owner_vehicle"]]
-            grantee = self.sp_key(action["grantee_sp"]).public
-            contract = create_contract(
-                self.scheme, owner.grant_key, grantee,
-                tuple(action["timespan"]), self._parse_scope(action["scope"]),
-                action.get("price", 0))
-            self.rule_table.chain_contract(contract, self.clock_ms)
-            self.contracts_created.append(contract)
-        elif kind == "access":
+    def _run_action(self, action: MarketAction) -> None:
+        if isinstance(action, CreateContract):
+            self._chain_contract(create_contract(
+                self.scheme, self.vehicles[action.owner_vehicle].grant_key,
+                self.sp_key(action.grantee_sp).public, action.timespan,
+                action.scope, action.price))
+        elif isinstance(action, Access):
             self._run_access(action)
-        elif kind == "data_request":
-            self._run_data_request(action)
+        else:
+            # vehicles in the target regions observe the request next window
+            request = build_data_request(self.scheme, self.sp_key(action.sp),
+                                         *action.area, *action.period,
+                                         action.target_regions)
+            self._pending_autogrants.append((action, request))
 
-    def _run_access(self, action: dict) -> None:
-        sp = self.sp_key(action["requester_sp"])
-        query = self._parse_scope(action["query"])
-        g = action.get("grant", {})
-        if "contract_index" in g:
-            contract = self.contracts_created[g["contract_index"]]
-            grant = Grant(kind=GRANT_CONTRACT_REF,
-                          contract_id=contract.contract_id())
-        elif "owner_sig_vehicle" in g:
-            owner = self.vehicles[g["owner_sig_vehicle"]]
+    def _chain_contract(self, contract: SmartContract) -> None:
+        self.rule_table.chain_contract(contract, self.clock_ms)
+        self.contracts_created.append(contract)
+
+    def _run_access(self, action: Access) -> None:
+        sp = self.sp_key(action.requester_sp)
+        if action.contract_index is None and action.owner_sig_vehicle is not None:
+            owner = self.vehicles[action.owner_sig_vehicle]
             key = owner.first_key or owner.grant_key
             sig = self.scheme.sign(
-                key, txmodel.grant_signing_bytes(sp.public, query))
+                key, txmodel.grant_signing_bytes(sp.public, action.query))
             grant = Grant(kind=GRANT_OWNER_SIG, owner_pk=key.public,
                           owner_sign=sig)
         else:
-            # grantless probe: a contract reference that resolves to nothing
-            grant = Grant(kind=GRANT_CONTRACT_REF, contract_id=b"\x00" * 32)
-        access_tx = build_access_tx(self.scheme, sp, query, grant)
+            # no grant, or an auto-grant that granted nothing: an id of nothing
+            contract = (None if action.contract_index is None
+                        else self.contracts_created[action.contract_index])
+            grant = Grant(kind=GRANT_CONTRACT_REF, contract_id=(
+                b"\x00" * 32 if contract is None else contract.contract_id()))
+        access_tx = build_access_tx(self.scheme, sp, action.query, grant)
         result = self.rule_table.evaluate_access(access_tx, self.clock_ms)
         if result.granted:
             self.access_granted += 1
@@ -731,37 +779,23 @@ class World:
         else:
             self.access_denied += 1
 
-    def _run_data_request(self, action: dict) -> None:
-        sp = self.sp_key(action["sp"])
-        area = action["area"]
-        period = action.get("period", [0, self.config.duration_ms])
-        targets = action.get("target_regions", sorted(self.rsis))
-        request = build_data_request(
-            self.scheme, sp,
-            GeoPoint.from_degrees(area[0][0], area[0][1]),
-            GeoPoint.from_degrees(area[1][0], area[1][1]),
-            period[0], period[1], targets)
-        # vehicles in the target regions observe the request next window;
-        # scripted owners respond by granting
-        for vid in action.get("auto_grant_vehicles", []):
-            self._pending_autogrants.append((vid, sp.public, {
-                "period": period, "regions": targets,
-                "request": request,
-            }))
-
     def _fire_autogrants(self) -> None:
         pending, self._pending_autogrants = self._pending_autogrants, []
-        for vid, sp_pk, info in pending:
-            owner = self.vehicles[vid]
-            scope = Scope(region_ids=tuple(info["regions"]),
-                          from_ms=info["period"][0], to_ms=info["period"][1],
-                          kind_codes=tuple(range(len(EventKind.CODE_NAMES))))
-            contract = create_contract(
-                self.scheme, owner.grant_key, sp_pk,
-                (self.clock_ms, self.config.duration_ms + self.config.window_ms),
-                scope, 0)
-            self.rule_table.chain_contract(contract, self.clock_ms)
-            self.contracts_created.append(contract)
+        for action, request in pending:
+            signed = self.scheme.verify(request.sp_pk, txmodel.data_request_signing_bytes(
+                request.sp_pk, request.area_min, request.area_max, request.from_ms,
+                request.to_ms), request.sp_sign)
+            scope = Scope(action.target_regions, request.from_ms, request.to_ms,
+                          tuple(range(len(EventKind.CODE_NAMES))))
+            for vid in action.auto_grant_vehicles:
+                owner = self.vehicles[vid]
+                if signed and owner.assoc_region in action.target_regions:
+                    self._chain_contract(create_contract(
+                        self.scheme, owner.grant_key, request.sp_pk,
+                        (self.clock_ms, self.config.duration_ms + self.config.window_ms),
+                        scope, 0))
+                else:
+                    self.contracts_created.append(None)
 
     # -- main loop -------------------------------------------------------------
 

@@ -102,23 +102,11 @@ class EventKind:
     def name(self) -> str:
         return self.CODE_NAMES[self.code]
 
-    @classmethod
-    def from_name(cls, name: str, speed_kmh: int = 0) -> "EventKind":
-        try:
-            code = cls.CODE_NAMES.index(name)
-        except ValueError:
-            raise RangeError(f"unknown event kind {name!r}") from None
-        return cls(code=code, speed_kmh=speed_kmh)
-
 
 ROAD_DAMAGE = EventKind(0)
 PARKING_SPOT = EventKind(1)
 CONGESTION = EventKind(3)
 CLEAR = EventKind(4)
-
-
-def traffic_speed(speed_kmh: int) -> EventKind:
-    return EventKind(2, speed_kmh)
 
 
 def _encode_geo(loc: GeoPoint, w: Writer) -> None:

@@ -137,14 +137,29 @@ class TestRun:
         ("market_script", "owner_vehicle", 16),
         ("market_script", "owner_vehicle", -1),
         ("market_script", "grantee_sp", 5),
+        ("market_script[1]", "grant", 5),
+        ("market_script[1]", "query.period", "x"),
+        ("market_script", "timespan", "ab"),
+        ("market_script", "price", -1),
+        ("market_script", "price", "x"),
+        ("market_script[1]", "query.kinds", ["Nope"]),
+        ("market_script[1]", "query.regions", 5),
+        ("market_script[4]", "target_regions", []),
+        ("market_script[4]", "period", [60_000, 0]),
+        ("market_script[1]", "grant.contract_index", 9),
+        ("market_script", "scope.regions", ["r0_c0", "r9_c9"]),
     ])
     def test_mistyped_field_exits_65_naming_field(self, tmp_path, capsys,
                                                   section, field, value):
         doc = json.loads((SCENARIO_DIR / "market_suite.json").read_text())
-        container = doc[section] if section else doc
+        name, _, index = section.partition("[")
+        container = doc[name] if name else doc
         if isinstance(container, list):
-            container = container[0]
-        container[field] = value
+            container = container[int(index.rstrip("]") or 0)]
+        *parents, leaf = field.split(".")
+        for key in parents:
+            container = container[key]
+        container[leaf] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["run", "--scenario", str(path)]) == 65
@@ -159,22 +174,61 @@ class TestRun:
         assert cli.main(["run", "--scenario", str(path), *seed_args]) == 65
         assert "not a JSON object" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("index, field, value", [
-        (1, "grant", {"contract_index": 99}),
-    ])
-    def test_unexpected_run_error_exits_70(self, tmp_path, capsys,
-                                           index, field, value):
-        # well-typed enough to pass validation, wrong only once the run
-        # reaches the action: the contracts an index may name include
-        # those that autogrants create during the run
-        doc = json.loads((SCENARIO_DIR / "market_suite.json").read_text())
-        doc["market_script"][index][field] = value
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        assert cli.main(["run", "--scenario", str(path)]) == 70
+    def test_unexpected_run_error_exits_70(self, tiny_scenario, capsys,
+                                           monkeypatch):
+        # every scenario field is checked before the run, so only a bug in
+        # the program reaches this exit; stand one in
+        def broken(world):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(cli.sim.World, "run", broken)
+        assert cli.main(["run", "--scenario", str(tiny_scenario)]) == 70
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.count("\n") == 1
+
+    def test_mutated_market_script_never_exits_70(self, tmp_path):
+        doc = json.loads((SCENARIO_DIR / "market_suite.json").read_text())
+        doc["vehicles"]["count"] = 4
+        doc["duration_ms"] = 45_000
+        paths = []
+
+        def walk(node, path):
+            items = (node.items() if isinstance(node, dict)
+                     else enumerate(node) if isinstance(node, list) else ())
+            for key, child in items:
+                paths.append(path + (key,))
+                walk(child, path + (key,))
+
+        walk(doc["market_script"], ("market_script",))
+        delete = object()
+        values = st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=8) | st.sampled_from(["r0_c1", "RoadDamage"]),
+            lambda inner: (st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=8), inner,
+                                             max_size=3)),
+            max_leaves=4)
+        out = tmp_path / "r.json"
+
+        @settings(max_examples=60, derandomize=True, deadline=None,
+                  database=None)
+        @given(path=st.sampled_from(paths), value=values | st.just(delete))
+        def check(path, value):
+            d = json.loads(json.dumps(doc))
+            container = d
+            for key in path[:-1]:
+                container = container[key]
+            if value is delete:
+                del container[path[-1]]
+            else:
+                container[path[-1]] = value
+            scenario = tmp_path / "mutated.json"
+            scenario.write_text(json.dumps(d))
+            assert cli.main(["run", "--scenario", str(scenario),
+                             "--out", str(out)]) in (0, 2, 65)
+
+        check()
 
     def test_non_integer_env_seed_exits_65(self, tiny_scenario, monkeypatch,
                                            capsys):

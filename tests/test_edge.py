@@ -19,13 +19,13 @@ from dmap.rng import CounterRng
 from dmap.txmodel import (
     CLEAR,
     DataTransaction,
+    EventKind,
     GeoPoint,
     ROAD_DAMAGE,
     Payload,
     build_data_tx,
     build_rsi_tx,
     distance_m,
-    traffic_speed,
     verify_data_tx,
 )
 from tests.conftest import CountingScheme
@@ -108,7 +108,7 @@ def allpairs_medoid(cluster):
     return Payload(loc=med.loc, event=med.event, timestamp=med.timestamp)
 
 
-DIFF_KINDS = (ROAD_DAMAGE, CLEAR, traffic_speed(30), traffic_speed(50))
+DIFF_KINDS = (ROAD_DAMAGE, CLEAR, EventKind(2, 30), EventKind(2, 50))
 
 
 def random_window(rng, window):

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import pytest
 
@@ -21,7 +20,6 @@ from dmap.market import (
     build_access_tx,
     build_data_request,
     create_contract,
-    export_records,
 )
 from dmap.rng import CounterRng
 from dmap.txmodel import (
@@ -355,18 +353,3 @@ class TestAvailability:
         assert count == len(records)
         assert volume == sum(r.size_bytes for r in records)
 
-
-class TestExport:
-    def test_one_json_object_per_line(self, world):
-        world.stored("r0_c0", Payload(geo(10, 10), ROAD_DAMAGE, 500),
-                     ["a", "b"])
-        world.stored("r0_c0", Payload(geo(40, 10), CLEAR, 900), ["c", "d"])
-        text = export_records(world.table.directories["r0_c0"])
-        lines = text.strip().split("\n")
-        assert len(lines) == 2
-        first = json.loads(lines[0])
-        assert first["timestamp"] == 500
-        assert "provenance" in first
-
-    def test_empty_directory_exports_empty(self, world):
-        assert export_records(world.table.directories["r0_c1"]) == ""

@@ -166,8 +166,21 @@ class TestScenarioConfig:
                                   "loc": {"lat": 0.001, "lon": 0.001},
                                   "kind": "RoadDamage",
                                   "active_ms": [0, 10_000]}],
+            # one action of each kind, with every optional field set
             market_script=[{"time_ms": 0, "action": "data_request",
-                            "sp": "sp1", "area": [[0.0, 0.0], [0.001, 0.001]]}])
+                            "sp": "sp1", "area": [[0.0, 0.0], [0.001, 0.001]],
+                            "period": [0, 10_000], "target_regions": ["r0_c0"],
+                            "auto_grant_vehicles": [1]},
+                           {"time_ms": 0, "action": "create_contract",
+                            "owner_vehicle": 0, "grantee_sp": "sp1",
+                            "timespan": [0, 10_000], "price": 3,
+                            "scope": {"regions": ["r0_c0"], "period": [0, 10_000],
+                                      "kinds": ["RoadDamage"]}},
+                           {"time_ms": 5000, "action": "access",
+                            "requester_sp": "sp1",
+                            "grant": {"contract_index": 1, "owner_sig_vehicle": 2},
+                            "query": {"regions": ["r0_c0"], "period": [0, 5000],
+                                      "kinds": ["RoadDamage"]}}])
         ScenarioConfig.from_dict(base)
         paths = []
 
@@ -442,6 +455,54 @@ class TestHandover:
 
 
 class TestMarketScript:
+    @pytest.mark.parametrize("time_ms, valid", [(24_900, False), (25_000, True)])
+    def test_contract_index_counts_autogrants_from_their_boundary(
+            self, time_ms, valid):
+        # market_script[4] is a data_request at 20 s with one auto-grant
+        # vehicle; its contract, index 1, is made at the 25 s boundary
+        d = json.loads((SCENARIO_DIR / "market_suite.json").read_text())
+        d["market_script"][5]["time_ms"] = time_ms
+        if valid:
+            ScenarioConfig.from_dict(d)
+            return
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig.from_dict(d)
+        assert exc.value.field == "market_script[5].grant.contract_index"
+
+    def _suite_world_at_request(self, target_regions=None):
+        """market_suite stepped until its data request is pending."""
+        d = json.loads((SCENARIO_DIR / "market_suite.json").read_text())
+        if target_regions is not None:
+            d["market_script"][4]["target_regions"] = target_regions
+        world = World(ScenarioConfig.from_dict(d))
+        while not world._pending_autogrants:
+            world.step()
+        return world
+
+    @pytest.mark.parametrize("fault", ["forged", "untargeted"])
+    def test_autogrant_refused_grants_nothing(self, fault):
+        if fault == "forged":
+            world = self._suite_world_at_request()
+            action, request = world._pending_autogrants[0]
+            forged = dataclasses.replace(request, from_ms=request.from_ms + 1)
+            world._pending_autogrants[0] = (action, forged)
+        else:
+            # vehicle 1 answers at the 25 s boundary; target every region
+            # but the one that serves it then
+            probe = self._suite_world_at_request()
+            while probe.clock_ms < 25_000:
+                probe.step()
+            served = probe.vehicles[1].assoc_region
+            world = self._suite_world_at_request(
+                [r for r in sorted(probe.rsis) if r != served])
+        metrics = world.run()
+        assert world.contracts_created[1] is None
+        # the access at 30 s cites contract 1 and is denied; the other two
+        # grants of market_suite stand
+        assert metrics["global"]["access_granted"] == 2
+        assert metrics["global"]["access_denied"] == 4
+        assert all(v == "ok" for v in world.invariant_results.values())
+
     def test_same_tick_actions_fire_in_script_order(self):
         def contract(time_ms, price):
             return {"time_ms": time_ms, "action": "create_contract",

@@ -21,7 +21,6 @@ from dmap.txmodel import (
     build_data_tx,
     build_rsi_tx,
     data_tx_signing_bytes,
-    traffic_speed,
     verify_data_tx,
     verify_rsi_tx,
 )
@@ -76,11 +75,11 @@ class TestEventKind:
     def test_speed_only_for_traffic_speed(self):
         with pytest.raises(RangeError):
             txmodel.EventKind(0, speed_kmh=30)
-        assert traffic_speed(30).speed_kmh == 30
+        assert txmodel.EventKind(2, 30).speed_kmh == 30
 
     def test_negative_speed_rejected(self):
         with pytest.raises(RangeError):
-            traffic_speed(-1)
+            txmodel.EventKind(2, -1)
 
     def test_decode_rejects_unknown_code(self):
         tx = build_data_tx(scheme, key("v"), sample_loc(), ROAD_DAMAGE, 10)
@@ -213,7 +212,7 @@ def random_data_tx(rng: CounterRng):
     loc = GeoPoint(rng.randint(-90_000_000, 90_000_000),
                    rng.randint(-180_000_000, 180_000_000))
     code = rng.randint(0, 4)
-    event = (traffic_speed(rng.randint(0, 200)) if code == 2
+    event = (txmodel.EventKind(2, rng.randint(0, 200)) if code == 2
              else txmodel.EventKind(code))
     return build_data_tx(scheme, k, loc, event, rng.randint(0, 2**40))
 
