@@ -19,6 +19,7 @@ import re
 import struct
 import sys
 from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 from typing import Any, Callable
 
 from . import edge, txmodel
@@ -69,6 +70,38 @@ def _geo_to_xy(loc: GeoPoint) -> tuple[float, float]:
 
 def region_name(row: int, col: int) -> str:
     return f"r{row}_c{col}"
+
+
+def _advance(v: "Vehicle", ticks: int) -> tuple[float, float]:
+    """The vehicle's x and y after `ticks` more moves of its current step:
+    one addition per tick and axis, in order, as stepping tick by tick."""
+    x, y = v.x, v.y
+    step_x, step_y = v.step_x, v.step_y
+    for _ in repeat(None, ticks):
+        x += step_x
+        y += step_y
+    return x, y
+
+
+def _ticks_inside(pos: float, step: float, floor: float, size: float,
+                  wall: float, ulp: float) -> float:
+    """How many ticks a vehicle at `pos`, moving `step` a tick, may go
+    unchecked: each of those moves keeps `pos // size` at `floor` and `pos`
+    inside [0, wall]. Infinite for a zero step.
+
+    `d` is the distance to the floor boundary ahead, or to the wall when
+    that is nearer, and `ulp` bounds the spacing of floats inside the grid.
+    k additions of `step` travel at most k * (|step| + ulp/2), and `d` and
+    the boundary are each off by at most ulp/2, so (d - 2 ulp) / (|step| +
+    ulp) moves stay inside; one tick less covers the rounding of that
+    division."""
+    if step > 0:
+        d = min((floor + 1) * size, wall) - pos
+    elif step < 0:
+        d = pos - floor * size
+    else:
+        return math.inf
+    return max(int((d - 2 * ulp) / (abs(step) + ulp)) - 1, 0)
 
 
 # --- configuration ----------------------------------------------------------
@@ -206,6 +239,13 @@ def _kind(value: Any, where: str) -> EventKind:
     if name != "TrafficSpeed" and speed:
         raise ConfigError(where, "speed only valid for TrafficSpeed")
     return EventKind(EventKind.CODE_NAMES.index(name), speed)
+
+
+def _kind_value(kind: EventKind) -> str | dict:
+    """The scenario value that `_kind` reads back as `kind`."""
+    if kind.name == "TrafficSpeed":
+        return {"name": kind.name, "speed_kmh": kind.speed_kmh}
+    return kind.name
 
 
 @dataclass
@@ -433,10 +473,7 @@ class ScenarioConfig:
         adv = self.adversary
         strategy: dict[str, Any] = {"type": adv.strategy}
         if adv.fab_kind is not None:
-            strategy["kind"] = adv.fab_kind.name
-            if adv.fab_kind.code == 2:
-                strategy["kind"] = {"name": "TrafficSpeed",
-                                    "speed_kmh": adv.fab_kind.speed_kmh}
+            strategy["kind"] = _kind_value(adv.fab_kind)
         if adv.fab_loc is not None:
             strategy["loc"] = {"lat": adv.fab_loc.lat_micro / 1e6,
                                "lon": adv.fab_loc.lon_micro / 1e6}
@@ -444,7 +481,7 @@ class ScenarioConfig:
         out["ground_truth_events"] = [
             {"region": ev.region,
              "loc": {"lat": ev.loc.lat_micro / 1e6, "lon": ev.loc.lon_micro / 1e6},
-             "kind": ev.kind.name,
+             "kind": _kind_value(ev.kind),
              "active_ms": [ev.start_ms, ev.end_ms]}
             for ev in self.ground_truth_events]
         out["market_script"] = [action.raw for action in self.market_script]
@@ -476,6 +513,7 @@ class Vehicle:
     first_key: KeyPair | None = None  # signs owner-signature grants
     reuse_key: KeyPair | None = None
     replay_payload: Payload | None = None
+    tick: int = 0  # the tick that x and y belong to; see World._move_phase
     # the move of one tick, refreshed by `turn` whenever the heading changes
     step_x: float = field(init=False, repr=False, compare=False)
     step_y: float = field(init=False, repr=False, compare=False)
@@ -568,6 +606,9 @@ class World:
             if vid in config.key_reuse_vehicles:
                 v.reuse_key = scheme.generate_keypair(master + b"/reused")
             self.vehicles.append(v)
+        # tick -> the vehicles `_move_phase` steps at that tick; the first
+        # tick steps every vehicle and so schedules it
+        self._due: dict[int, list[Vehicle]] = {0: self.vehicles[:]}
 
         self._events = [(ev, *_geo_to_xy(ev.loc))
                         for ev in config.ground_truth_events]
@@ -602,7 +643,9 @@ class World:
         return self._sp_keys[name]
 
     def state_digest(self) -> bytes:
-        """Digest of the full observable state, for determinism checks."""
+        """Digest of the full observable state, for determinism checks.
+        Catches every vehicle up to the current tick first."""
+        self._catch_up()
         h_parts = [struct.pack(">Q", self.clock_ms)]
         for v in self.vehicles:
             h_parts.append(struct.pack(">Qddddq", v.vid, v.x, v.y, v.heading,
@@ -677,19 +720,39 @@ class World:
             p = v.replay_payload = Payload(sensed[0].loc, sensed[0].kind, ts)
         self._deliver(v, p.loc, p.event, p.timestamp)
 
+    def _catch_up(self) -> None:
+        """Bring every vehicle's x and y to the current tick."""
+        tick = self.clock_ms // TICK_MS
+        for v in self.vehicles:
+            if v.tick != tick:
+                v.x, v.y = _advance(v, tick - v.tick)
+                v.tick = tick
+
     def _move_phase(self) -> None:
-        """Move every vehicle one tick. Trigonometry runs only on a turn and
-        `_cell` only when a raw floor changes; positions are the same floats
-        as recomputing the step and the cell every tick."""
+        """Step the vehicles due at this tick; the others lag behind.
+
+        A vehicle is due at the first tick at which it may change floor or
+        reach a wall (`_ticks_inside`). Until then its moves are plain
+        additions, so it is left alone and `x`, `y` belong to `v.tick`: read
+        them after `state_digest()`, or at an emit, which catches everyone up
+        (`_catch_up`). A due vehicle makes its lagging additions, then this
+        tick's, in order, so positions are the same floats as stepping every
+        vehicle every tick. Trigonometry runs only on a turn and `_cell` only
+        when a raw floor changes."""
+        tick = self.clock_ms // TICK_MS
+        due = self._due.pop(tick, None)
+        if due is None:
+            return
+        buckets = self._due
         cfg = self.config
         cell_size = cfg.cell_size_m
         width = cfg.cols * cell_size
         height = cfg.rows * cell_size
+        ulp = math.ulp(max(width, height))
         pi = math.pi
         cell = self._cell
-        for v in self.vehicles:
-            x = v.x + v.step_x
-            y = v.y + v.step_y
+        for v in due:
+            x, y = _advance(v, tick + 1 - v.tick)
             if x < 0 or x > width:
                 x = min(max(x, 0.0), width)
                 v.turn(pi - v.heading)
@@ -698,6 +761,7 @@ class World:
                 v.turn(-v.heading)
             v.x = x
             v.y = y
+            v.tick = tick + 1
             floor_x = x // cell_size
             floor_y = y // cell_size
             if floor_x != v.floor_x or floor_y != v.floor_y:
@@ -711,6 +775,10 @@ class World:
                     v.turn(v.rng.uniform(0.0, 2 * pi))
                     self.handover_count += 1
                     edge.handover(v, region_name(*after))
+            wait = min(_ticks_inside(x, v.step_x, floor_x, cell_size, width, ulp),
+                       _ticks_inside(y, v.step_y, floor_y, cell_size, height, ulp))
+            if wait != math.inf:
+                buckets.setdefault(tick + 1 + wait, []).append(v)
 
     def _close_region(self, region: str) -> None:
         """Close the region's window, chain what miners admit, store it."""
@@ -800,10 +868,13 @@ class World:
     # -- main loop -------------------------------------------------------------
 
     def step(self) -> None:
+        """Advance the world one tick. Vehicles not due to move lag behind
+        (see `_move_phase`); each emit catches them up first."""
         cfg = self.config
         if self.clock_ms >= cfg.duration_ms:
             return
         if self.clock_ms % cfg.window_ms == 0:
+            self._catch_up()
             self._emit_phase()
         self._fire_market_actions()
         self._move_phase()
@@ -815,6 +886,7 @@ class World:
         """Step to the configured duration, sweep invariants, return metrics."""
         while self.clock_ms < self.config.duration_ms:
             self.step()
+        self._catch_up()
         for region in sorted(self.rsis):
             if self.rsis[region].window.reports:
                 self._close_region(region)

@@ -1,0 +1,27 @@
+"""Smoke test of tools/scale.py: the smallest point, and the file's schema."""
+
+import json
+import subprocess
+import sys
+
+from tests.conftest import REPO_ROOT
+
+
+def test_smallest_point_writes_the_schema(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(REPO_ROOT / "tools" / "scale.py"),
+                    "--out", str(out), "--repeats", "1",
+                    "--points", "honest_majority_60"],
+                   check=True, capture_output=True, timeout=120)
+    result = json.loads(out.read_text())
+    assert set(result) == {"python", "probe_s", "scheme", "repeats",
+                           "slope_over_vehicles", "points"}
+    assert result["probe_s"] > 0 and result["repeats"] == 1
+    assert result["slope_over_vehicles"] is None  # one vehicle count
+    (point,) = result["points"]
+    assert point["name"] == "honest_majority_60" and point["vehicles"] == 60
+    assert point["reports"] > 0 and len(point["runs_s"]) == 1
+    assert point["run_s"] == point["runs_s"][0] > 0
+    assert set(point["phases_s"]) == {"emit", "move", "boundary", "sweep", "other"}
+    assert all(point["phases_s"][p] > 0 for p in ("emit", "move", "boundary", "sweep"))
+    assert abs(sum(point["phases_s"].values()) - point["run_s"]) < 1e-9

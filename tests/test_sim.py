@@ -1,14 +1,16 @@
 import collections
 import copy
 import dataclasses
+import importlib.util
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmap import sim, txmodel
+from dmap import edge, sim, txmodel
 from dmap.crypto import KEYED_HASH, verify_certificate
 from dmap.encoding import canonical_encode
 from dmap.ledger import _link, validate_chain
@@ -26,6 +28,7 @@ from dmap.txmodel import (
     build_rsi_tx,
 )
 from tests.conftest import (
+    REPO_ROOT,
     SCENARIO_DIR,
     SCENARIO_NAMES,
     CountingScheme,
@@ -47,6 +50,26 @@ def minimal_dict(**overrides):
                         "min_corroboration": 2},
     }
     d.update(overrides)
+    return d
+
+
+def _ed25519_events():
+    """The scenario of perfbench's ed25519_events workload, seed 1."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look it up there
+    spec.loader.exec_module(workloads)
+    return workloads.ed25519_events(1).scenario
+
+
+def _market_suite_traffic_speed():
+    with open(SCENARIO_DIR / "market_suite.json", encoding="utf-8") as fh:
+        d = json.load(fh)
+    d["ground_truth_events"][0]["kind"] = {"name": "TrafficSpeed", "speed_kmh": 50}
+    d["adversary"] = {"fraction": 0.25, "strategy": {
+        "type": "FabricateEvent", "kind": {"name": "TrafficSpeed", "speed_kmh": 30},
+        "loc": d["ground_truth_events"][1]["loc"]}}
     return d
 
 
@@ -251,7 +274,15 @@ class TestScenarioConfig:
     def test_bundled_scenarios_round_trip(self, name):
         cfg = load_scenario_config(name)
         again = ScenarioConfig.from_dict(cfg.to_dict())
+        assert again == cfg
         assert again.to_dict() == cfg.to_dict()
+
+    @pytest.mark.parametrize("make", [_ed25519_events, _market_suite_traffic_speed],
+                             ids=["ed25519_events", "market_suite_traffic_speed"])
+    def test_round_trip_keeps_traffic_speed(self, make):
+        cfg = ScenarioConfig.from_dict(make())
+        assert any(ev.kind.speed_kmh for ev in cfg.ground_truth_events)
+        assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_to_dict_is_json_serializable(self):
         cfg = load_scenario_config("majority_capture")
@@ -405,53 +436,219 @@ class TestHandover:
             assert v.assoc_region in world.rsis
 
     def test_cached_step_and_cell_stay_exact(self, monkeypatch):
-        cfg = dataclasses.replace(load_scenario_config("honest_majority"),
-                                  speed_min_mps=20.0, speed_max_mps=40.0,
-                                  duration_ms=20_000)
-        world = World(cfg)
-        calls = collections.Counter()
-        real_cell = world._cell
-
-        def counting_cell(x, y):
-            calls["cell"] += 1
-            return real_cell(x, y)
-
-        class CountingMath:
-            def __getattr__(self, name):
-                return getattr(math, name)
-
-            def cos(self, a):
-                calls["trig"] += 1
-                return math.cos(a)
-
-            def sin(self, a):
-                calls["trig"] += 1
-                return math.sin(a)
-
-        monkeypatch.setattr(world, "_cell", counting_cell)
-        monkeypatch.setattr(sim, "math", CountingMath())
-        dt = sim.TICK_MS / 1000.0
-        size = cfg.cell_size_m
-        width, height = cfg.cols * size, cfg.rows * size
-        x_bounces = y_bounces = 0
-        while world.clock_ms < cfg.duration_ms:
-            before = [(v.heading, v.x // size, v.y // size)
-                      for v in world.vehicles]
-            calls.clear()
-            world.step()
-            turned = floors_moved = 0
-            for v, (heading, floor_x, floor_y) in zip(world.vehicles, before):
-                turned += v.heading != heading
-                floors_moved += (v.x // size, v.y // size) != (floor_x, floor_y)
-                x_bounces += v.x in (0.0, width)
-                y_bounces += v.y in (0.0, height)
-                assert v.step_x.hex() == (math.cos(v.heading) * v.speed * dt).hex()
-                assert v.step_y.hex() == (math.sin(v.heading) * v.speed * dt).hex()
-                assert v.cell == real_cell(v.x, v.y)
-            # a turn refreshes both steps, at most three turns a tick
-            assert calls["trig"] <= 6 * turned
-            assert calls["cell"] == floors_moved
+        world = World(_fast_honest_majority())
+        x_bounces, y_bounces = _assert_moves_exact(world, monkeypatch)
         assert x_bounces and y_bounces and world.handover_count
+
+    @pytest.mark.parametrize("case", ["near_axis", "stopped", "cell_137_3",
+                                      "on_boundaries"])
+    def test_lagging_positions_stay_exact(self, case, monkeypatch):
+        world = _MOVEMENT_CASES[case]()
+        _assert_moves_exact(world, monkeypatch)
+
+    def test_move_phase_steps_few_vehicle_ticks(self):
+        cfg = dataclasses.replace(load_scenario_config("honest_majority"),
+                                  vehicle_count=600)
+        world = World(cfg)
+
+        class CountingBuckets(dict):
+            """The due buckets, counting the vehicles `_move_phase` steps."""
+
+            stepped = 0
+
+            def pop(self, tick, default=None):
+                due = super().pop(tick, default)
+                self.stepped += len(due or ())
+                return due
+
+        world._due = buckets = CountingBuckets(world._due)
+        world.run()
+        ticks = cfg.duration_ms // sim.TICK_MS
+        assert buckets.stepped >= cfg.vehicle_count  # the first tick
+        assert buckets.stepped <= 0.1 * cfg.vehicle_count * ticks
+
+
+def _reference_tick(world, ref, cell):
+    """Move every vehicle of `ref` one tick, as the simulator did when it
+    stepped every vehicle every tick; returns the handovers made."""
+    cfg = world.config
+    cell_size = cfg.cell_size_m
+    width = cfg.cols * cell_size
+    height = cfg.rows * cell_size
+    handovers = 0
+    for v in ref:
+        x = v.x + v.step_x
+        y = v.y + v.step_y
+        if x < 0 or x > width:
+            x = min(max(x, 0.0), width)
+            v.turn(math.pi - v.heading)
+        if y < 0 or y > height:
+            y = min(max(y, 0.0), height)
+            v.turn(-v.heading)
+        v.x = x
+        v.y = y
+        floor_x = x // cell_size
+        floor_y = y // cell_size
+        if floor_x != v.floor_x or floor_y != v.floor_y:
+            v.floor_x = floor_x
+            v.floor_y = floor_y
+            after = cell(x, y)
+            if after != v.cell:
+                v.cell = after
+                v.turn(v.rng.uniform(0.0, 2 * math.pi))
+                handovers += 1
+                edge.handover(v, sim.region_name(*after))
+    return handovers
+
+
+def _moving_state(v):
+    return (v.heading.hex(), v.step_x.hex(), v.step_y.hex(), v.cell,
+            v.floor_x, v.floor_y, v.pending_region, v.assoc_region)
+
+
+def _assert_moves_exact(world, monkeypatch, digest_every=7):
+    """Step `world` to its duration beside a reference that steps every
+    vehicle every tick, and check after every step that each vehicle's
+    lagging x and y are the reference's at the vehicle's tick, bit for bit,
+    and that its heading, step, cell, floors and association are the
+    reference's now. Each emit must see every vehicle caught up, and so
+    must `state_digest()` (called every `digest_every` steps, so lags of
+    several ticks occur too) and the end of `run()`. Trigonometry may run
+    only on a turn and `_cell` only on a floor change. Returns how many
+    vehicle-ticks ended on a vertical wall and on a horizontal one."""
+    cfg = world.config
+    dt = sim.TICK_MS / 1000.0
+    width, height = cfg.cols * cfg.cell_size_m, cfg.rows * cfg.cell_size_m
+    ref = copy.deepcopy(world.vehicles)
+    history = [[(v.x, v.y) for v in ref]]  # the reference's x, y at each tick
+    calls = collections.Counter()
+    real_cell = world._cell
+    real_emit = world._emit_phase
+
+    def counting_cell(x, y):
+        calls["cell"] += 1
+        return real_cell(x, y)
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def cos(self, a):
+            calls["trig"] += 1
+            return math.cos(a)
+
+        def sin(self, a):
+            calls["trig"] += 1
+            return math.sin(a)
+
+    def assert_caught_up(tick):
+        for v in world.vehicles:
+            x, y = history[tick][v.vid]
+            assert (v.tick, v.x.hex(), v.y.hex()) == (tick, x.hex(), y.hex()), v.vid
+
+    def checked_emit():
+        assert_caught_up(world.clock_ms // sim.TICK_MS)
+        real_emit()
+
+    monkeypatch.setattr(world, "_cell", counting_cell)
+    monkeypatch.setattr(world, "_emit_phase", checked_emit)
+    monkeypatch.setattr(sim, "math", CountingMath())
+    window_ticks = cfg.window_ms // sim.TICK_MS
+    handovers = x_bounces = y_bounces = 0
+    while world.clock_ms < cfg.duration_ms:
+        calls.clear()
+        world.step()
+        trig, cells = calls["trig"], calls["cell"]
+        tick = world.clock_ms // sim.TICK_MS
+        before = [(v.heading, v.floor_x, v.floor_y) for v in ref]
+        handovers += _reference_tick(world, ref, real_cell)
+        if tick % window_ticks == 0:
+            for r in ref:
+                if r.pending_region is not None:
+                    r.assoc_region, r.pending_region = r.pending_region, None
+        history.append([(v.x, v.y) for v in ref])
+        if tick % digest_every == 0:
+            world.state_digest()
+            assert_caught_up(tick)
+        turned = floors_moved = 0
+        for v, r, (heading, floor_x, floor_y) in zip(world.vehicles, ref, before):
+            turned += r.heading != heading
+            floors_moved += (r.floor_x, r.floor_y) != (floor_x, floor_y)
+            x_bounces += r.x in (0.0, width)
+            y_bounces += r.y in (0.0, height)
+            x, y = history[v.tick][v.vid]
+            assert (v.x.hex(), v.y.hex()) == (x.hex(), y.hex()), (tick, v.vid)
+            assert _moving_state(v) == _moving_state(r), (tick, v.vid)
+            assert v.step_x.hex() == (math.cos(v.heading) * v.speed * dt).hex()
+            assert v.step_y.hex() == (math.sin(v.heading) * v.speed * dt).hex()
+        assert world.handover_count == handovers
+        # a turn refreshes both steps, at most three turns a tick
+        assert trig <= 6 * turned
+        assert cells == floors_moved
+    world.run()
+    assert_caught_up(len(history) - 1)
+    return x_bounces, y_bounces
+
+
+def _place(world, v, x, y, heading=None, speed=None):
+    """Put `v` at (x, y), facing `heading`, before the first step."""
+    if speed is not None:
+        v.speed = speed
+    v.x, v.y = x, y
+    v.turn(v.heading if heading is None else heading)
+    size = world.config.cell_size_m
+    v.floor_x, v.floor_y = x // size, y // size
+    v.cell = world._cell(x, y)
+    v.assoc_region = sim.region_name(*v.cell)
+
+
+def _fast_honest_majority(**changes):
+    return dataclasses.replace(load_scenario_config("honest_majority"), **{
+        "speed_min_mps": 20.0, "speed_max_mps": 40.0, "duration_ms": 20_000,
+        **changes})
+
+
+def _near_axis_world():
+    # headings within 1e-13 rad of an axis at 2 m/s move across the axis by
+    # under one float spacing a tick, so each addition rounds by a large
+    # fraction of the step; each vehicle starts 1 to 100 spacings short of
+    # the floor boundary at 140 m that it drifts towards
+    cfg = _fast_honest_majority(vehicle_count=96)
+    world = World(cfg)
+    offsets = (1e-13, -1e-13, 8e-14, -8e-14, 6e-14, -6e-14)
+    for v in world.vehicles:
+        axis = v.vid % 4 * math.pi / 2
+        heading = axis + offsets[v.vid // 4 % len(offsets)]
+        spacings = (1, 5, 40, 100)[v.vid // 24]
+        across = math.sin(heading) if v.vid % 2 == 0 else math.cos(heading)
+        edge_pos = 140.0 - math.copysign(spacings * math.ulp(140.0), across)
+        x, y = (70.0, edge_pos) if v.vid % 2 == 0 else (edge_pos, 70.0)
+        _place(world, v, x, y, heading, speed=2.0)
+    return world
+
+
+def _on_boundaries_world():
+    # every vehicle starts on a wall, a floor boundary or both, half of them
+    # heading exactly along an axis
+    cfg = _fast_honest_majority(vehicle_count=64)
+    world = World(cfg)
+    size = cfg.cell_size_m
+    spots = (0.0, size, 2 * size, cfg.cols * size)
+    for v in world.vehicles:
+        x = spots[v.vid % 4]
+        y = spots[v.vid // 4 % 4]
+        heading = v.vid // 16 * math.pi / 2 if v.vid % 2 else None
+        _place(world, v, x, y, heading)
+    return world
+
+
+_MOVEMENT_CASES = {
+    "near_axis": _near_axis_world,
+    "stopped": lambda: World(_fast_honest_majority(speed_min_mps=0.0,
+                                                   speed_max_mps=0.0)),
+    "cell_137_3": lambda: World(_fast_honest_majority(cell_size_m=137.3)),
+    "on_boundaries": _on_boundaries_world,
+}
 
 
 class TestMarketScript:
