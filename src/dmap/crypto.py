@@ -146,9 +146,6 @@ class Certificate:
     region_id: str
     ca_signature: bytes
 
-    def signing_bytes(self) -> bytes:
-        return certificate_signing_bytes(self.subject_pk, self.region_id)
-
 
 def certificate_signing_bytes(subject_pk: bytes, region_id: str) -> bytes:
     w = Writer()
@@ -176,7 +173,8 @@ def verify_certificate(scheme: SignatureScheme, ca_pk: bytes, cert: Certificate,
     """
     if verified is not None and (ca_pk, cert) in verified:
         return True
-    ok = scheme.verify(ca_pk, cert.signing_bytes(), cert.ca_signature)
+    msg = certificate_signing_bytes(cert.subject_pk, cert.region_id)
+    ok = scheme.verify(ca_pk, msg, cert.ca_signature)
     if ok and verified is not None:
         verified.add((ca_pk, cert))
     return ok

@@ -140,8 +140,9 @@ def cluster_reports(reports: list[DataTransaction],
 
     Reports with one payload are always compatible, so single linkage runs
     over the distinct payloads only. Each cluster lists its reports in
-    input order; clusters are ordered by their smallest payload bytes,
-    which is the order of their smallest report encodings.
+    input order, and clusters come in the order of their first reports;
+    `close_window` sorts its aggregates by `wire`, so no output depends
+    on cluster order.
     """
     groups, of = _payload_groups(reports)
     k = len(groups)
@@ -159,15 +160,10 @@ def cluster_reports(reports: list[DataTransaction],
                 parent[find(i)] = find(j)
 
     roots = [find(i) for i in range(k)]
-    order: dict[int, bytes] = {}
-    for i, root in enumerate(roots):
-        b = payload_bytes(_payload(groups[i][0]))
-        if root not in order or b < order[root]:
-            order[root] = b
     clusters: dict[int, list[DataTransaction]] = {}
     for r, i in zip(reports, of):
         clusters.setdefault(roots[i], []).append(r)
-    return [clusters[root] for root in sorted(order, key=order.__getitem__)]
+    return list(clusters.values())
 
 
 def _medoid(groups: list[list[DataTransaction]], of: list[int]) -> Payload:

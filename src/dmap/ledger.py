@@ -278,19 +278,11 @@ def validate_chain(ledger: Ledger) -> ChainStatus:
     return ChainStatus.valid()
 
 
-def lookup_access_log(ledger: Ledger, owner_pk: bytes,
-                      contract_owners: dict[bytes, bytes] | None = None
-                      ) -> list[AccessTransaction]:
-    """All chained accesses against data whose grant `owner_pk` issued.
-
-    `contract_owners` maps contract_id to owner key; when omitted it is
-    rebuilt from contracts chained on this ledger.
-    """
-    if contract_owners is None:
-        contract_owners = {}
-        for tx in ledger.all_txs():
-            if isinstance(tx, SmartContract):
-                contract_owners[tx.contract_id()] = tx.owner_pk
+def lookup_access_log(ledger: Ledger, owner_pk: bytes) -> list[AccessTransaction]:
+    """All chained accesses against data whose grant `owner_pk` issued,
+    through a contract chained on this ledger or a direct owner grant."""
+    contract_owners = {tx.contract_id(): tx.owner_pk for tx in ledger.all_txs()
+                       if isinstance(tx, SmartContract)}
     out = []
     for tx in ledger.all_txs():
         if not isinstance(tx, AccessTransaction):

@@ -7,9 +7,8 @@ served once the requester's transaction carries both the requester's
 signature and the rule table's countersignature, and that final form is
 chained on the ledger of the region whose directory served the request.
 
-Store-side search is an in-process inverted index over (location cell,
-time bucket, event kind); external search services are deliberately not
-used.
+Store-side search scans each directory's records in process; external
+search services are deliberately not used.
 """
 
 from __future__ import annotations
@@ -32,15 +31,11 @@ from .txmodel import (
     SmartContract,
     access_requester_signing_bytes,
     access_ruletable_signing_bytes,
-    cell_of,
     contract_signing_bytes,
     data_request_signing_bytes,
     grant_signing_bytes,
     payload_bytes,
 )
-
-INDEX_CELL_M = 500.0
-INDEX_BUCKET_MS = 60_000
 
 
 class CertError(ValueError):
@@ -87,15 +82,6 @@ class Record:
 class DataDirectory:
     region_id: str
     records: list[Record] = field(default_factory=list)
-    # (cell_row, cell_col, bucket, kind_code) -> records, in id order
-    index: dict[tuple[int, int, int, int], list[Record]] = field(default_factory=dict)
-
-    def add(self, record: Record) -> None:
-        self.records.append(record)
-        p = record.payload
-        row, col = cell_of(p.loc, INDEX_CELL_M)
-        key = (row, col, p.timestamp // INDEX_BUCKET_MS, p.event.code)
-        self.index.setdefault(key, []).append(record)
 
 
 @dataclass
@@ -148,12 +134,15 @@ def build_data_request(scheme: SignatureScheme, sp_key: KeyPair,
         raise TargetError("degenerate request area")
     if from_ms > to_ms:
         raise TargetError("period must satisfy from <= to")
+    targets = tuple(target_regions)
     sig = scheme.sign(sp_key,
                       data_request_signing_bytes(sp_key.public, area_min,
-                                                 area_max, from_ms, to_ms))
+                                                 area_max, from_ms, to_ms,
+                                                 targets))
     return DataRequestTransaction(sp_pk=sp_key.public, area_min=area_min,
                                   area_max=area_max, from_ms=from_ms,
-                                  to_ms=to_ms, sp_sign=sig)
+                                  to_ms=to_ms, target_regions=targets,
+                                  sp_sign=sig)
 
 
 class RuleTable:
@@ -194,7 +183,7 @@ class RuleTable:
                         owner_pks=tuple(rsi_tx.vehicle_pks),
                         size_bytes=len(payload_bytes(rsi_tx.payload)))
         self._next_record_id += 1
-        self.directories[region].add(record)
+        self.directories[region].records.append(record)
         return record.record_id
 
     def _tx_on_chain(self, region: str, digest: bytes) -> bool:
@@ -286,23 +275,13 @@ class RuleTable:
     def query_availability(self, area_min: GeoPoint, area_max: GeoPoint,
                            from_ms: int, to_ms: int) -> tuple[int, int]:
         """Exact (record count, byte volume) in an area/period; no payloads."""
-        # cell_of is monotone in each coordinate, so every record inside the
-        # area/period sits under a key within these cell and bucket bounds
-        row_min, col_min = cell_of(area_min, INDEX_CELL_M)
-        row_max, col_max = cell_of(area_max, INDEX_CELL_M)
-        bucket_min = from_ms // INDEX_BUCKET_MS
-        bucket_max = (to_ms - 1) // INDEX_BUCKET_MS
         count = 0
         volume = 0
         for directory in self.directories.values():
-            for (row, col, bucket, _kind), records in directory.index.items():
-                if not (row_min <= row <= row_max and col_min <= col <= col_max
-                        and bucket_min <= bucket <= bucket_max):
-                    continue
-                for r in records:
-                    if self._in_area(r.payload, area_min, area_max, from_ms, to_ms):
-                        count += 1
-                        volume += r.size_bytes
+            for r in directory.records:
+                if self._in_area(r.payload, area_min, area_max, from_ms, to_ms):
+                    count += 1
+                    volume += r.size_bytes
         return count, volume
 
     @staticmethod

@@ -336,11 +336,11 @@ class Access(MarketAction):
 
 @dataclass(frozen=True)
 class DataRequest(MarketAction):
-    """The SP signs a `DataRequestTransaction` for the target regions. At
+    """The SP signs a `DataRequestTransaction` over the target regions. At
     the next window boundary each auto-grant vehicle checks the SP
-    signature and that its serving region is targeted; if both hold, it
-    grants the SP a contract over the target regions and the period. The
-    area is advertised only: no grant is scoped by it."""
+    signature and that its serving region is a signed target; if both
+    hold, it grants the SP a contract over the target regions and the
+    period. The area is advertised only: no grant is scoped by it."""
 
     sp: str
     area: tuple[GeoPoint, GeoPoint]
@@ -852,12 +852,12 @@ class World:
         for action, request in pending:
             signed = self.scheme.verify(request.sp_pk, txmodel.data_request_signing_bytes(
                 request.sp_pk, request.area_min, request.area_max, request.from_ms,
-                request.to_ms), request.sp_sign)
-            scope = Scope(action.target_regions, request.from_ms, request.to_ms,
+                request.to_ms, request.target_regions), request.sp_sign)
+            scope = Scope(request.target_regions, request.from_ms, request.to_ms,
                           tuple(range(len(EventKind.CODE_NAMES))))
             for vid in action.auto_grant_vehicles:
                 owner = self.vehicles[vid]
-                if signed and owner.assoc_region in action.target_regions:
+                if signed and owner.assoc_region in request.target_regions:
                     self._chain_contract(create_contract(
                         self.scheme, owner.grant_key, request.sp_pk,
                         (self.clock_ms, self.config.duration_ms + self.config.window_ms),

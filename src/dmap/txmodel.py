@@ -104,8 +104,6 @@ class EventKind:
 
 
 ROAD_DAMAGE = EventKind(0)
-PARKING_SPOT = EventKind(1)
-CONGESTION = EventKind(3)
 CLEAR = EventKind(4)
 
 
@@ -574,31 +572,38 @@ class DataRequestTransaction:
     area_max: GeoPoint  # north-east corner
     from_ms: int
     to_ms: int
+    target_regions: tuple[str, ...]
     sp_sign: bytes
 
 
 def data_request_signing_bytes(sp_pk: bytes, area_min: GeoPoint,
-                               area_max: GeoPoint, from_ms: int,
-                               to_ms: int) -> bytes:
+                               area_max: GeoPoint, from_ms: int, to_ms: int,
+                               target_regions: tuple[str, ...]) -> bytes:
     w = Writer()
     w.bytes_(sp_pk)
     _encode_geo(area_min, w)
     _encode_geo(area_max, w)
     w.u64(from_ms)
     w.u64(to_ms)
+    w.u32(len(target_regions))
+    for rid in target_regions:
+        w.string(rid)
     return w.getvalue()
 
 
 def _encode_data_request(tx: DataRequestTransaction, w: Writer) -> None:
     w.raw(data_request_signing_bytes(tx.sp_pk, tx.area_min, tx.area_max,
-                                     tx.from_ms, tx.to_ms))
+                                     tx.from_ms, tx.to_ms, tx.target_regions))
     w.bytes_(tx.sp_sign)
 
 
 def _decode_data_request(r: Reader) -> DataRequestTransaction:
     return DataRequestTransaction(sp_pk=r.bytes_(), area_min=_decode_geo(r),
                                   area_max=_decode_geo(r), from_ms=r.u64(),
-                                  to_ms=r.u64(), sp_sign=r.bytes_())
+                                  to_ms=r.u64(),
+                                  target_regions=tuple(
+                                      r.string() for _ in range(r.u32())),
+                                  sp_sign=r.bytes_())
 
 
 encoding.register_codec(DataTransaction, TAG_DATA_TX,

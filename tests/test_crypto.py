@@ -12,6 +12,7 @@ from dmap.crypto import (
     ED25519,
     KEYED_HASH,
     KeyPair,
+    certificate_signing_bytes,
     issue_certificate,
     sha256,
     verify_certificate,
@@ -151,7 +152,8 @@ class TestCertificates:
         subject = scheme.generate_keypair(sha256(b"subject"))
         cert = issue_certificate(scheme, ca, subject.public, "r1_c1")
         assert verify_certificate(scheme, ca.public, cert) == scheme.verify(
-            ca.public, cert.signing_bytes(), cert.ca_signature)
+            ca.public, certificate_signing_bytes(cert.subject_pk, cert.region_id),
+            cert.ca_signature)
 
 
 def test_no_secret_key_bytes_in_any_protocol_encoding():

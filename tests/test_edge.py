@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -93,9 +94,7 @@ def allpairs_cluster_reports(reports, policy):
     groups = {}
     for i, r in enumerate(reports):
         groups.setdefault(find(i), []).append(r)
-    clusters = list(groups.values())
-    clusters.sort(key=lambda c: min(canonical_encode(r) for r in c))
-    return clusters
+    return list(groups.values())
 
 
 def allpairs_medoid(cluster):
@@ -156,9 +155,10 @@ def test_distinct_payload_clustering_matches_all_pairs():
         reports = random_window(rng, window)
         clusters = cluster_reports(reports, POLICY)
         expected = allpairs_cluster_reports(reports, POLICY)
-        assert clusters == expected
-        medoids = [v.payload for v in judge_clusters(clusters, POLICY)]
-        assert medoids == [allpairs_medoid(c) for c in expected]
+        # cluster order reaches no output: close_window sorts by wire
+        assert Counter(map(tuple, clusters)) == Counter(map(tuple, expected))
+        for v in judge_clusters(clusters, POLICY):
+            assert v.payload == allpairs_medoid(v.reports)
         multi_payload_clusters += sum(
             len({(r.loc, r.event, r.timestamp) for r in c}) > 1 for c in clusters)
     # the medoid is only computed where a cluster holds several payloads

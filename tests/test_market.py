@@ -301,8 +301,9 @@ class TestDataRequest:
         assert scheme.verify(req.sp_pk,
                              data_request_signing_bytes(
                                  req.sp_pk, req.area_min, req.area_max,
-                                 req.from_ms, req.to_ms),
+                                 req.from_ms, req.to_ms, req.target_regions),
                              req.sp_sign)
+        assert req.target_regions == ("r0_c0",)
 
 
 class TestAvailability:
@@ -345,6 +346,34 @@ class TestAvailability:
             assert got == want
             nonempty += got[0] > 0
         assert nonempty > 0  # the sweep must exercise non-trivial queries
+
+    def test_edges_corners_and_period_bounds(self, world):
+        # the area straddles (0, 0), so records sit at negative lat/lon;
+        # space is closed at both ends, time is [from_ms, to_ms)
+        lo, hi = GeoPoint(-2_000, -3_000), GeoPoint(1_500, 2_500)
+        from_ms, to_ms = 60_000, 120_000
+        lats = (lo.lat_micro, 0, hi.lat_micro)
+        lons = (lo.lon_micro, 0, hi.lon_micro)
+        # four corners, four edge midpoints and the centre
+        inside = [GeoPoint(a, b) for a in lats for b in lons]
+        outside = [GeoPoint(lo.lat_micro - 1, 0), GeoPoint(hi.lat_micro + 1, 0),
+                   GeoPoint(0, lo.lon_micro - 1), GeoPoint(0, hi.lon_micro + 1)]
+        times = ((from_ms, True), (to_ms - 1, True), (to_ms, False),
+                 (from_ms - 1, False))
+        count, volume, i = 0, 0, 0
+        for loc in inside + outside:
+            for t, in_period in times:
+                region = REGIONS[i % 2]
+                world.stored(region, Payload(loc, ROAD_DAMAGE, t),
+                             [f"e{i}a", f"e{i}b"], now=1000 + i)
+                if loc in inside and in_period:
+                    count += 1
+                    volume += world.table.directories[region].records[-1].size_bytes
+                i += 1
+        assert count == 18
+        assert world.table.query_availability(lo, hi, from_ms, to_ms) == (count, volume)
+        for t in (from_ms, to_ms - 1, to_ms):
+            assert world.table.query_availability(lo, hi, t, t) == (0, 0)
 
     def test_covering_query_counts_everything(self, world):
         records = self.populate(world, n=20)

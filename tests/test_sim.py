@@ -676,7 +676,7 @@ class TestMarketScript:
             world.step()
         return world
 
-    @pytest.mark.parametrize("fault", ["forged", "untargeted"])
+    @pytest.mark.parametrize("fault", ["forged", "untargeted", "retargeted"])
     def test_autogrant_refused_grants_nothing(self, fault):
         if fault == "forged":
             world = self._suite_world_at_request()
@@ -692,6 +692,12 @@ class TestMarketScript:
             served = probe.vehicles[1].assoc_region
             world = self._suite_world_at_request(
                 [r for r in sorted(probe.rsis) if r != served])
+            if fault == "retargeted":
+                # add the serving region after the SP signed
+                action, request = world._pending_autogrants[0]
+                retargeted = dataclasses.replace(
+                    request, target_regions=tuple(sorted(probe.rsis)))
+                world._pending_autogrants[0] = (action, retargeted)
         metrics = world.run()
         assert world.contracts_created[1] is None
         # the access at 30 s cites contract 1 and is denied; the other two
@@ -745,8 +751,8 @@ def _link_contract_on_two_ledgers(world):
 
 def _add_unchained_record(world):
     directory = world.rule_table.directories["r0_c0"]
-    directory.add(dataclasses.replace(directory.records[0], record_id=10_000,
-                                      provenance=bytes(32)))
+    directory.records.append(dataclasses.replace(
+        directory.records[0], record_id=10_000, provenance=bytes(32)))
 
 
 def _bump_reports_sent(world):
