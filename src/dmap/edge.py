@@ -241,9 +241,9 @@ def close_window(scheme: SignatureScheme, rsi: RsiState,
     """Judge the closing window and emit one aggregate per surviving cluster.
 
     Trusted clusters go out flag=1 with one deduplicated payload and every
-    member signature; lone reports go out flag=0 (miners will reject
-    them); divergent minorities are dropped and counted. Opens the next
-    window before returning.
+    member signature; lone reports go out flag=0, and miners reject them
+    on the flag alone, without a signature check; divergent minorities
+    are dropped and counted. Opens the next window before returning.
 
     Member signatures were made over the members' own report bytes, so an
     aggregate is only independently verifiable when every carried member

@@ -22,6 +22,8 @@ from .crypto import (
 )
 from .encoding import DecodeError, Reader, Writer
 from .txmodel import (
+    GRANT_CONTRACT_REF,
+    GRANT_OWNER_SIG,
     REJECT_WRONG_LEDGER,
     AccessTransaction,
     RsiTransaction,
@@ -281,16 +283,20 @@ def validate_chain(ledger: Ledger) -> ChainStatus:
 def lookup_access_log(ledger: Ledger, owner_pk: bytes) -> list[AccessTransaction]:
     """All chained accesses against data whose grant `owner_pk` issued,
     through a contract chained on this ledger or a direct owner grant."""
-    contract_owners = {tx.contract_id(): tx.owner_pk for tx in ledger.all_txs()
-                       if isinstance(tx, SmartContract)}
-    out = []
+    contract_owners: dict[bytes, bytes] = {}
+    accesses = []
     for tx in ledger.all_txs():
-        if not isinstance(tx, AccessTransaction):
-            continue
+        if isinstance(tx, SmartContract):
+            contract_owners[tx.contract_id()] = tx.owner_pk
+        elif isinstance(tx, AccessTransaction):
+            accesses.append(tx)
+    out = []
+    for tx in accesses:
         g = tx.grant
-        if g.kind == 1 and g.owner_pk == owner_pk:
+        if g.kind == GRANT_OWNER_SIG and g.owner_pk == owner_pk:
             out.append(tx)
-        elif g.kind == 0 and contract_owners.get(g.contract_id) == owner_pk:
+        elif (g.kind == GRANT_CONTRACT_REF
+              and contract_owners.get(g.contract_id) == owner_pk):
             out.append(tx)
     return out
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import encoding
-from .crypto import KeyPair, SignatureScheme, sha256
+from .crypto import Certificate, KeyPair, SignatureScheme, sha256, verify_certificate
 from .encoding import DecodeError, Reader, Writer
 
 TAG_DATA_TX = 0x01
@@ -333,16 +333,21 @@ REJECT_MALFORMED = "Malformed"
 
 
 def verify_rsi_tx(scheme: SignatureScheme, tx: RsiTransaction, ca_pk: bytes,
-                  cert_registry: dict[bytes, "object"], m: int,
-                  verified_certs: set | None = None) -> Verdict:
+                  cert_registry: dict[bytes, Certificate], m: int,
+                  verified_certs: set[tuple[bytes, Certificate]] | None = None
+                  ) -> Verdict:
     """Miner-side admission check for an aggregate transaction.
 
-    Accept requires a CA-certified RSI key, a valid RSI signature, every
-    member signature verifying, at least `m` members, and flag = 1.
+    Accept requires a CA-certified RSI key, a well-formed member list,
+    at least `m` members, flag = 1, a valid RSI signature and every member
+    signature verifying. The checks run in that order and the first that
+    fails names the verdict, so the reason precedence is
+    `UncertifiedRsi`, `Malformed`, `InsufficientMembers`, `Untrusted`,
+    `BadRsiSignature`, `BadMemberSignature`. Every field check comes
+    before any signature check: an aggregate its RSI flagged 0, or one
+    with too few members, is rejected without a single verify.
     `verified_certs` is the certificate memo of `verify_certificate`.
     """
-    from .crypto import Certificate, verify_certificate
-
     cert = cert_registry.get(tx.rsi_pk)
     if not isinstance(cert, Certificate) or not verify_certificate(
             scheme, ca_pk, cert, verified_certs):
@@ -351,6 +356,10 @@ def verify_rsi_tx(scheme: SignatureScheme, tx: RsiTransaction, ca_pk: bytes,
         return Verdict.reject(REJECT_MALFORMED)
     if tx.flag not in (0, 1):
         return Verdict.reject(REJECT_MALFORMED)
+    if len(tx.vehicle_pks) < m:
+        return Verdict.reject(REJECT_INSUFFICIENT_MEMBERS)
+    if tx.flag != 1:
+        return Verdict.reject(REJECT_UNTRUSTED)
     msg = rsi_tx_signing_bytes(tx.rsi_pk, tx.payload, tx.vehicle_signs,
                                tx.vehicle_pks, tx.flag)
     if not scheme.verify(tx.rsi_pk, msg, tx.rsi_sign):
@@ -359,10 +368,6 @@ def verify_rsi_tx(scheme: SignatureScheme, tx: RsiTransaction, ca_pk: bytes,
     for pk, sig in zip(tx.vehicle_pks, tx.vehicle_signs):
         if not scheme.verify(pk, member_signing_bytes(prefix, pk), sig):
             return Verdict.reject(REJECT_BAD_MEMBER_SIGNATURE)
-    if len(tx.vehicle_pks) < m:
-        return Verdict.reject(REJECT_INSUFFICIENT_MEMBERS)
-    if tx.flag != 1:
-        return Verdict.reject(REJECT_UNTRUSTED)
     return Verdict.accept()
 
 

@@ -166,14 +166,18 @@ class TestAppendAdmitted:
         policy, txs = batch
         counting = CountingScheme()
         append_admitted(counting, genesis("r0_c0"), txs, 1000, policy)
-        in_region = [txs[0], txs[1], txs[3]]
-        for tx in in_region:
+        for tx in (txs[0], txs[3]):
             for pk in tx.vehicle_pks:
                 assert counting.verified[pk] == 1
-        # the misdirected aggregate is refused on its certificate's region
-        # before any signature check
-        for pk in txs[2].vehicle_pks:
-            assert counting.verified[pk] == 0
+        # the flag-0 aggregate is refused on its flag, and the misdirected
+        # one on its certificate's region, before any signature check
+        for tx in (txs[1], txs[2]):
+            for pk in tx.vehicle_pks:
+                assert counting.verified[pk] == 0
+        # one RSI signature verified per chained aggregate, none for the
+        # other region's RSI
+        assert counting.verified[txs[0].rsi_pk] == 2
+        assert counting.verified[txs[2].rsi_pk] == 0
 
 
 def approved_access_tx(ca, policy):

@@ -14,14 +14,22 @@ def test_smallest_point_writes_the_schema(tmp_path):
                     "--points", "honest_majority_60"],
                    check=True, capture_output=True, timeout=120)
     result = json.loads(out.read_text())
-    assert set(result) == {"python", "probe_s", "scheme", "repeats",
+    assert set(result) == {"python", "probe_s", "repeats",
                            "slope_over_vehicles", "points"}
     assert result["probe_s"] > 0 and result["repeats"] == 1
-    assert result["slope_over_vehicles"] is None  # one vehicle count
+    # one vehicle count per scheme
+    assert result["slope_over_vehicles"] == {"keyed-hash": None}
     (point,) = result["points"]
     assert point["name"] == "honest_majority_60" and point["vehicles"] == 60
+    assert point["scheme"] == "keyed-hash"
     assert point["reports"] > 0 and len(point["runs_s"]) == 1
     assert point["run_s"] == point["runs_s"][0] > 0
-    assert set(point["phases_s"]) == {"emit", "move", "boundary", "sweep", "other"}
+    phases = {"emit", "move", "boundary", "sweep", "other"}
+    assert set(point["phases_s"]) == phases
     assert all(point["phases_s"][p] > 0 for p in ("emit", "move", "boundary", "sweep"))
     assert abs(sum(point["phases_s"].values()) - point["run_s"]) < 1e-9
+    # ingest verifies every report; the boundary admits and the sweep
+    # re-verifies what was chained
+    assert set(point["verifies"]) == phases
+    assert point["verifies"]["emit"] >= point["reports"]
+    assert point["verifies"]["boundary"] > 0 and point["verifies"]["sweep"] > 0

@@ -874,6 +874,32 @@ def test_write_path_verifies_each_report_about_twice():
     assert before_sweep[0] / reports <= 2.1
 
 
+def test_admission_verifies_only_what_it_chains(monkeypatch):
+    # miners reject lone (flag-0) and under-corroborated aggregates on
+    # their fields: admission verifies one RSI signature and each member
+    # of every aggregate it chains, plus each certificate the memo lacks
+    counting = CountingScheme()
+    world = World(load_scenario_config("honest_majority"), counting)
+    real = sim.append_admitted
+    spent = collections.Counter()
+
+    def counted(*args):
+        calls, memo = counting.verify_calls(), len(world.policy.verified_certs)
+        block = real(*args)
+        spent["verify"] += counting.verify_calls() - calls
+        spent["memo_misses"] += len(world.policy.verified_certs) - memo
+        for tx in block.txs if block is not None else ():
+            spent["chained"] += 1 + len(tx.vehicle_pks)
+        return block
+
+    monkeypatch.setattr(sim, "append_admitted", counted)
+    world.run()
+    lone = sum(r.stats.lone_tx for r in world.rsis.values())
+    assert lone > 0  # 117 on the bundled scenario
+    assert spent["memo_misses"] > 0 and spent["chained"] > 0
+    assert spent["verify"] == spent["chained"] + spent["memo_misses"]
+
+
 def test_write_path_encodes_each_aggregate_at_most_three_times(monkeypatch):
     # signing, the close_window sort (which fills the cached `wire`) and
     # admission each encode an aggregate once; block hashes, has_tx and

@@ -1,10 +1,11 @@
 import dataclasses
+import itertools
 import struct
 
 import pytest
 
 from dmap import fixtures, txmodel
-from dmap.crypto import KEYED_HASH, issue_certificate, sha256
+from dmap.crypto import KEYED_HASH, certificate_signing_bytes, issue_certificate, sha256
 from dmap.encoding import DecodeError, canonical_decode, canonical_encode
 from dmap.rng import CounterRng
 from dmap.txmodel import (
@@ -21,9 +22,11 @@ from dmap.txmodel import (
     build_data_tx,
     build_rsi_tx,
     data_tx_signing_bytes,
+    rsi_tx_signing_bytes,
     verify_data_tx,
     verify_rsi_tx,
 )
+from tests.conftest import CountingScheme
 
 scheme = KEYED_HASH
 
@@ -205,6 +208,93 @@ class TestRsiTransaction:
             msg = data_tx_signing_bytes(payload.loc, payload.event,
                                         payload.timestamp, pk)
             assert scheme.verify(pk, msg, sig)
+
+
+# Each flaw an aggregate can carry, in the documented order of
+# `verify_rsi_tx`, with the reason the first one present must give.
+FLAW_REASONS = {
+    "no_certificate": txmodel.REJECT_UNCERTIFIED_RSI,
+    "length_mismatch": txmodel.REJECT_MALFORMED,
+    "under_m": txmodel.REJECT_INSUFFICIENT_MEMBERS,
+    "flag_zero": txmodel.REJECT_UNTRUSTED,
+    "bad_rsi_signature": txmodel.REJECT_BAD_RSI_SIGNATURE,
+    "bad_member_signature": txmodel.REJECT_BAD_MEMBER_SIGNATURE,
+}
+ADMISSION_M = 3
+
+
+def flawed_aggregate(flaws):
+    """(tx, cert_registry, ca_pk) for an aggregate carrying `flaws`; the
+    RSI signs whatever fields the flaws leave, unless its own signature
+    is one of them."""
+    ca, rsi_key = key("ca"), key("rsi")
+    payload = Payload(sample_loc(), ROAD_DAMAGE, 500)
+    n = ADMISSION_M - 1 if "under_m" in flaws else ADMISSION_M
+    pks, signs = zip(*make_members(payload, [f"v{i}" for i in range(n)]))
+    if "bad_member_signature" in flaws:
+        signs = (bytes(len(signs[0])),) + signs[1:]
+    if "length_mismatch" in flaws:
+        signs = signs[:-1]
+    flag = 0 if "flag_zero" in flaws else 1
+    rsi_sign = scheme.sign(rsi_key, rsi_tx_signing_bytes(
+        rsi_key.public, payload, signs, pks, flag))
+    if "bad_rsi_signature" in flaws:
+        rsi_sign = bytes(len(rsi_sign))
+    tx = txmodel.RsiTransaction(rsi_pk=rsi_key.public, payload=payload,
+                                vehicle_signs=signs, vehicle_pks=pks,
+                                flag=flag, rsi_sign=rsi_sign)
+    registry = ({} if "no_certificate" in flaws else
+                {rsi_key.public: issue_certificate(scheme, ca, rsi_key.public,
+                                                   "r0_c0")})
+    return tx, registry, ca.public
+
+
+def all_checks_oracle(tx, registry, ca_pk):
+    """Every admission condition, checked with the raw scheme in no
+    particular order; members against their own report bytes."""
+    cert = registry.get(tx.rsi_pk)
+    p = tx.payload
+    return (cert is not None
+            and scheme.verify(ca_pk, certificate_signing_bytes(
+                cert.subject_pk, cert.region_id), cert.ca_signature)
+            and len(tx.vehicle_pks) == len(tx.vehicle_signs)
+            and len(tx.vehicle_pks) >= ADMISSION_M
+            and tx.flag == 1
+            and scheme.verify(tx.rsi_pk, rsi_tx_signing_bytes(
+                tx.rsi_pk, p, tx.vehicle_signs, tx.vehicle_pks, tx.flag),
+                tx.rsi_sign)
+            and all(scheme.verify(pk, data_tx_signing_bytes(
+                p.loc, p.event, p.timestamp, pk), sig)
+                for pk, sig in zip(tx.vehicle_pks, tx.vehicle_signs)))
+
+
+FLAW_SETS = [()] + [combo for k in (1, 2)
+                    for combo in itertools.combinations(FLAW_REASONS, k)]
+
+
+class TestAdmissionOrder:
+    @pytest.mark.parametrize("flaws", FLAW_SETS,
+                             ids=lambda f: "+".join(f) or "none")
+    def test_verdict_matches_oracle_and_first_flaw(self, flaws):
+        tx, registry, ca_pk = flawed_aggregate(flaws)
+        verdict = verify_rsi_tx(scheme, tx, ca_pk, registry, m=ADMISSION_M)
+        assert verdict.accepted == all_checks_oracle(tx, registry, ca_pk)
+        assert verdict.accepted == (not flaws)
+        first = next((f for f in FLAW_REASONS if f in flaws), None)
+        assert verdict.reason == (FLAW_REASONS[first] if first else "")
+
+    @pytest.mark.parametrize("flaws", [
+        ("flag_zero",), ("under_m",), ("flag_zero", "under_m"),
+        ("flag_zero", "bad_rsi_signature"), ("under_m", "bad_member_signature"),
+    ], ids="+".join)
+    def test_field_rejection_costs_no_verify(self, flaws):
+        tx, registry, ca_pk = flawed_aggregate(flaws)
+        counting = CountingScheme()
+        memo = {(ca_pk, registry[tx.rsi_pk])}  # the certificate verified before
+        verdict = verify_rsi_tx(counting, tx, ca_pk, registry, m=ADMISSION_M,
+                                verified_certs=memo)
+        assert not verdict.accepted
+        assert counting.verify_calls() == 0
 
 
 def random_data_tx(rng: CounterRng):

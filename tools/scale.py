@@ -1,13 +1,17 @@
-"""Scale points of `World.run()`: wall time and phase split, as JSON.
+"""Scale points of `World.run()`: wall time, phase split and verify
+counts, as JSON.
 
     python3 tools/scale.py --out BENCH_<n>.json [--repeats 3] [--points NAME ...]
 
 Run from the repository root; the package is imported from ``src/``. Each
 point builds a scenario from a bundled one, changing only the vehicle count
-or the duration, and times ``World.run()`` ``--repeats`` times under the
-keyed-hash scheme. A point records the median wall time, every run's wall
-time, and the median of each phase, measured by wrapping ``World`` methods
-from outside:
+or the duration, and names its signature scheme. ``World.run()`` runs
+``--repeats`` times per point, round-robin: one run of every point, then
+the next round, so a slow spell of a shared machine spreads over all
+points instead of landing on one. A point records the median wall time,
+every run's wall time, the median of each phase, and the signature
+verifies made in each phase, measured by wrapping ``World`` methods and
+the scheme from outside:
 
 - ``emit``: ``_emit_phase`` (sensing, signing and ``ingest`` of reports);
 - ``move``: ``_move_phase`` and ``_catch_up`` (advancing vehicles);
@@ -15,11 +19,15 @@ from outside:
 - ``sweep``: ``sweep_invariants``;
 - ``other``: the rest of ``run()``.
 
-A method the tree lacks counts 0, so the tool also measures older trees.
-The file also holds the fitted log-log slope of wall time over vehicles,
-the Python version and the probe time of ``perfbench/speed.py`` (seconds
-for a fixed pure-Python loop), so files from different machines can be
-compared. Times are raw ``perf_counter`` seconds, not scaled.
+Verifies are counted by a ``SignatureScheme`` that wraps the point's
+scheme, in every timed run (about 2 % of the 600-vehicle keyed-hash run,
+8 alternating runs each way); they are deterministic, so the first
+run's counts are recorded. A method the tree lacks counts 0, so the tool
+also measures older trees. The file also holds the fitted log-log slope
+of wall time over vehicles for each scheme, the Python version and the
+probe time of ``perfbench/speed.py`` (seconds for a fixed pure-Python
+loop), so files from different machines can be compared. Times are raw
+``perf_counter`` seconds, not scaled.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from dmap import sim  # noqa: E402
+from dmap.crypto import SCHEMES, SignatureScheme  # noqa: E402
 from speed import _probe  # noqa: E402
 
 PHASES = {  # phase -> the World methods whose time it sums
@@ -66,27 +75,53 @@ def _duration(times: int) -> dict:
     return d
 
 
-POINTS = {  # name -> (scenario maker, vehicle count or None)
-    "honest_majority_60": (lambda: _vehicles(60), 60),
-    "honest_majority_600": (lambda: _vehicles(600), 600),
-    "honest_majority_2000": (lambda: _vehicles(2000), 2000),
-    "market_suite_1x": (lambda: _duration(1), None),
-    "market_suite_10x": (lambda: _duration(10), None),
+POINTS = {  # name -> (scenario maker, vehicle count or None, scheme)
+    "honest_majority_60": (lambda: _vehicles(60), 60, "keyed-hash"),
+    "honest_majority_600": (lambda: _vehicles(600), 600, "keyed-hash"),
+    "honest_majority_2000": (lambda: _vehicles(2000), 2000, "keyed-hash"),
+    "honest_majority_60_ed25519": (lambda: _vehicles(60), 60, "ed25519"),
+    "honest_majority_600_ed25519": (lambda: _vehicles(600), 600, "ed25519"),
+    "market_suite_1x": (lambda: _duration(1), None, "keyed-hash"),
+    "market_suite_10x": (lambda: _duration(10), None, "keyed-hash"),
 }
+ALL_PHASES = (*PHASES, "other")
+
+
+class PhaseVerifies(SignatureScheme):
+    """`inner`, counting its verify calls by the phase that makes them."""
+
+    def __init__(self, inner: SignatureScheme) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.phase = "other"
+        self.verifies = dict.fromkeys(ALL_PHASES, 0)
+
+    def generate_keypair(self, seed):
+        return self.inner.generate_keypair(seed)
+
+    def sign(self, key, message):
+        return self.inner.sign(key, message)
+
+    def verify(self, public, message, signature):
+        self.verifies[self.phase] += 1
+        return self.inner.verify(public, message, signature)
 
 
 @contextlib.contextmanager
-def _phase_clock(totals: dict[str, float]):
-    """Wrap each phase's World methods to add their wall time to `totals`."""
+def _phase_clock(totals: dict[str, float], scheme: PhaseVerifies):
+    """Wrap each phase's World methods to add their wall time to `totals`
+    and to attribute `scheme`'s verifies to the phase."""
     originals = {}
 
     def timed(phase: str, method):
         def wrapper(*args, **kwargs):
+            outer, scheme.phase = scheme.phase, phase
             t0 = perf_counter()
             try:
                 return method(*args, **kwargs)
             finally:
                 totals[phase] += perf_counter() - t0
+                scheme.phase = outer
         return wrapper
 
     for phase, names in PHASES.items():
@@ -102,37 +137,51 @@ def _phase_clock(totals: dict[str, float]):
             setattr(sim.World, name, method)
 
 
-def measure(name: str, repeats: int) -> dict:
-    """Time `World.run()` of one point `repeats` times."""
-    make, _ = POINTS[name]
-    cfg = sim.ScenarioConfig.from_dict(make())
-    runs = []
-    for _ in range(repeats):
-        world = sim.World(cfg)
-        phases: dict[str, float] = {}
-        with _phase_clock(phases):
-            t0 = perf_counter()
-            metrics = world.run()
-            wall = perf_counter() - t0
-        phases["other"] = wall - sum(phases.values())
-        runs.append((wall, phases, metrics["global"]["reports_sent"]))
+def run_once(cfg: sim.ScenarioConfig, scheme_name: str) -> dict:
+    """One timed `World.run()`: wall time, phase split, verify counts."""
+    scheme = PhaseVerifies(SCHEMES[scheme_name])
+    world = sim.World(cfg, scheme)
+    phases: dict[str, float] = {}
+    with _phase_clock(phases, scheme):
+        t0 = perf_counter()
+        metrics = world.run()
+        wall = perf_counter() - t0
+    phases["other"] = wall - sum(phases.values())
+    return {"wall": wall, "phases": phases, "verifies": scheme.verifies,
+            "reports": metrics["global"]["reports_sent"]}
+
+
+def summarise(name: str, cfg: sim.ScenarioConfig, runs: list[dict]) -> dict:
+    """One point's entry: medians over its runs, the first run's counts."""
     return {
         "name": name,
+        "scheme": POINTS[name][2],
         "vehicles": cfg.vehicle_count,
         "duration_ms": cfg.duration_ms,
-        "reports": runs[0][2],
-        "run_s": statistics.median(wall for wall, _, _ in runs),
-        "runs_s": [wall for wall, _, _ in runs],
-        "phases_s": {phase: statistics.median(p[phase] for _, p, _ in runs)
-                     for phase in (*PHASES, "other")},
+        "reports": runs[0]["reports"],
+        "run_s": statistics.median(r["wall"] for r in runs),
+        "runs_s": [r["wall"] for r in runs],
+        "phases_s": {phase: statistics.median(r["phases"][phase] for r in runs)
+                     for phase in ALL_PHASES},
+        "verifies": runs[0]["verifies"],
     }
 
 
+def measure(names: list[str], repeats: int) -> list[dict]:
+    """Time every point `repeats` times, one round of all points at a time."""
+    configs = {name: sim.ScenarioConfig.from_dict(POINTS[name][0]())
+               for name in names}
+    runs: dict[str, list[dict]] = {name: [] for name in names}
+    for _ in range(repeats):
+        for name in names:
+            runs[name].append(run_once(configs[name], POINTS[name][2]))
+    return [summarise(name, configs[name], runs[name]) for name in names]
+
+
 def slope(points: list[dict]) -> float | None:
-    """Least-squares slope of log(run_s) over log(vehicles), over the
-    vehicle-count points; None with fewer than two."""
-    xy = [(math.log(p["vehicles"]), math.log(p["run_s"]))
-          for p in points if POINTS[p["name"]][1] is not None]
+    """Least-squares slope of log(run_s) over log(vehicles); None with
+    fewer than two points."""
+    xy = [(math.log(p["vehicles"]), math.log(p["run_s"])) for p in points]
     if len(xy) < 2:
         return None
     mx = statistics.fmean(x for x, _ in xy)
@@ -142,13 +191,17 @@ def slope(points: list[dict]) -> float | None:
 
 
 def report(names: list[str], repeats: int) -> dict:
-    points = [measure(name, repeats) for name in names]
+    points = measure(names, repeats)
+    by_scheme: dict[str, list[dict]] = {}
+    for p in points:
+        if POINTS[p["name"]][1] is not None:
+            by_scheme.setdefault(p["scheme"], []).append(p)
     return {
         "python": platform.python_version(),
         "probe_s": _probe(),
-        "scheme": "keyed-hash",
         "repeats": repeats,
-        "slope_over_vehicles": slope(points),
+        "slope_over_vehicles": {scheme: slope(ps)
+                                for scheme, ps in by_scheme.items()},
         "points": points,
     }
 
@@ -168,7 +221,8 @@ def main(argv: list[str] | None = None) -> int:
         fh.write("\n")
     for p in result["points"]:
         split = " ".join(f"{k}={v:.3f}" for k, v in p["phases_s"].items())
-        print(f"{p['name']:<22} run_s={p['run_s']:.3f}  {split}")
+        print(f"{p['name']:<28} run_s={p['run_s']:.3f}  {split}  "
+              f"boundary_verifies={p['verifies']['boundary']}")
     return 0
 
 
