@@ -42,12 +42,14 @@ class ClusterStatus(Enum):
 
 
 @dataclass
-class ClusterVerdict:
-    payload: Payload
-    status: ClusterStatus
-    reports: list[DataTransaction]
-    # `reports` grouped by exact payload, first occurrence first
-    groups: list[list[DataTransaction]]
+class Cluster:
+    """A connected component: its reports grouped by exact payload, first
+    occurrence first, and `of`, the group index of each report in input
+    order. `judge_clusters` sets the medoid `payload` and the `status`."""
+    groups: list[list[DataTransaction]] = field(default_factory=list)
+    of: list[int] = field(default_factory=list)
+    payload: Payload | None = None
+    status: ClusterStatus | None = None
 
 
 @dataclass
@@ -89,8 +91,7 @@ class RsiState:
                    window_ms=window_ms)
 
 
-def ingest(scheme: SignatureScheme, rsi: RsiState, tx: DataTransaction,
-           now: int) -> bool:
+def ingest(scheme: SignatureScheme, rsi: RsiState, tx: DataTransaction) -> bool:
     """Buffer a vehicle report into the open window; returns False if dropped."""
     rsi.stats.reports_sent += 1
     if not verify_data_tx(scheme, tx):
@@ -111,10 +112,19 @@ def _compatible(a: DataTransaction, b: DataTransaction,
             and distance_m(a.loc, b.loc) <= policy.eps_distance)
 
 
-def _payload_groups(reports: list[DataTransaction]
-                    ) -> tuple[list[list[DataTransaction]], list[int]]:
-    """Group reports by exact payload, first occurrence first; also return
-    each report's group index."""
+def _payload(r: DataTransaction) -> Payload:
+    return Payload(loc=r.loc, event=r.event, timestamp=r.timestamp)
+
+
+def cluster_reports(reports: list[DataTransaction],
+                    policy: ConsistencyPolicy) -> list[Cluster]:
+    """Partition reports into connected components of the compatibility graph.
+
+    Reports are grouped by exact payload once; reports with one payload
+    are always compatible, so single linkage runs over the groups only.
+    Clusters come in the order of their first reports; `close_window`
+    sorts its aggregates by `wire`, so no output depends on cluster order.
+    """
     slots: dict[tuple, int] = {}
     groups: list[list[DataTransaction]] = []
     of: list[int] = []
@@ -127,24 +137,6 @@ def _payload_groups(reports: list[DataTransaction]
             groups.append([])
         groups[i].append(r)
         of.append(i)
-    return groups, of
-
-
-def _payload(r: DataTransaction) -> Payload:
-    return Payload(loc=r.loc, event=r.event, timestamp=r.timestamp)
-
-
-def cluster_reports(reports: list[DataTransaction],
-                    policy: ConsistencyPolicy) -> list[list[DataTransaction]]:
-    """Partition reports into connected components of the compatibility graph.
-
-    Reports with one payload are always compatible, so single linkage runs
-    over the distinct payloads only. Each cluster lists its reports in
-    input order, and clusters come in the order of their first reports;
-    `close_window` sorts its aggregates by `wire`, so no output depends
-    on cluster order.
-    """
-    groups, of = _payload_groups(reports)
     k = len(groups)
     parent = list(range(k))
 
@@ -159,10 +151,18 @@ def cluster_reports(reports: list[DataTransaction],
             if _compatible(groups[i][0], groups[j][0], policy):
                 parent[find(i)] = find(j)
 
-    roots = [find(i) for i in range(k)]
-    clusters: dict[int, list[DataTransaction]] = {}
-    for r, i in zip(reports, of):
-        clusters.setdefault(roots[i], []).append(r)
+    clusters: dict[int, Cluster] = {}
+    owner: list[Cluster] = []
+    local: list[int] = []  # each group's index within its cluster
+    for i, g in enumerate(groups):
+        c = clusters.get(root := find(i))
+        if c is None:
+            c = clusters[root] = Cluster()
+        owner.append(c)
+        local.append(len(c.groups))
+        c.groups.append(g)
+    for i in of:
+        owner[i].of.append(local[i])
     return list(clusters.values())
 
 
@@ -181,59 +181,33 @@ def _medoid(groups: list[list[DataTransaction]], of: list[int]) -> Payload:
     return min(payloads, key=key)
 
 
-def judge_clusters(clusters: list[list[DataTransaction]],
-                   policy: ConsistencyPolicy) -> list[ClusterVerdict]:
+def judge_clusters(clusters: list[Cluster], policy: ConsistencyPolicy) -> None:
     """Trust pluralities, discard divergent minorities, flag loners.
 
-    Clusters conflict when their payloads land in the same
-    eps-distance-sized spatial cell but claim different event kinds.
-    Within such a locus the unique largest cluster is the plurality; an
-    exact size tie across kinds means no plurality exists and the tied
-    clusters are merely uncorroborated.
+    Sets each cluster's medoid `payload`, then its `status` among the
+    clusters whose medoids share its eps-distance-sized cell. The winner is
+    the kind of the cell's largest clusters, or None if they claim several.
+    A winning-kind cluster is trusted with `min_corroboration` reports, else
+    lone; with no winner the largest are lone; all others lost a conflict.
     """
-    prepared = []
-    cluster_groups = []
+    by_cell: dict[tuple[int, int], list[Cluster]] = {}
     for c in clusters:
-        groups, of = _payload_groups(c)
-        prepared.append((_medoid(groups, of), c))
-        cluster_groups.append(groups)
+        c.payload = _medoid(c.groups, c.of)
+        by_cell.setdefault(cell_of(c.payload.loc, policy.eps_distance), []).append(c)
 
-    by_cell: dict[tuple[int, int], list[int]] = {}
-    for idx, (payload, _) in enumerate(prepared):
-        by_cell.setdefault(cell_of(payload.loc, policy.eps_distance), []).append(idx)
-
-    status: dict[int, ClusterStatus] = {}
-    for indices in by_cell.values():
-        kinds = {prepared[i][0].event for i in indices}
-        if len(kinds) == 1:
-            for i in indices:
-                size = len(prepared[i][1])
-                status[i] = (ClusterStatus.TRUSTED
-                             if size >= policy.min_corroboration
-                             else ClusterStatus.LONE_REPORT)
-            continue
-        max_size = max(len(prepared[i][1]) for i in indices)
-        top = [i for i in indices if len(prepared[i][1]) == max_size]
-        top_kinds = {prepared[i][0].event for i in top}
-        if len(top_kinds) > 1:
-            # no plurality: tied clusters are lone, the rest lost a conflict
-            for i in indices:
-                status[i] = (ClusterStatus.LONE_REPORT if i in top
-                             else ClusterStatus.REJECTED_MINORITY)
-            continue
-        winner_kind = next(iter(top_kinds))
-        for i in indices:
-            payload, cluster = prepared[i]
-            if payload.event != winner_kind:
-                status[i] = ClusterStatus.REJECTED_MINORITY
+    for cell in by_cell.values():
+        top = max(len(c.of) for c in cell)
+        kinds = {c.payload.event for c in cell if len(c.of) == top}
+        winner = kinds.pop() if len(kinds) == 1 else None
+        for c in cell:
+            if c.payload.event == winner:
+                c.status = (ClusterStatus.TRUSTED
+                            if len(c.of) >= policy.min_corroboration
+                            else ClusterStatus.LONE_REPORT)
+            elif len(c.of) == top:  # only reached with no winner
+                c.status = ClusterStatus.LONE_REPORT
             else:
-                status[i] = (ClusterStatus.TRUSTED
-                             if len(cluster) >= policy.min_corroboration
-                             else ClusterStatus.LONE_REPORT)
-
-    return [ClusterVerdict(payload=payload, status=status[idx], reports=cluster,
-                           groups=cluster_groups[idx])
-            for idx, (payload, cluster) in enumerate(prepared)]
+                c.status = ClusterStatus.REJECTED_MINORITY
 
 
 def close_window(scheme: SignatureScheme, rsi: RsiState,
@@ -255,21 +229,21 @@ def close_window(scheme: SignatureScheme, rsi: RsiState,
     member check; miner admission is the independent one.
     """
     clusters = cluster_reports(rsi.window.reports, policy)
-    verdicts = judge_clusters(clusters, policy)
+    judge_clusters(clusters, policy)
     txs: list[RsiTransaction] = []
-    for v in verdicts:
-        if v.status is ClusterStatus.REJECTED_MINORITY:
-            rsi.stats.rejected_reports += len(v.reports)
+    for c in clusters:
+        if c.status is ClusterStatus.REJECTED_MINORITY:
+            rsi.stats.rejected_reports += len(c.of)
             continue
         # the exact-payload plurality; ties go to the smallest (lat, lon,
         # timestamp), then to the first occurrence
-        carried = min(v.groups, key=lambda g: (-len(g), g[0].loc.lat_micro,
+        carried = min(c.groups, key=lambda g: (-len(g), g[0].loc.lat_micro,
                                                g[0].loc.lon_micro, g[0].timestamp))
         payload = _payload(carried[0])
         members = sorted(((r.pk, r.vehicle_sign) for r in carried),
                          key=lambda m: m[0])
-        rsi.stats.rejected_reports += len(v.reports) - len(carried)
-        if v.status is ClusterStatus.TRUSTED and len(carried) >= policy.min_corroboration:
+        rsi.stats.rejected_reports += len(c.of) - len(carried)
+        if c.status is ClusterStatus.TRUSTED and len(carried) >= policy.min_corroboration:
             txs.append(sign_rsi_tx(scheme, rsi.key, payload, members, flag=1))
             rsi.stats.trusted_tx += 1
             rsi.stats.trusted_members += len(members)

@@ -263,9 +263,7 @@ class RuleTable:
 
     def chain_contract(self, contract: SmartContract, now_ms: int) -> bytes:
         """Store a grant on-chain (ledger of its first in-scope region)."""
-        candidates = [r for r in sorted(contract.scope.region_ids)
-                      if r in self.ledgers]
-        region = candidates[0] if candidates else min(self.ledgers)
+        region = self._serving_region([], contract.scope)
         append_block(self.scheme, self.ledgers[region], [contract],
                      now_ms, self.policy)
         return contract.contract_id()

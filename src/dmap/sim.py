@@ -670,7 +670,7 @@ class World:
         tx = build_data_tx(self.scheme, v.fresh_key(self.scheme), loc, kind, ts)
         self.pk_owner.setdefault(tx.pk, v.vid)
         region = v.assoc_region
-        edge.ingest(self.scheme, self.rsis[region], tx, self.clock_ms)
+        edge.ingest(self.scheme, self.rsis[region], tx)
         self.delivery_log.append(Delivery(self.window_index, region, v.vid,
                                           tx, fabricated))
 

@@ -26,6 +26,7 @@ from dmap.txmodel import (
     Payload,
     build_data_tx,
     build_rsi_tx,
+    cell_of,
     distance_m,
     verify_data_tx,
 )
@@ -107,6 +108,53 @@ def allpairs_medoid(cluster):
     return Payload(loc=med.loc, event=med.event, timestamp=med.timestamp)
 
 
+def three_branch_statuses(sized, policy):
+    """The three-branch judgment that the one-rule one replaces: `sized`
+    lists each cluster's (medoid payload, size); returns their statuses."""
+    by_cell = {}
+    for idx, (payload, _) in enumerate(sized):
+        by_cell.setdefault(cell_of(payload.loc, policy.eps_distance), []).append(idx)
+    status = {}
+    for indices in by_cell.values():
+        kinds = {sized[i][0].event for i in indices}
+        if len(kinds) == 1:
+            for i in indices:
+                status[i] = (ClusterStatus.TRUSTED
+                             if sized[i][1] >= policy.min_corroboration
+                             else ClusterStatus.LONE_REPORT)
+            continue
+        max_size = max(sized[i][1] for i in indices)
+        top = [i for i in indices if sized[i][1] == max_size]
+        top_kinds = {sized[i][0].event for i in top}
+        if len(top_kinds) > 1:
+            for i in indices:
+                status[i] = (ClusterStatus.LONE_REPORT if i in top
+                             else ClusterStatus.REJECTED_MINORITY)
+            continue
+        winner_kind = next(iter(top_kinds))
+        for i in indices:
+            payload, size = sized[i]
+            if payload.event != winner_kind:
+                status[i] = ClusterStatus.REJECTED_MINORITY
+            else:
+                status[i] = (ClusterStatus.TRUSTED
+                             if size >= policy.min_corroboration
+                             else ClusterStatus.LONE_REPORT)
+    return [status[i] for i in range(len(sized))]
+
+
+def reports_of(cluster):
+    """A cluster's reports in input order, rebuilt from `groups` and `of`."""
+    members = [iter(g) for g in cluster.groups]
+    return [next(members[i]) for i in cluster.of]
+
+
+def judged(reports):
+    clusters = cluster_reports(reports, POLICY)
+    judge_clusters(clusters, POLICY)
+    return clusters
+
+
 DIFF_KINDS = (ROAD_DAMAGE, CLEAR, EventKind(2, 30), EventKind(2, 50))
 
 
@@ -148,21 +196,85 @@ def random_window(rng, window):
     return reports
 
 
+def payload_key(r):
+    return (r.loc, r.event, r.timestamp)
+
+
 def test_distinct_payload_clustering_matches_all_pairs():
     rng = CounterRng(23, "distinct-payload-differential")
     multi_payload_clusters = 0
     for window in range(150):
         reports = random_window(rng, window)
-        clusters = cluster_reports(reports, POLICY)
+        clusters = judged(reports)
         expected = allpairs_cluster_reports(reports, POLICY)
         # cluster order reaches no output: close_window sorts by wire
-        assert Counter(map(tuple, clusters)) == Counter(map(tuple, expected))
-        for v in judge_clusters(clusters, POLICY):
-            assert v.payload == allpairs_medoid(v.reports)
+        assert Counter(tuple(reports_of(c)) for c in clusters) == Counter(
+            map(tuple, expected))
+        for c in clusters:
+            # one group per exact payload, in first-occurrence order
+            firsts = list(dict.fromkeys(map(payload_key, reports_of(c))))
+            assert [payload_key(g[0]) for g in c.groups] == firsts
+            assert all(payload_key(r) == payload_key(g[0])
+                       for g in c.groups for r in g)
+            assert c.payload == allpairs_medoid(reports_of(c))
         multi_payload_clusters += sum(
-            len({(r.loc, r.event, r.timestamp) for r in c}) > 1 for c in clusters)
+            len(set(map(payload_key, reports_of(c)))) > 1 for c in clusters)
     # the medoid is only computed where a cluster holds several payloads
     assert multi_payload_clusters >= 100
+
+
+def test_one_rule_judgment_matches_three_branches():
+    rng = CounterRng(23, "distinct-payload-differential")
+    branches = Counter()
+    for window in range(150):
+        clusters = judged(random_window(rng, window))
+        sized = [(allpairs_medoid(reports_of(c)), len(c.of)) for c in clusters]
+        assert [c.status for c in clusters] == three_branch_statuses(sized, POLICY)
+        branches.update(c.status for c in clusters)
+    # every status is reached
+    assert min(branches[s] for s in ClusterStatus) >= 10, branches
+
+
+def cell_statuses(reports):
+    """Statuses by medoid (kind, size, timestamp); all reports share a cell."""
+    clusters = judged(reports)
+    assert len({cell_of(c.payload.loc, POLICY.eps_distance) for c in clusters}) == 1
+    sized = [(c.payload, len(c.of)) for c in clusters]
+    assert [c.status for c in clusters] == three_branch_statuses(sized, POLICY)
+    return {(c.payload.event, len(c.of), c.payload.timestamp): c.status
+            for c in clusters}
+
+
+class TestJudgmentCells:
+    # reports more than eps_time apart never cluster, so two clusters of one
+    # kind can share a cell
+    def test_one_kind_unequal_sizes(self):
+        rs = ([report(f"a{i}", ts=100) for i in range(3)]
+              + [report("b", ts=5000)])
+        assert cell_statuses(rs) == {
+            (ROAD_DAMAGE, 3, 100): ClusterStatus.TRUSTED,
+            (ROAD_DAMAGE, 1, 5000): ClusterStatus.LONE_REPORT,
+        }
+
+    def test_cross_kind_tie_rejects_smaller_third(self):
+        rs = ([report(f"a{i}", kind=ROAD_DAMAGE) for i in range(2)]
+              + [report(f"b{i}", kind=CLEAR) for i in range(2)]
+              + [report("c", kind=EventKind(2, 30))])
+        assert cell_statuses(rs) == {
+            (ROAD_DAMAGE, 2, 100): ClusterStatus.LONE_REPORT,
+            (CLEAR, 2, 100): ClusterStatus.LONE_REPORT,
+            (EventKind(2, 30), 1, 100): ClusterStatus.REJECTED_MINORITY,
+        }
+
+    def test_unique_winner_beside_equal_cluster_of_its_kind(self):
+        rs = ([report(f"a{i}", ts=100) for i in range(3)]
+              + [report(f"b{i}", ts=5000) for i in range(3)]
+              + [report(f"c{i}", kind=CLEAR, ts=100) for i in range(2)])
+        assert cell_statuses(rs) == {
+            (ROAD_DAMAGE, 3, 100): ClusterStatus.TRUSTED,
+            (ROAD_DAMAGE, 3, 5000): ClusterStatus.TRUSTED,
+            (CLEAR, 2, 100): ClusterStatus.REJECTED_MINORITY,
+        }
 
 
 class TestClusterReports:
@@ -170,16 +282,16 @@ class TestClusterReports:
         rs = [report(f"v{i}", x=i * 10.0, ts=100 + i * 100) for i in range(3)]
         clusters = cluster_reports(rs, POLICY)
         assert len(clusters) == 1
-        assert len(clusters[0]) == 3
+        assert reports_of(clusters[0]) == rs
 
     def test_conflicting_kind_splits(self):
         rs = [report(f"v{i}", kind=ROAD_DAMAGE) for i in range(4)]
         rs.append(report("odd", kind=CLEAR))
         clusters = cluster_reports(rs, POLICY)
-        sizes = sorted(len(c) for c in clusters)
+        sizes = sorted(len(reports_of(c)) for c in clusters)
         assert sizes == [1, 4]
         assert oracle_partition(rs, POLICY) == frozenset(
-            frozenset(r.pk for r in c) for c in clusters)
+            frozenset(r.pk for r in reports_of(c)) for c in clusters)
 
     def test_empty_input(self):
         assert cluster_reports([], POLICY) == []
@@ -193,10 +305,10 @@ class TestClusterReports:
                          ts=rng.randint(0, 4000))
                   for i in range(rng.randint(0, 12))]
             clusters = cluster_reports(rs, POLICY)
-            flat = [r for c in clusters for r in c]
+            flat = [r for c in clusters for r in reports_of(c)]
             assert sorted(r.pk for r in flat) == sorted(r.pk for r in rs)
             assert oracle_partition(rs, POLICY) == frozenset(
-                frozenset(r.pk for r in c) for c in clusters)
+                frozenset(r.pk for r in reports_of(c)) for c in clusters)
 
     def test_single_linkage_chains_connect(self):
         # pairwise-adjacent chain: ends exceed eps but stay connected
@@ -209,25 +321,22 @@ class TestJudgeClusters:
     def test_plurality_beats_minority(self):
         rs = [report(f"v{i}", kind=ROAD_DAMAGE) for i in range(4)]
         rs.append(report("liar", kind=CLEAR))
-        verdicts = judge_clusters(cluster_reports(rs, POLICY), POLICY)
-        by_size = {len(v.reports): v.status for v in verdicts}
+        by_size = {len(c.of): c.status for c in judged(rs)}
         assert by_size[4] is ClusterStatus.TRUSTED
         assert by_size[1] is ClusterStatus.REJECTED_MINORITY
 
     def test_single_report_no_conflict_is_lone(self):
-        verdicts = judge_clusters(cluster_reports([report("solo")], POLICY),
-                                  POLICY)
-        assert [v.status for v in verdicts] == [ClusterStatus.LONE_REPORT]
+        assert [c.status for c in judged([report("solo")])] == [
+            ClusterStatus.LONE_REPORT]
 
     def test_exact_tie_means_no_plurality(self):
         rs = ([report(f"a{i}", kind=ROAD_DAMAGE) for i in range(2)]
               + [report(f"b{i}", kind=CLEAR) for i in range(2)])
-        clusters = cluster_reports(rs, POLICY)
+        clusters = judged(rs)
         # enumeration oracle: no cluster strictly larger than all rivals
-        sizes = sorted(len(c) for c in clusters)
+        sizes = sorted(len(reports_of(c)) for c in clusters)
         assert sizes == [2, 2]
-        verdicts = judge_clusters(clusters, POLICY)
-        assert {v.status for v in verdicts} == {ClusterStatus.LONE_REPORT}
+        assert {c.status for c in clusters} == {ClusterStatus.LONE_REPORT}
 
     def test_honest_majority_soundness_property(self):
         # fabricated cluster never trusted while honest strictly outnumber it
@@ -238,10 +347,9 @@ class TestJudgeClusters:
             rs = [report(f"s{trial}_h{i}", kind=ROAD_DAMAGE)
                   for i in range(honest_n)]
             rs += [report(f"s{trial}_b{i}", kind=CLEAR) for i in range(bad_n)]
-            verdicts = judge_clusters(cluster_reports(rs, POLICY), POLICY)
-            for v in verdicts:
-                if v.payload.event == CLEAR:
-                    assert v.status is not ClusterStatus.TRUSTED
+            for c in judged(rs):
+                if c.payload.event == CLEAR:
+                    assert c.status is not ClusterStatus.TRUSTED
 
     def test_majority_capture_reproduced(self):
         # when fabricators strictly outnumber honest, their cluster IS trusted
@@ -252,8 +360,7 @@ class TestJudgeClusters:
             rs = [report(f"c{trial}_h{i}", kind=ROAD_DAMAGE)
                   for i in range(honest_n)]
             rs += [report(f"c{trial}_b{i}", kind=CLEAR) for i in range(bad_n)]
-            verdicts = judge_clusters(cluster_reports(rs, POLICY), POLICY)
-            captured = [v for v in verdicts if v.payload.event == CLEAR]
+            captured = [c for c in judged(rs) if c.payload.event == CLEAR]
             assert captured[0].status is ClusterStatus.TRUSTED
 
 
@@ -264,26 +371,26 @@ def rsi():
 
 class TestIngest:
     def test_valid_report_buffered(self, rsi):
-        assert ingest(scheme, rsi, report("v", ts=100), now=100)
+        assert ingest(scheme, rsi, report("v", ts=100))
         assert len(rsi.window.reports) == 1
         assert rsi.stats.reports_sent == 1
 
     def test_broken_signature_dropped(self, rsi):
         tx = dataclasses.replace(report("v", ts=100), vehicle_sign=bytes(32))
-        assert not ingest(scheme, rsi, tx, now=100)
+        assert not ingest(scheme, rsi, tx)
         assert rsi.stats.sig_rejects == 1
         assert rsi.window.reports == []
 
     def test_stale_timestamp_dropped(self, rsi):
         rsi.window.opens_at, rsi.window.closes_at = 5000, 10000
-        assert not ingest(scheme, rsi, report("v", ts=100), now=6000)
+        assert not ingest(scheme, rsi, report("v", ts=100))
         assert rsi.stats.stale == 1
 
 
 class TestCloseWindow:
     def test_trusted_cluster_emits_flag1_with_all_members(self, rsi):
         for i in range(3):
-            ingest(scheme, rsi, report(f"v{i}", ts=100), now=100)
+            ingest(scheme, rsi, report(f"v{i}", ts=100))
         txs = close_window(scheme, rsi, POLICY)
         assert len(txs) == 1
         tx = txs[0]
@@ -299,15 +406,15 @@ class TestCloseWindow:
             assert scheme.verify(pk, msg, sig)
 
     def test_lone_report_emits_flag0(self, rsi):
-        ingest(scheme, rsi, report("solo", ts=100), now=100)
+        ingest(scheme, rsi, report("solo", ts=100))
         txs = close_window(scheme, rsi, POLICY)
         assert [t.flag for t in txs] == [0]
         assert rsi.stats.lone_tx == 1
 
     def test_rejected_minority_emits_nothing(self, rsi):
         for i in range(3):
-            ingest(scheme, rsi, report(f"v{i}", ts=100), now=100)
-        ingest(scheme, rsi, report("liar", kind=CLEAR, ts=100), now=100)
+            ingest(scheme, rsi, report(f"v{i}", ts=100))
+        ingest(scheme, rsi, report("liar", kind=CLEAR, ts=100))
         txs = close_window(scheme, rsi, POLICY)
         assert len(txs) == 1
         assert txs[0].payload.event == ROAD_DAMAGE
@@ -316,9 +423,9 @@ class TestCloseWindow:
     def test_divergent_but_compatible_members_not_carried(self, rsi):
         # three compatible reports, two byte-identical: only the exact
         # plurality can be carried verifiably
-        ingest(scheme, rsi, report("a", x=0.0, ts=100), now=100)
-        ingest(scheme, rsi, report("b", x=0.0, ts=100), now=100)
-        ingest(scheme, rsi, report("c", x=10.0, ts=100), now=100)
+        ingest(scheme, rsi, report("a", x=0.0, ts=100))
+        ingest(scheme, rsi, report("b", x=0.0, ts=100))
+        ingest(scheme, rsi, report("c", x=10.0, ts=100))
         txs = close_window(scheme, rsi, POLICY)
         assert len(txs) == 1
         assert len(txs[0].vehicle_signs) == 2
@@ -329,8 +436,8 @@ class TestCloseWindow:
         # and its aggregates equal those of the checked build_rsi_tx
         counting = CountingScheme()
         for i in range(3):
-            ingest(counting, rsi, report(f"v{i}", ts=100), now=100)
-        ingest(counting, rsi, report("solo", x=500.0, ts=100), now=100)
+            ingest(counting, rsi, report(f"v{i}", ts=100))
+        ingest(counting, rsi, report("solo", x=500.0, ts=100))
         at_ingest = counting.verify_calls()
         txs = close_window(counting, rsi, POLICY)
         assert counting.verify_calls() == at_ingest == 4
@@ -374,7 +481,7 @@ class TestHandover:
 def test_emitted_reports_all_verify(rsi=None):
     rsi = RsiState.fresh("r0_c0", key("rsi"), window_ms=5000)
     for i in range(4):
-        ingest(scheme, rsi, report(f"v{i}", ts=100), now=100)
+        ingest(scheme, rsi, report(f"v{i}", ts=100))
     for tx in close_window(scheme, rsi, POLICY):
         assert verify_data_tx(scheme, build_data_tx(
             scheme, key("v0"), tx.payload.loc, tx.payload.event,

@@ -1,10 +1,21 @@
 """Smoke test of tools/scale.py: the smallest point, and the file's schema."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 
+import pytest
+
 from tests.conftest import REPO_ROOT
+
+
+def _nominal_probe_s():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_speed", REPO_ROOT / "perfbench" / "speed.py")
+    speed = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(speed)
+    return speed.NOMINAL_PROBE_S
 
 
 def test_smallest_point_writes_the_schema(tmp_path):
@@ -24,6 +35,11 @@ def test_smallest_point_writes_the_schema(tmp_path):
     assert point["scheme"] == "keyed-hash"
     assert point["reports"] > 0 and len(point["runs_s"]) == 1
     assert point["run_s"] == point["runs_s"][0] > 0
+    # the probe taken right after the run scales it to the nominal speed
+    (probe,) = point["probes_s"]
+    assert probe > 0
+    assert point["scaled_run_s"] == pytest.approx(
+        point["run_s"] * _nominal_probe_s() / probe)
     phases = {"emit", "move", "boundary", "sweep", "other"}
     assert set(point["phases_s"]) == phases
     assert all(point["phases_s"][p] > 0 for p in ("emit", "move", "boundary", "sweep"))

@@ -27,7 +27,10 @@ also measures older trees. The file also holds the fitted log-log slope
 of wall time over vehicles for each scheme, the Python version and the
 probe time of ``perfbench/speed.py`` (seconds for a fixed pure-Python
 loop), so files from different machines can be compared. Times are raw
-``perf_counter`` seconds, not scaled.
+``perf_counter`` seconds, except ``scaled_run_s``: the probe runs again
+right after each timed ``World.run()`` (``probes_s``), and
+``scaled_run_s`` is the median over runs of ``wall * NOMINAL_PROBE_S /
+probe``, each run read at the machine speed seen beside it.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from dmap import sim  # noqa: E402
 from dmap.crypto import SCHEMES, SignatureScheme  # noqa: E402
-from speed import _probe  # noqa: E402
+from speed import NOMINAL_PROBE_S, _probe  # noqa: E402
 
 PHASES = {  # phase -> the World methods whose time it sums
     "emit": ("_emit_phase",),
@@ -138,7 +141,8 @@ def _phase_clock(totals: dict[str, float], scheme: PhaseVerifies):
 
 
 def run_once(cfg: sim.ScenarioConfig, scheme_name: str) -> dict:
-    """One timed `World.run()`: wall time, phase split, verify counts."""
+    """One timed `World.run()`: wall time, phase split, verify counts, and
+    the speed probe taken right after it."""
     scheme = PhaseVerifies(SCHEMES[scheme_name])
     world = sim.World(cfg, scheme)
     phases: dict[str, float] = {}
@@ -146,8 +150,10 @@ def run_once(cfg: sim.ScenarioConfig, scheme_name: str) -> dict:
         t0 = perf_counter()
         metrics = world.run()
         wall = perf_counter() - t0
+    probe = _probe()
     phases["other"] = wall - sum(phases.values())
-    return {"wall": wall, "phases": phases, "verifies": scheme.verifies,
+    return {"wall": wall, "probe": probe, "phases": phases,
+            "verifies": scheme.verifies,
             "reports": metrics["global"]["reports_sent"]}
 
 
@@ -161,6 +167,9 @@ def summarise(name: str, cfg: sim.ScenarioConfig, runs: list[dict]) -> dict:
         "reports": runs[0]["reports"],
         "run_s": statistics.median(r["wall"] for r in runs),
         "runs_s": [r["wall"] for r in runs],
+        "probes_s": [r["probe"] for r in runs],
+        "scaled_run_s": statistics.median(r["wall"] * NOMINAL_PROBE_S / r["probe"]
+                                          for r in runs),
         "phases_s": {phase: statistics.median(r["phases"][phase] for r in runs)
                      for phase in ALL_PHASES},
         "verifies": runs[0]["verifies"],
@@ -221,7 +230,8 @@ def main(argv: list[str] | None = None) -> int:
         fh.write("\n")
     for p in result["points"]:
         split = " ".join(f"{k}={v:.3f}" for k, v in p["phases_s"].items())
-        print(f"{p['name']:<28} run_s={p['run_s']:.3f}  {split}  "
+        print(f"{p['name']:<28} run_s={p['run_s']:.3f} "
+              f"scaled_run_s={p['scaled_run_s']:.3f}  {split}  "
               f"boundary_verifies={p['verifies']['boundary']}")
     return 0
 
