@@ -51,11 +51,8 @@ class Writer:
 
     def bytes_list(self, items: tuple[bytes, ...]) -> None:
         """A count-prefixed list of length-prefixed byte strings."""
-        chunks = self._chunks
-        chunks.append(_U32(len(items)))
-        for data in items:
-            chunks.append(_U32(len(data)))
-            chunks.append(bytes(data))
+        self._chunks.append(_U32(len(items)) + b"".join(
+            [_U32(len(data)) + data for data in items]))
 
     def string(self, text: str) -> None:
         self.bytes_(text.encode("utf-8"))

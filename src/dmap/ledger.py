@@ -29,9 +29,6 @@ from .txmodel import (
     RsiTransaction,
     SmartContract,
     Verdict,
-    access_requester_signing_bytes,
-    access_ruletable_signing_bytes,
-    contract_signing_bytes,
     verify_rsi_tx,
 )
 
@@ -194,10 +191,9 @@ def miner_admit(scheme: SignatureScheme, tx: ChainedTx, policy: MinerPolicy,
     if isinstance(tx, AccessTransaction):
         return _admit_access_tx(scheme, tx, policy)
     if isinstance(tx, SmartContract):
-        msg = contract_signing_bytes(tx.owner_pk, tx.grantee_pk, tx.start_ms,
-                                     tx.end_ms, tx.scope, tx.price)
         if tx.start_ms >= tx.end_ms:
             return Verdict.reject("Malformed")
+        msg = tx.signed_prefix(4 + len(tx.owner_sign))
         if not scheme.verify(tx.owner_pk, msg, tx.owner_sign):
             return Verdict.reject("BadOwnerSignature")
         return Verdict.accept()
@@ -207,8 +203,8 @@ def miner_admit(scheme: SignatureScheme, tx: ChainedTx, policy: MinerPolicy,
 def _admit_access_tx(scheme: SignatureScheme, tx: AccessTransaction,
                      policy: MinerPolicy) -> Verdict:
     # The chained form is multisign: requester plus certified rule table.
-    req_msg = access_requester_signing_bytes(tx.requester_pk, tx.query, tx.grant)
-    if not scheme.verify(tx.requester_pk, req_msg, tx.requester_sign):
+    if not scheme.verify(tx.requester_pk, tx.requester_message(),
+                         tx.requester_sign):
         return Verdict.reject("BadRequesterSignature")
     if not tx.is_approved():
         return Verdict.reject("MissingRuleTableSignature")
@@ -216,7 +212,7 @@ def _admit_access_tx(scheme: SignatureScheme, tx: AccessTransaction,
     if cert is None or not verify_certificate(scheme, policy.ca_pk, cert,
                                               policy.verified_certs):
         return Verdict.reject("UncertifiedRuleTable")
-    if not scheme.verify(tx.ruletable_pk, access_ruletable_signing_bytes(tx),
+    if not scheme.verify(tx.ruletable_pk, tx.countersigned_message(),
                          tx.ruletable_sign):
         return Verdict.reject("BadRuleTableSignature")
     return Verdict.accept()

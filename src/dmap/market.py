@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .crypto import Certificate, KeyPair, SignatureScheme, verify_certificate
+from .encoding import length_prefixed
 from .ledger import Ledger, MinerPolicy, append_block
 from .txmodel import (
     AccessTransaction,
@@ -29,12 +30,14 @@ from .txmodel import (
     RsiTransaction,
     Scope,
     SmartContract,
+    TAG_ACCESS_TX,
+    TAG_SMART_CONTRACT,
     access_requester_signing_bytes,
-    access_ruletable_signing_bytes,
+    approval_bytes,
     contract_signing_bytes,
     data_request_signing_bytes,
     grant_signing_bytes,
-    payload_bytes,
+    payload_len,
 )
 
 
@@ -107,21 +110,23 @@ def create_contract(scheme: SignatureScheme, owner_key: KeyPair,
         raise RangeError("scope period must satisfy from <= to")
     if price < 0:
         raise RangeError("price must be non-negative")
-    sig = scheme.sign(owner_key,
-                      contract_signing_bytes(owner_key.public, grantee_pk,
-                                             start_ms, end_ms, scope, price))
+    msg = contract_signing_bytes(owner_key.public, grantee_pk, start_ms,
+                                 end_ms, scope, price)
+    sig = scheme.sign(owner_key, msg)
     return SmartContract(owner_pk=owner_key.public, grantee_pk=grantee_pk,
                          start_ms=start_ms, end_ms=end_ms, scope=scope,
-                         price=price, owner_sign=sig)
+                         price=price, owner_sign=sig).seed_wire(
+        TAG_SMART_CONTRACT, msg, length_prefixed(sig))
 
 
 def build_access_tx(scheme: SignatureScheme, requester_key: KeyPair,
                     query: Scope, grant: Grant) -> AccessTransaction:
-    sig = scheme.sign(requester_key,
-                      access_requester_signing_bytes(requester_key.public,
-                                                     query, grant))
-    return AccessTransaction(requester_pk=requester_key.public, query=query,
-                             grant=grant, requester_sign=sig)
+    msg = access_requester_signing_bytes(requester_key.public, query, grant)
+    sig = scheme.sign(requester_key, msg)
+    tx = AccessTransaction(requester_pk=requester_key.public, query=query,
+                           grant=grant, requester_sign=sig)
+    return tx.seed_wire(TAG_ACCESS_TX, msg, length_prefixed(sig),
+                        approval_bytes(tx))
 
 
 def build_data_request(scheme: SignatureScheme, sp_key: KeyPair,
@@ -181,7 +186,7 @@ class RuleTable:
         record = Record(record_id=self._next_record_id, region_id=region,
                         payload=rsi_tx.payload, provenance=digest,
                         owner_pks=tuple(rsi_tx.vehicle_pks),
-                        size_bytes=len(payload_bytes(rsi_tx.payload)))
+                        size_bytes=payload_len(rsi_tx.payload))
         self._next_record_id += 1
         self.directories[region].records.append(record)
         return record.record_id
@@ -203,9 +208,8 @@ class RuleTable:
                         now_ms: int) -> AccessResult:
         """Grant or deny one access; on grant, countersign, serve the
         matching records, and chain the double-signed transaction."""
-        req_msg = access_requester_signing_bytes(access_tx.requester_pk,
-                                                 access_tx.query, access_tx.grant)
-        if not self.scheme.verify(access_tx.requester_pk, req_msg,
+        if not self.scheme.verify(access_tx.requester_pk,
+                                  access_tx.requester_message(),
                                   access_tx.requester_sign):
             return AccessResult.denied(DENY_BAD_SIGNATURE)
 
@@ -228,15 +232,18 @@ class RuleTable:
         else:
             return AccessResult.denied(DENY_NO_GRANT)
 
-        # the countersigned bytes leave out the rule-table fields
-        sig = self.scheme.sign(self.key,
-                               access_ruletable_signing_bytes(access_tx))
+        # the countersigned bytes leave out the rule-table fields; the
+        # approved form's bytes are them plus those fields
+        counter = access_tx.countersigned_message()
+        sig = self.scheme.sign(self.key, counter)
         approved = replace(access_tx, ruletable_pk=self.key.public,
                            ruletable_sign=sig)
+        approved.seed_wire(TAG_ACCESS_TX, counter, approval_bytes(approved))
         self._chain_access_tx(approved, records, now_ms)
         return AccessResult(granted=True, records=records, access_tx=approved)
 
     def _matching_records(self, query: Scope) -> list[Record]:
+        """The records the query covers, in sorted region order."""
         out = []
         for rid in sorted(query.region_ids):
             directory = self.directories.get(rid)
@@ -250,7 +257,8 @@ class RuleTable:
 
     def _serving_region(self, records: list[Record], query: Scope) -> str:
         if records:
-            return min(r.region_id for r in records)
+            # the least region, as `_matching_records` returns them sorted
+            return records[0].region_id
         for rid in sorted(query.region_ids):
             if rid in self.ledgers:
                 return rid

@@ -999,7 +999,9 @@ class World:
         # serves the isolation, provenance and grant checks. Admission is
         # replayed without the certificate memo, so every certificate of
         # every chained tx is verified here. Each tx is encoded afresh, and
-        # the bytes its block hash was computed from must equal them.
+        # the bytes its block hash was computed from must equal them; that
+        # check raises first, so the replay, which verifies slices of
+        # `wire`, checks bytes equal to this fresh encoding.
         replay = replace(self.policy, verified_certs=None)
         region_of: dict[bytes, str] = {}
         contracts: dict[bytes, SmartContract] = {}
@@ -1020,8 +1022,9 @@ class World:
                     # cannot fail: admission rejects flag 0 and is checked
                     # first; kept as a check that does not rest on it
                     check(f"flag_sweep[{region}]", tx.flag == 1, "flag=0 chained")
+                    # counted in reports, the unit of false_data_injected
                     if not self._payload_matches_truth(tx.payload):
-                        false_chained += 1
+                        false_chained += len(tx.vehicle_pks)
                 elif isinstance(tx, SmartContract):
                     contracts[digest] = tx
         results.setdefault("admission_sound", "ok")

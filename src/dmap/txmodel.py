@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TypeVar
 
 from . import encoding
 from .crypto import Certificate, KeyPair, SignatureScheme, sha256, verify_certificate
@@ -208,16 +209,30 @@ def _decode_data_tx(r: Reader) -> DataTransaction:
 
 # --- chained transactions ---------------------------------------------------
 
+_C = TypeVar("_C", bound="Chained")
+
+
 class Chained:
-    """Canonical bytes and digest of an immutable tx, computed on first use.
+    """Canonical bytes and digest of an immutable tx.
 
     `wire` is `canonical_encode(tx)` and `digest` is `sha256(wire)`. Both
     live in the instance dict, outside the dataclass fields, so they take
-    no part in equality, hashing or repr. `dataclasses.replace` and
-    decoding build new objects with nothing cached, so a rewritten tx is
-    encoded afresh; a field changed in place with `object.__setattr__`
-    keeps its stale bytes, which the post-run sweep compares with a fresh
-    encoding.
+    no part in equality, hashing or repr. The signers (`sign_rsi_tx`,
+    `market.build_access_tx`, the countersigned form in
+    `RuleTable.evaluate_access`, `market.create_contract`) seed `wire`
+    with the tag, the message they just signed and the encoded signature
+    fields; any other tx is encoded on first use.
+
+    Each signed message is a prefix of `wire`, and the write-path checks
+    verify slices of it, not a re-encoding of the fields: `verify_rsi_tx`
+    (RSI signature and the members' payload prefix), the requester and
+    countersigned messages in `RuleTable.evaluate_access` and
+    `ledger.miner_admit`, and contract admission. Block hashes are
+    computed over `wire` too. `dataclasses.replace` and decoding build
+    new objects with nothing cached, so a rewritten tx is encoded afresh.
+    Only a field changed in place with `object.__setattr__` can leave
+    `wire` stale; the post-run sweep compares it with its own fresh
+    encoding before it replays admission.
     """
 
     @cached_property
@@ -227,6 +242,17 @@ class Chained:
     @cached_property
     def digest(self) -> bytes:
         return sha256(self.wire)
+
+    def seed_wire(self: _C, tag: int, *parts: bytes) -> _C:
+        """Cache `wire` as `tag` then `parts`, which must be the rest of
+        `canonical_encode(self)`; returns self."""
+        self.__dict__["wire"] = b"".join((bytes((tag,)), *parts))
+        return self
+
+    def signed_prefix(self, tail: int) -> bytes:
+        """`wire` without its tag byte and its last `tail` bytes."""
+        wire = self.wire
+        return wire[1:len(wire) - tail]
 
 
 # --- RSI aggregate ----------------------------------------------------------
@@ -245,6 +271,12 @@ def payload_bytes(p: Payload) -> bytes:
     w = Writer()
     _encode_payload(p.loc, p.event, p.timestamp, w)
     return w.getvalue()
+
+
+def payload_len(p: Payload) -> int:
+    """`len(payload_bytes(p))`: two i32 coordinates, the u8 event code, a
+    u32 speed for TrafficSpeed only, and the u64 timestamp."""
+    return 21 if p.event.code == 2 else 17
 
 
 def _decode_payload(r: Reader) -> Payload:
@@ -301,12 +333,12 @@ def sign_rsi_tx(scheme: SignatureScheme, rsi_key: KeyPair, payload: Payload,
     """
     pks = tuple(pk for pk, _ in members)
     signs = tuple(sig for _, sig in members)
-    rsi_sign = scheme.sign(rsi_key,
-                           rsi_tx_signing_bytes(rsi_key.public, payload,
-                                                signs, pks, flag))
+    msg = rsi_tx_signing_bytes(rsi_key.public, payload, signs, pks, flag)
+    rsi_sign = scheme.sign(rsi_key, msg)
     return RsiTransaction(rsi_pk=rsi_key.public, payload=payload,
-                          vehicle_signs=signs, vehicle_pks=pks,
-                          flag=flag, rsi_sign=rsi_sign)
+                          vehicle_signs=signs, vehicle_pks=pks, flag=flag,
+                          rsi_sign=rsi_sign).seed_wire(
+        TAG_RSI_TX, msg, encoding.length_prefixed(rsi_sign))
 
 
 @dataclass(frozen=True)
@@ -360,11 +392,12 @@ def verify_rsi_tx(scheme: SignatureScheme, tx: RsiTransaction, ca_pk: bytes,
         return Verdict.reject(REJECT_INSUFFICIENT_MEMBERS)
     if tx.flag != 1:
         return Verdict.reject(REJECT_UNTRUSTED)
-    msg = rsi_tx_signing_bytes(tx.rsi_pk, tx.payload, tx.vehicle_signs,
-                               tx.vehicle_pks, tx.flag)
+    msg = tx.signed_prefix(4 + len(tx.rsi_sign))
     if not scheme.verify(tx.rsi_pk, msg, tx.rsi_sign):
         return Verdict.reject(REJECT_BAD_RSI_SIGNATURE)
-    prefix = payload_bytes(tx.payload)
+    # the payload follows the length-prefixed RSI key in the signed bytes
+    start = 4 + len(tx.rsi_pk)
+    prefix = msg[start:start + payload_len(tx.payload)]
     for pk, sig in zip(tx.vehicle_pks, tx.vehicle_signs):
         if not scheme.verify(pk, member_signing_bytes(prefix, pk), sig):
             return Verdict.reject(REJECT_BAD_MEMBER_SIGNATURE)
@@ -514,6 +547,16 @@ class AccessTransaction(Chained):
     def is_approved(self) -> bool:
         return bool(self.ruletable_sign)
 
+    def requester_message(self) -> bytes:
+        """What the requester signed, sliced from `wire`."""
+        return self.signed_prefix(4 + len(self.requester_sign)
+                                  + len(approval_bytes(self)))
+
+    def countersigned_message(self) -> bytes:
+        """What the rule table signs, sliced from `wire`: the requester's
+        message and signature, without the rule-table fields."""
+        return self.signed_prefix(len(approval_bytes(self)))
+
 
 def access_requester_signing_bytes(requester_pk: bytes, query: Scope,
                                    grant: Grant) -> bytes:
@@ -524,11 +567,13 @@ def access_requester_signing_bytes(requester_pk: bytes, query: Scope,
     return w.getvalue()
 
 
-def access_ruletable_signing_bytes(tx: AccessTransaction) -> bytes:
-    w = Writer()
-    w.raw(access_requester_signing_bytes(tx.requester_pk, tx.query, tx.grant))
-    w.bytes_(tx.requester_sign)
-    return w.getvalue()
+def approval_bytes(tx: AccessTransaction) -> bytes:
+    """The encoded rule-table fields that end an access tx's wire bytes:
+    a 0 marker, or a 1 marker, the rule-table key and its signature."""
+    if tx.ruletable_sign:
+        return b"".join((b"\x01", encoding.length_prefixed(tx.ruletable_pk),
+                         encoding.length_prefixed(tx.ruletable_sign)))
+    return b"\x00"
 
 
 def grant_signing_bytes(requester_pk: bytes, query: Scope) -> bytes:
@@ -542,12 +587,7 @@ def grant_signing_bytes(requester_pk: bytes, query: Scope) -> bytes:
 def _encode_access_tx(tx: AccessTransaction, w: Writer) -> None:
     w.raw(access_requester_signing_bytes(tx.requester_pk, tx.query, tx.grant))
     w.bytes_(tx.requester_sign)
-    if tx.ruletable_sign:
-        w.u8(1)
-        w.bytes_(tx.ruletable_pk)
-        w.bytes_(tx.ruletable_sign)
-    else:
-        w.u8(0)
+    w.raw(approval_bytes(tx))
 
 
 def _decode_access_tx(r: Reader) -> AccessTransaction:

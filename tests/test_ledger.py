@@ -182,8 +182,6 @@ class TestAppendAdmitted:
 
 def approved_access_tx(ca, policy):
     """An access tx countersigned by a certified rule table."""
-    from dmap.txmodel import access_ruletable_signing_bytes
-
     rt_key = key("ruletable")
     policy.cert_registry[rt_key.public] = issue_certificate(
         scheme, ca, rt_key.public, "ruletable")
@@ -191,7 +189,7 @@ def approved_access_tx(ca, policy):
                          Grant(kind=GRANT_CONTRACT_REF, contract_id=bytes(32)))
     tx = dataclasses.replace(tx, ruletable_pk=rt_key.public)
     return dataclasses.replace(tx, ruletable_sign=scheme.sign(
-        rt_key, access_ruletable_signing_bytes(tx)))
+        rt_key, tx.countersigned_message()))
 
 
 class TestCertificateMemo:
@@ -483,9 +481,7 @@ class TestDumpLoad:
 class TestAccessLog:
     def test_owner_sig_accesses_in_chain_order(self, setup):
         from dmap.market import build_access_tx
-        from dmap.txmodel import (GRANT_OWNER_SIG, Grant, Scope,
-                                  access_ruletable_signing_bytes,
-                                  grant_signing_bytes)
+        from dmap.txmodel import GRANT_OWNER_SIG, Grant, Scope, grant_signing_bytes
 
         ca, rsi_key, policy = setup
         rt_key = key("ruletable")
@@ -505,7 +501,7 @@ class TestAccessLog:
             tx = dataclasses.replace(tx, ruletable_pk=rt_key.public)
             tx = dataclasses.replace(
                 tx, ruletable_sign=scheme.sign(
-                    rt_key, access_ruletable_signing_bytes(tx)))
+                    rt_key, tx.countersigned_message()))
             txs.append(tx)
         append_block(scheme, ledger, [txs[0]], 100, policy)
         append_block(scheme, ledger, [txs[1]], 200, policy)

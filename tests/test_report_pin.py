@@ -78,7 +78,7 @@ PINNED = {
     "honest_majority":
         "3e416d5e4c5c8cf47a050061c1076bda02914641b3123cd808d9817e22edfe53",
     "majority_capture":
-        "4c204e2c8f3d0ee03bea0fc1d2ab3aed900cf3435bb2bde9bd6c32e5cab06cc5",
+        "5dbeed62234f632502975b70c01a8ad50e96fb2479f1165d5a87cdd24a3ebbc6",
     "market_suite":
         "83199a93de7fad2847be6b3285b2cfe02de2ff7e3b8c6a7b1ea3722066296521",
     "key_reuse":

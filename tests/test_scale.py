@@ -35,11 +35,12 @@ def test_smallest_point_writes_the_schema(tmp_path):
     assert point["scheme"] == "keyed-hash"
     assert point["reports"] > 0 and len(point["runs_s"]) == 1
     assert point["run_s"] == point["runs_s"][0] > 0
-    # the probe taken right after the run scales it to the nominal speed
-    (probe,) = point["probes_s"]
-    assert probe > 0
+    # the mean of the probes taken right before and right after the run
+    # scales it to the nominal speed
+    ((before, after),) = point["probes_s"]
+    assert before > 0 and after > 0
     assert point["scaled_run_s"] == pytest.approx(
-        point["run_s"] * _nominal_probe_s() / probe)
+        point["run_s"] * _nominal_probe_s() / ((before + after) / 2))
     phases = {"emit", "move", "boundary", "sweep", "other"}
     assert set(point["phases_s"]) == phases
     assert all(point["phases_s"][p] > 0 for p in ("emit", "move", "boundary", "sweep"))

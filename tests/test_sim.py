@@ -353,6 +353,19 @@ class TestScenarioOutcomes:
         assert g["false_data_chained"] > 0
         assert g["detection_rate"] < 1.0
 
+    def test_majority_capture_counts_chained_reports(self, finished_worlds):
+        # all 42 fabricated reports are chained, as the members of 6
+        # aggregates: detection is counted in reports, not aggregates
+        world, metrics = finished_worlds["majority_capture"]
+        g = metrics["global"]
+        assert g["false_data_chained"] == g["false_data_injected"] == 42
+        assert g["detection_rate"] == 0.0
+        false_aggregates = [tx for ledger in world.ledgers.values()
+                            for tx in ledger.all_txs()
+                            if isinstance(tx, RsiTransaction)
+                            and not world._payload_matches_truth(tx.payload)]
+        assert len(false_aggregates) == 6
+
     def test_market_suite_grants_and_denies(self, finished_worlds):
         _, metrics = finished_worlds["market_suite"]
         g = metrics["global"]
@@ -900,10 +913,10 @@ def test_admission_verifies_only_what_it_chains(monkeypatch):
     assert spent["verify"] == spent["chained"] + spent["memo_misses"]
 
 
-def test_write_path_encodes_each_aggregate_at_most_three_times(monkeypatch):
-    # signing, the close_window sort (which fills the cached `wire`) and
-    # admission each encode an aggregate once; block hashes, has_tx and
-    # store_record read the cache
+def test_each_aggregate_encoded_at_signing_and_in_sweep(monkeypatch):
+    # signing encodes each aggregate once and seeds its `wire`; admission,
+    # block hashes, has_tx and store_record read it, and the sweep makes
+    # one fresh encoding of each chained aggregate
     calls = collections.Counter()
     real = txmodel.rsi_tx_signing_bytes
 
@@ -913,17 +926,12 @@ def test_write_path_encodes_each_aggregate_at_most_three_times(monkeypatch):
 
     monkeypatch.setattr(txmodel, "rsi_tx_signing_bytes", counted)
     world = World(load_scenario_config("honest_majority"))
-    sweep = world.sweep_invariants
-    before_sweep = []
-
-    def counted_sweep():
-        before_sweep.append(calls["encode"])
-        return sweep()
-
-    world.sweep_invariants = counted_sweep
     world.run()
-    aggregates = sum(r.stats.trusted_tx + r.stats.lone_tx
-                     for r in world.rsis.values())
+    signed = sum(r.stats.trusted_tx + r.stats.lone_tx
+                 for r in world.rsis.values())
+    chained = sum(isinstance(tx, RsiTransaction)
+                  for ledger in world.ledgers.values()
+                  for tx in ledger.all_txs())
     stored = sum(len(d.records) for d in world.rule_table.directories.values())
-    assert stored > 0
-    assert before_sweep[0] <= 3 * aggregates
+    assert stored > 0 and chained < signed
+    assert calls["encode"] == signed + chained

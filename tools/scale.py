@@ -27,10 +27,12 @@ also measures older trees. The file also holds the fitted log-log slope
 of wall time over vehicles for each scheme, the Python version and the
 probe time of ``perfbench/speed.py`` (seconds for a fixed pure-Python
 loop), so files from different machines can be compared. Times are raw
-``perf_counter`` seconds, except ``scaled_run_s``: the probe runs again
-right after each timed ``World.run()`` (``probes_s``), and
-``scaled_run_s`` is the median over runs of ``wall * NOMINAL_PROBE_S /
-probe``, each run read at the machine speed seen beside it.
+``perf_counter`` seconds, except ``scaled_run_s``: the probe runs right
+before and right after each timed ``World.run()`` (``probes_s``, one
+``[before, after]`` pair per run), and ``scaled_run_s`` is the median over
+runs of ``wall * NOMINAL_PROBE_S / mean(before, after)``, as
+``perfbench/speed.py`` scales an interval by the mean of the probes on
+either side of it, so each run is read at the machine speed seen around it.
 """
 
 from __future__ import annotations
@@ -142,17 +144,18 @@ def _phase_clock(totals: dict[str, float], scheme: PhaseVerifies):
 
 def run_once(cfg: sim.ScenarioConfig, scheme_name: str) -> dict:
     """One timed `World.run()`: wall time, phase split, verify counts, and
-    the speed probe taken right after it."""
+    the speed probes taken right before and right after it."""
     scheme = PhaseVerifies(SCHEMES[scheme_name])
     world = sim.World(cfg, scheme)
     phases: dict[str, float] = {}
+    before = _probe()
     with _phase_clock(phases, scheme):
         t0 = perf_counter()
         metrics = world.run()
         wall = perf_counter() - t0
-    probe = _probe()
+    after = _probe()
     phases["other"] = wall - sum(phases.values())
-    return {"wall": wall, "probe": probe, "phases": phases,
+    return {"wall": wall, "probes": [before, after], "phases": phases,
             "verifies": scheme.verifies,
             "reports": metrics["global"]["reports_sent"]}
 
@@ -167,9 +170,10 @@ def summarise(name: str, cfg: sim.ScenarioConfig, runs: list[dict]) -> dict:
         "reports": runs[0]["reports"],
         "run_s": statistics.median(r["wall"] for r in runs),
         "runs_s": [r["wall"] for r in runs],
-        "probes_s": [r["probe"] for r in runs],
-        "scaled_run_s": statistics.median(r["wall"] * NOMINAL_PROBE_S / r["probe"]
-                                          for r in runs),
+        "probes_s": [r["probes"] for r in runs],
+        "scaled_run_s": statistics.median(
+            r["wall"] * NOMINAL_PROBE_S / statistics.fmean(r["probes"])
+            for r in runs),
         "phases_s": {phase: statistics.median(r["phases"][phase] for r in runs)
                      for phase in ALL_PHASES},
         "verifies": runs[0]["verifies"],
