@@ -22,8 +22,7 @@ import hmac
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from . import encoding
-from .encoding import Reader, Writer
+from .encoding import Layout, bytes_, string
 
 if TYPE_CHECKING:
     from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
@@ -147,11 +146,10 @@ class Certificate:
     ca_signature: bytes
 
 
-def certificate_signing_bytes(subject_pk: bytes, region_id: str) -> bytes:
-    w = Writer()
-    w.bytes_(subject_pk)
-    w.string(region_id)
-    return w.getvalue()
+TAG_CERTIFICATE = 0x04
+CERTIFICATE = Layout(Certificate, TAG_CERTIFICATE, (
+    ("subject_pk", bytes_), ("region_id", string), ("ca_signature", bytes_)))
+certificate_signing_bytes = CERTIFICATE.fields_before("ca_signature")
 
 
 def issue_certificate(scheme: SignatureScheme, ca: KeyPair,
@@ -178,19 +176,3 @@ def verify_certificate(scheme: SignatureScheme, ca_pk: bytes, cert: Certificate,
     if ok and verified is not None:
         verified.add((ca_pk, cert))
     return ok
-
-
-def _encode_certificate(cert: Certificate, w: Writer) -> None:
-    w.bytes_(cert.subject_pk)
-    w.string(cert.region_id)
-    w.bytes_(cert.ca_signature)
-
-
-def _decode_certificate(r: Reader) -> Certificate:
-    return Certificate(subject_pk=r.bytes_(), region_id=r.string(),
-                       ca_signature=r.bytes_())
-
-
-TAG_CERTIFICATE = 0x04
-encoding.register_codec(Certificate, TAG_CERTIFICATE,
-                        _encode_certificate, _decode_certificate)

@@ -9,7 +9,7 @@ detectable by a full rescan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import encoding
 from .crypto import (
@@ -20,7 +20,16 @@ from .crypto import (
     sha256,
     verify_certificate,
 )
-from .encoding import DecodeError, Reader, Writer
+from .encoding import (
+    DecodeError,
+    Layout,
+    Reader,
+    hand,
+    length_prefixed,
+    list_of,
+    raw,
+    u64,
+)
 from .txmodel import (
     GRANT_CONTRACT_REF,
     GRANT_OWNER_SIG,
@@ -70,41 +79,19 @@ class Block:
                    block_hash=cls.compute_hash(height, prev_hash, timestamp, txs))
 
 
-def _block_body_bytes(height: int, prev_hash: bytes, timestamp: int,
-                      txs: tuple[ChainedTx, ...]) -> bytes:
-    w = Writer()
-    w.u64(height)
-    w.raw(prev_hash)
-    w.u64(timestamp)
-    w.u32(len(txs))
-    for tx in txs:
-        w.raw(tx.wire)
-    return w.getvalue()
+def _read_chained(r: Reader) -> ChainedTx:
+    tx = encoding.decode_from(r)
+    if not isinstance(tx, ChainedTx):
+        raise DecodeError(f"{type(tx).__name__} cannot appear in a block")
+    return tx
 
 
-def _encode_block(b: Block, w: Writer) -> None:
-    # block_hash is derived, not stored; decode recomputes it.
-    w.raw(_block_body_bytes(b.height, b.prev_hash, b.timestamp, b.txs))
-
-
-def _decode_block_body(r: Reader) -> tuple[int, bytes, int, tuple[ChainedTx, ...]]:
-    height = r.u64()
-    prev_hash = r.raw(DIGEST_LEN)
-    timestamp = r.u64()
-    txs = []
-    for _ in range(r.u32()):
-        tx = encoding.decode_from(r)
-        if not isinstance(tx, (RsiTransaction, AccessTransaction, SmartContract)):
-            raise DecodeError(f"{type(tx).__name__} cannot appear in a block")
-        txs.append(tx)
-    return height, prev_hash, timestamp, tuple(txs)
-
-
-def _decode_block(r: Reader) -> Block:
-    return Block.make(*_decode_block_body(r))
-
-
-encoding.register_codec(Block, TAG_BLOCK, _encode_block, _decode_block)
+# block_hash is derived, not encoded: decoding recomputes it
+BLOCK = Layout(Block, TAG_BLOCK, (
+    ("height", u64), ("prev_hash", raw(DIGEST_LEN)), ("timestamp", u64),
+    ("txs", list_of(hand(lambda tx: tx.wire, _read_chained)))),
+    make=Block.make)
+_block_body_bytes = BLOCK.fields_before()
 
 
 @dataclass
@@ -193,8 +180,8 @@ def miner_admit(scheme: SignatureScheme, tx: ChainedTx, policy: MinerPolicy,
     if isinstance(tx, SmartContract):
         if tx.start_ms >= tx.end_ms:
             return Verdict.reject("Malformed")
-        msg = tx.signed_prefix(4 + len(tx.owner_sign))
-        if not scheme.verify(tx.owner_pk, msg, tx.owner_sign):
+        if not scheme.verify(tx.owner_pk, tx.signed_prefix("owner_sign"),
+                             tx.owner_sign):
             return Verdict.reject("BadOwnerSignature")
         return Verdict.accept()
     return Verdict.reject("UnknownTxType")
@@ -303,14 +290,10 @@ def dump_ledger(ledger: Ledger) -> bytes:
     """The ledger's region, then each block's canonical encoding followed
     by its stored hash, so that `validate_chain` on the loaded copy checks
     every block, the tip included, against the hash it was chained with."""
-    w = Writer()
-    w.raw(LEDGER_DUMP_MAGIC)
-    w.string(ledger.rsi_region)
-    w.u32(len(ledger.blocks))
-    for b in ledger.blocks:
-        encoding.encode_into(b, w)
-        w.raw(b.block_hash)
-    return w.getvalue()
+    return b"".join((LEDGER_DUMP_MAGIC,
+                     length_prefixed(ledger.rsi_region.encode()),
+                     len(ledger.blocks).to_bytes(4, "big"),
+                     *(BLOCK.encode(b) + b.block_hash for b in ledger.blocks)))
 
 
 def load_ledger(data: bytes) -> Ledger:
@@ -323,10 +306,7 @@ def load_ledger(data: bytes) -> Ledger:
     for _ in range(r.u32()):
         if r.u8() != TAG_BLOCK:
             raise DecodeError("expected a block")
-        height, prev_hash, timestamp, txs = _decode_block_body(r)
-        blocks.append(Block(height=height, prev_hash=prev_hash,
-                            timestamp=timestamp, txs=txs,
-                            block_hash=r.raw(DIGEST_LEN)))
+        blocks.append(replace(BLOCK.decode(r), block_hash=r.raw(DIGEST_LEN)))
     r.expect_eof()
     return Ledger(rsi_region=region, blocks=blocks)
 

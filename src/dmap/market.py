@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .crypto import Certificate, KeyPair, SignatureScheme, verify_certificate
-from .encoding import length_prefixed
 from .ledger import Ledger, MinerPolicy, append_block
 from .txmodel import (
     AccessTransaction,
@@ -30,10 +29,7 @@ from .txmodel import (
     RsiTransaction,
     Scope,
     SmartContract,
-    TAG_ACCESS_TX,
-    TAG_SMART_CONTRACT,
     access_requester_signing_bytes,
-    approval_bytes,
     contract_signing_bytes,
     data_request_signing_bytes,
     grant_signing_bytes,
@@ -116,17 +112,16 @@ def create_contract(scheme: SignatureScheme, owner_key: KeyPair,
     return SmartContract(owner_pk=owner_key.public, grantee_pk=grantee_pk,
                          start_ms=start_ms, end_ms=end_ms, scope=scope,
                          price=price, owner_sign=sig).seed_wire(
-        TAG_SMART_CONTRACT, msg, length_prefixed(sig))
+        msg, "owner_sign")
 
 
 def build_access_tx(scheme: SignatureScheme, requester_key: KeyPair,
                     query: Scope, grant: Grant) -> AccessTransaction:
     msg = access_requester_signing_bytes(requester_key.public, query, grant)
     sig = scheme.sign(requester_key, msg)
-    tx = AccessTransaction(requester_pk=requester_key.public, query=query,
-                           grant=grant, requester_sign=sig)
-    return tx.seed_wire(TAG_ACCESS_TX, msg, length_prefixed(sig),
-                        approval_bytes(tx))
+    return AccessTransaction(requester_pk=requester_key.public, query=query,
+                             grant=grant, requester_sign=sig).seed_wire(
+        msg, "requester_sign")
 
 
 def build_data_request(scheme: SignatureScheme, sp_key: KeyPair,
@@ -238,7 +233,7 @@ class RuleTable:
         sig = self.scheme.sign(self.key, counter)
         approved = replace(access_tx, ruletable_pk=self.key.public,
                            ruletable_sign=sig)
-        approved.seed_wire(TAG_ACCESS_TX, counter, approval_bytes(approved))
+        approved.seed_wire(counter, "ruletable_pk")
         self._chain_access_tx(approved, records, now_ms)
         return AccessResult(granted=True, records=records, access_tx=approved)
 

@@ -17,13 +17,25 @@ fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TypeVar
 
 from . import encoding
 from .crypto import Certificate, KeyPair, SignatureScheme, sha256, verify_certificate
-from .encoding import DecodeError, Reader, Writer
+from .encoding import (
+    DecodeError,
+    Layout,
+    Reader,
+    bytes_,
+    hand,
+    i32,
+    length_prefixed,
+    list_of,
+    string,
+    u8,
+    u64,
+)
 
 TAG_DATA_TX = 0x01
 TAG_RSI_TX = 0x02
@@ -108,42 +120,6 @@ ROAD_DAMAGE = EventKind(0)
 CLEAR = EventKind(4)
 
 
-def _encode_geo(loc: GeoPoint, w: Writer) -> None:
-    w.i32(loc.lat_micro)
-    w.i32(loc.lon_micro)
-
-
-def _decode_geo(r: Reader) -> GeoPoint:
-    loc = GeoPoint(lat_micro=r.i32(), lon_micro=r.i32())
-    try:
-        loc.check_range()
-    except RangeError as exc:
-        raise DecodeError(str(exc)) from exc
-    return loc
-
-
-def _encode_event(ev: EventKind, w: Writer) -> None:
-    w.u8(ev.code)
-    if ev.code == 2:
-        w.u32(ev.speed_kmh)
-
-
-def _decode_event(r: Reader) -> EventKind:
-    code = r.u8()
-    speed = r.u32() if code == 2 else 0
-    try:
-        return EventKind(code, speed)
-    except RangeError as exc:
-        raise DecodeError(str(exc)) from exc
-
-
-def _encode_payload(loc: GeoPoint, event: EventKind, timestamp: int,
-                    w: Writer) -> None:
-    _encode_geo(loc, w)
-    _encode_event(event, w)
-    w.u64(timestamp)
-
-
 # --- vehicle report ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -155,20 +131,13 @@ class DataTransaction:
     vehicle_sign: bytes
 
 
-def data_tx_signing_bytes(loc: GeoPoint, event: EventKind,
-                          timestamp: int, pk: bytes) -> bytes:
-    w = Writer()
-    _encode_payload(loc, event, timestamp, w)
-    return member_signing_bytes(w.getvalue(), pk)
-
-
 def member_signing_bytes(payload_prefix: bytes, pk: bytes) -> bytes:
     """What the report key `pk` signs, given its payload's wire bytes.
 
     An aggregate's members share one payload, so a verifier encodes it
     once and appends each member's length-prefixed key.
     """
-    return payload_prefix + encoding.length_prefixed(pk)
+    return payload_prefix + length_prefixed(pk)
 
 
 def build_data_tx(scheme: SignatureScheme, vehicle_key: KeyPair,
@@ -193,20 +162,6 @@ def verify_data_tx(scheme: SignatureScheme, tx: DataTransaction) -> bool:
     return scheme.verify(tx.pk, msg, tx.vehicle_sign)
 
 
-def _encode_data_tx(tx: DataTransaction, w: Writer) -> None:
-    _encode_geo(tx.loc, w)
-    _encode_event(tx.event, w)
-    w.u64(tx.timestamp)
-    w.bytes_(tx.pk)
-    w.bytes_(tx.vehicle_sign)
-
-
-def _decode_data_tx(r: Reader) -> DataTransaction:
-    return DataTransaction(loc=_decode_geo(r), event=_decode_event(r),
-                           timestamp=r.u64(), pk=r.bytes_(),
-                           vehicle_sign=r.bytes_())
-
-
 # --- chained transactions ---------------------------------------------------
 
 _C = TypeVar("_C", bound="Chained")
@@ -220,19 +175,14 @@ class Chained:
     no part in equality, hashing or repr. The signers (`sign_rsi_tx`,
     `market.build_access_tx`, the countersigned form in
     `RuleTable.evaluate_access`, `market.create_contract`) seed `wire`
-    with the tag, the message they just signed and the encoded signature
-    fields; any other tx is encoded on first use.
-
-    Each signed message is a prefix of `wire`, and the write-path checks
-    verify slices of it, not a re-encoding of the fields: `verify_rsi_tx`
-    (RSI signature and the members' payload prefix), the requester and
-    countersigned messages in `RuleTable.evaluate_access` and
-    `ledger.miner_admit`, and contract admission. Block hashes are
-    computed over `wire` too. `dataclasses.replace` and decoding build
-    new objects with nothing cached, so a rewritten tx is encoded afresh.
-    Only a field changed in place with `object.__setattr__` can leave
-    `wire` stale; the post-run sweep compares it with its own fresh
-    encoding before it replays admission.
+    with `seed_wire`; any other tx is encoded on first use. Each signed
+    message is a prefix of `wire`, and the RSI, requester, countersigned
+    and contract checks verify `signed_prefix` slices of it. Block hashes
+    are computed over `wire` too. `dataclasses.replace` and decoding
+    build new objects with nothing cached; only a field changed in place
+    with `object.__setattr__` can leave `wire` stale, and the post-run
+    sweep compares it with its own fresh encoding before it replays
+    admission.
     """
 
     @cached_property
@@ -243,16 +193,20 @@ class Chained:
     def digest(self) -> bytes:
         return sha256(self.wire)
 
-    def seed_wire(self: _C, tag: int, *parts: bytes) -> _C:
-        """Cache `wire` as `tag` then `parts`, which must be the rest of
-        `canonical_encode(self)`; returns self."""
-        self.__dict__["wire"] = b"".join((bytes((tag,)), *parts))
+    def seed_wire(self: _C, message: bytes, field: str) -> _C:
+        """Cache `wire` as the tag, `message` and the rows of the type's
+        layout from `field` on; `message` must be the rows before `field`,
+        as the signer just signed them. Returns self."""
+        layout = encoding.LAYOUTS[type(self)]
+        self.__dict__["wire"] = b"".join(
+            (layout.tag_byte, message, layout.tails[field](self)))
         return self
 
-    def signed_prefix(self, tail: int) -> bytes:
-        """`wire` without its tag byte and its last `tail` bytes."""
+    def signed_prefix(self, field: str) -> bytes:
+        """`wire` without its tag byte and the rows from `field` on."""
         wire = self.wire
-        return wire[1:len(wire) - tail]
+        tail = encoding.LAYOUTS[type(self)].tails[field](self)
+        return wire[1:len(wire) - len(tail)]
 
 
 # --- RSI aggregate ----------------------------------------------------------
@@ -266,23 +220,6 @@ class Payload:
     timestamp: int
 
 
-def payload_bytes(p: Payload) -> bytes:
-    """The payload's wire bytes, as carried inside an aggregate."""
-    w = Writer()
-    _encode_payload(p.loc, p.event, p.timestamp, w)
-    return w.getvalue()
-
-
-def payload_len(p: Payload) -> int:
-    """`len(payload_bytes(p))`: two i32 coordinates, the u8 event code, a
-    u32 speed for TrafficSpeed only, and the u64 timestamp."""
-    return 21 if p.event.code == 2 else 17
-
-
-def _decode_payload(r: Reader) -> Payload:
-    return Payload(loc=_decode_geo(r), event=_decode_event(r), timestamp=r.u64())
-
-
 @dataclass(frozen=True)
 class RsiTransaction(Chained):
     rsi_pk: bytes
@@ -291,18 +228,6 @@ class RsiTransaction(Chained):
     vehicle_pks: tuple[bytes, ...]
     flag: int  # 1 = corroborated / trustworthy
     rsi_sign: bytes
-
-
-def rsi_tx_signing_bytes(rsi_pk: bytes, payload: Payload,
-                         vehicle_signs: tuple[bytes, ...],
-                         vehicle_pks: tuple[bytes, ...], flag: int) -> bytes:
-    w = Writer()
-    w.bytes_(rsi_pk)
-    _encode_payload(payload.loc, payload.event, payload.timestamp, w)
-    w.bytes_list(vehicle_signs)
-    w.bytes_list(vehicle_pks)
-    w.u8(flag)
-    return w.getvalue()
 
 
 def build_rsi_tx(scheme: SignatureScheme, rsi_key: KeyPair, payload: Payload,
@@ -337,8 +262,7 @@ def sign_rsi_tx(scheme: SignatureScheme, rsi_key: KeyPair, payload: Payload,
     rsi_sign = scheme.sign(rsi_key, msg)
     return RsiTransaction(rsi_pk=rsi_key.public, payload=payload,
                           vehicle_signs=signs, vehicle_pks=pks, flag=flag,
-                          rsi_sign=rsi_sign).seed_wire(
-        TAG_RSI_TX, msg, encoding.length_prefixed(rsi_sign))
+                          rsi_sign=rsi_sign).seed_wire(msg, "rsi_sign")
 
 
 @dataclass(frozen=True)
@@ -392,34 +316,13 @@ def verify_rsi_tx(scheme: SignatureScheme, tx: RsiTransaction, ca_pk: bytes,
         return Verdict.reject(REJECT_INSUFFICIENT_MEMBERS)
     if tx.flag != 1:
         return Verdict.reject(REJECT_UNTRUSTED)
-    msg = tx.signed_prefix(4 + len(tx.rsi_sign))
-    if not scheme.verify(tx.rsi_pk, msg, tx.rsi_sign):
+    if not scheme.verify(tx.rsi_pk, tx.signed_prefix("rsi_sign"), tx.rsi_sign):
         return Verdict.reject(REJECT_BAD_RSI_SIGNATURE)
-    # the payload follows the length-prefixed RSI key in the signed bytes
-    start = 4 + len(tx.rsi_pk)
-    prefix = msg[start:start + payload_len(tx.payload)]
+    prefix = payload_bytes(tx.payload)
     for pk, sig in zip(tx.vehicle_pks, tx.vehicle_signs):
         if not scheme.verify(pk, member_signing_bytes(prefix, pk), sig):
             return Verdict.reject(REJECT_BAD_MEMBER_SIGNATURE)
     return Verdict.accept()
-
-
-def _encode_rsi_tx(tx: RsiTransaction, w: Writer) -> None:
-    w.raw(rsi_tx_signing_bytes(tx.rsi_pk, tx.payload, tx.vehicle_signs,
-                               tx.vehicle_pks, tx.flag))
-    w.bytes_(tx.rsi_sign)
-
-
-def _decode_rsi_tx(r: Reader) -> RsiTransaction:
-    rsi_pk = r.bytes_()
-    payload = _decode_payload(r)
-    signs = tuple(r.bytes_() for _ in range(r.u32()))
-    pks = tuple(r.bytes_() for _ in range(r.u32()))
-    flag = r.u8()
-    if flag not in (0, 1):
-        raise DecodeError(f"flag must be 0x00 or 0x01, got {flag:#x}")
-    return RsiTransaction(rsi_pk=rsi_pk, payload=payload, vehicle_signs=signs,
-                          vehicle_pks=pks, flag=flag, rsi_sign=r.bytes_())
 
 
 # --- marketplace types ------------------------------------------------------
@@ -440,24 +343,6 @@ class Scope:
                 and set(query.kind_codes) <= set(self.kind_codes))
 
 
-def _encode_scope(s: Scope, w: Writer) -> None:
-    w.u32(len(s.region_ids))
-    for rid in s.region_ids:
-        w.string(rid)
-    w.u64(s.from_ms)
-    w.u64(s.to_ms)
-    w.u32(len(s.kind_codes))
-    for c in s.kind_codes:
-        w.u8(c)
-
-
-def _decode_scope(r: Reader) -> Scope:
-    rids = tuple(r.string() for _ in range(r.u32()))
-    from_ms, to_ms = r.u64(), r.u64()
-    codes = tuple(r.u8() for _ in range(r.u32()))
-    return Scope(region_ids=rids, from_ms=from_ms, to_ms=to_ms, kind_codes=codes)
-
-
 @dataclass(frozen=True)
 class SmartContract(Chained):
     owner_pk: bytes
@@ -472,31 +357,6 @@ class SmartContract(Chained):
         return self.digest
 
 
-def contract_signing_bytes(owner_pk: bytes, grantee_pk: bytes, start_ms: int,
-                           end_ms: int, scope: Scope, price: int) -> bytes:
-    w = Writer()
-    w.bytes_(owner_pk)
-    w.bytes_(grantee_pk)
-    w.u64(start_ms)
-    w.u64(end_ms)
-    _encode_scope(scope, w)
-    w.u64(price)
-    return w.getvalue()
-
-
-def _encode_contract(c: SmartContract, w: Writer) -> None:
-    w.raw(contract_signing_bytes(c.owner_pk, c.grantee_pk, c.start_ms,
-                                 c.end_ms, c.scope, c.price))
-    w.bytes_(c.owner_sign)
-
-
-def _decode_contract(r: Reader) -> SmartContract:
-    return SmartContract(owner_pk=r.bytes_(), grantee_pk=r.bytes_(),
-                         start_ms=r.u64(), end_ms=r.u64(),
-                         scope=_decode_scope(r), price=r.u64(),
-                         owner_sign=r.bytes_())
-
-
 GRANT_CONTRACT_REF = 0
 GRANT_OWNER_SIG = 1
 
@@ -509,24 +369,6 @@ class Grant:
     contract_id: bytes = b""
     owner_pk: bytes = b""
     owner_sign: bytes = b""
-
-
-def _encode_grant(g: Grant, w: Writer) -> None:
-    w.u8(g.kind)
-    if g.kind == GRANT_CONTRACT_REF:
-        w.bytes_(g.contract_id)
-    else:
-        w.bytes_(g.owner_pk)
-        w.bytes_(g.owner_sign)
-
-
-def _decode_grant(r: Reader) -> Grant:
-    kind = r.u8()
-    if kind == GRANT_CONTRACT_REF:
-        return Grant(kind=kind, contract_id=r.bytes_())
-    if kind == GRANT_OWNER_SIG:
-        return Grant(kind=kind, owner_pk=r.bytes_(), owner_sign=r.bytes_())
-    raise DecodeError(f"unknown grant kind {kind}")
 
 
 @dataclass(frozen=True)
@@ -549,63 +391,12 @@ class AccessTransaction(Chained):
 
     def requester_message(self) -> bytes:
         """What the requester signed, sliced from `wire`."""
-        return self.signed_prefix(4 + len(self.requester_sign)
-                                  + len(approval_bytes(self)))
+        return self.signed_prefix("requester_sign")
 
     def countersigned_message(self) -> bytes:
         """What the rule table signs, sliced from `wire`: the requester's
         message and signature, without the rule-table fields."""
-        return self.signed_prefix(len(approval_bytes(self)))
-
-
-def access_requester_signing_bytes(requester_pk: bytes, query: Scope,
-                                   grant: Grant) -> bytes:
-    w = Writer()
-    w.bytes_(requester_pk)
-    _encode_scope(query, w)
-    _encode_grant(grant, w)
-    return w.getvalue()
-
-
-def approval_bytes(tx: AccessTransaction) -> bytes:
-    """The encoded rule-table fields that end an access tx's wire bytes:
-    a 0 marker, or a 1 marker, the rule-table key and its signature."""
-    if tx.ruletable_sign:
-        return b"".join((b"\x01", encoding.length_prefixed(tx.ruletable_pk),
-                         encoding.length_prefixed(tx.ruletable_sign)))
-    return b"\x00"
-
-
-def grant_signing_bytes(requester_pk: bytes, query: Scope) -> bytes:
-    """What a data owner signs when granting directly, without a contract."""
-    w = Writer()
-    w.bytes_(requester_pk)
-    _encode_scope(query, w)
-    return w.getvalue()
-
-
-def _encode_access_tx(tx: AccessTransaction, w: Writer) -> None:
-    w.raw(access_requester_signing_bytes(tx.requester_pk, tx.query, tx.grant))
-    w.bytes_(tx.requester_sign)
-    w.raw(approval_bytes(tx))
-
-
-def _decode_access_tx(r: Reader) -> AccessTransaction:
-    requester_pk = r.bytes_()
-    query = _decode_scope(r)
-    grant = _decode_grant(r)
-    requester_sign = r.bytes_()
-    ruletable_pk = ruletable_sign = b""
-    present = r.u8()
-    if present not in (0, 1):
-        raise DecodeError("bad approval marker")
-    if present:
-        ruletable_pk = r.bytes_()
-        ruletable_sign = r.bytes_()
-    return AccessTransaction(requester_pk=requester_pk, query=query,
-                             grant=grant, requester_sign=requester_sign,
-                             ruletable_pk=ruletable_pk,
-                             ruletable_sign=ruletable_sign)
+        return self.signed_prefix("ruletable_pk")
 
 
 @dataclass(frozen=True)
@@ -621,46 +412,124 @@ class DataRequestTransaction:
     sp_sign: bytes
 
 
-def data_request_signing_bytes(sp_pk: bytes, area_min: GeoPoint,
-                               area_max: GeoPoint, from_ms: int, to_ms: int,
-                               target_regions: tuple[str, ...]) -> bytes:
-    w = Writer()
-    w.bytes_(sp_pk)
-    _encode_geo(area_min, w)
-    _encode_geo(area_max, w)
-    w.u64(from_ms)
-    w.u64(to_ms)
-    w.u32(len(target_regions))
-    for rid in target_regions:
-        w.string(rid)
-    return w.getvalue()
+# --- wire layouts -----------------------------------------------------------
+# Each type's field order is stated here once. The signing bytes, the
+# registered encoder and decoder, and the rows `seed_wire` and
+# `signed_prefix` append or cut are compiled from these tables at import.
+
+def _checked_geo(lat_micro: int, lon_micro: int) -> GeoPoint:
+    loc = GeoPoint(lat_micro, lon_micro)
+    try:
+        loc.check_range()
+    except RangeError as exc:
+        raise DecodeError(str(exc)) from exc
+    return loc
 
 
-def _encode_data_request(tx: DataRequestTransaction, w: Writer) -> None:
-    w.raw(data_request_signing_bytes(tx.sp_pk, tx.area_min, tx.area_max,
-                                     tx.from_ms, tx.to_ms, tx.target_regions))
-    w.bytes_(tx.sp_sign)
+def _event_bytes(ev: EventKind) -> bytes:
+    """The event code, then a u32 speed for TrafficSpeed only."""
+    if ev.code == 2:
+        return b"\x02" + ev.speed_kmh.to_bytes(4, "big")
+    return bytes((ev.code,))
 
 
-def _decode_data_request(r: Reader) -> DataRequestTransaction:
-    return DataRequestTransaction(sp_pk=r.bytes_(), area_min=_decode_geo(r),
-                                  area_max=_decode_geo(r), from_ms=r.u64(),
-                                  to_ms=r.u64(),
-                                  target_regions=tuple(
-                                      r.string() for _ in range(r.u32())),
-                                  sp_sign=r.bytes_())
+def _read_event(r: Reader) -> EventKind:
+    code = r.u8()
+    speed = r.u32() if code == 2 else 0
+    try:
+        return EventKind(code, speed)
+    except RangeError as exc:
+        raise DecodeError(str(exc)) from exc
 
 
-encoding.register_codec(DataTransaction, TAG_DATA_TX,
-                        _encode_data_tx, _decode_data_tx)
-encoding.register_codec(RsiTransaction, TAG_RSI_TX,
-                        _encode_rsi_tx, _decode_rsi_tx)
-encoding.register_codec(SmartContract, TAG_SMART_CONTRACT,
-                        _encode_contract, _decode_contract)
-encoding.register_codec(AccessTransaction, TAG_ACCESS_TX,
-                        _encode_access_tx, _decode_access_tx)
-encoding.register_codec(DataRequestTransaction, TAG_DATA_REQUEST,
-                        _encode_data_request, _decode_data_request)
+def _checked_rsi_tx(*fields) -> RsiTransaction:
+    tx = RsiTransaction(*fields)
+    if tx.flag not in (0, 1):
+        raise DecodeError(f"flag must be 0x00 or 0x01, got {tx.flag:#x}")
+    return tx
+
+
+def _grant_bytes(g: Grant) -> bytes:
+    """The kind, then the contract id or the owner's key and signature."""
+    if g.kind == GRANT_CONTRACT_REF:
+        return bytes((g.kind,)) + length_prefixed(g.contract_id)
+    return b"".join((bytes((g.kind,)), length_prefixed(g.owner_pk),
+                     length_prefixed(g.owner_sign)))
+
+
+def _read_grant(r: Reader) -> Grant:
+    kind = r.u8()
+    if kind == GRANT_CONTRACT_REF:
+        return Grant(kind=kind, contract_id=r.bytes_())
+    if kind == GRANT_OWNER_SIG:
+        return Grant(kind=kind, owner_pk=r.bytes_(), owner_sign=r.bytes_())
+    raise DecodeError(f"unknown grant kind {kind}")
+
+
+def _approval_bytes(ruletable_pk: bytes, ruletable_sign: bytes) -> bytes:
+    """A 0 marker, or a 1 marker, the rule-table key and its signature."""
+    if not ruletable_sign:
+        return b"\x00"
+    return b"".join((b"\x01", length_prefixed(ruletable_pk),
+                     length_prefixed(ruletable_sign)))
+
+
+def _read_approval(r: Reader) -> tuple[bytes, bytes]:
+    marker = r.u8()
+    if marker == 0:
+        return b"", b""
+    if marker != 1:
+        raise DecodeError("bad approval marker")
+    ruletable_pk, ruletable_sign = r.bytes_(), r.bytes_()
+    if not ruletable_sign:
+        # it would encode with a 0 marker: two byte strings, one tx
+        raise DecodeError("approval marker without a rule-table signature")
+    return ruletable_pk, ruletable_sign
+
+
+GEO = Layout(GeoPoint, None, (("lat_micro", i32), ("lon_micro", i32)),
+             make=_checked_geo)
+PAYLOAD = Layout(Payload, None, (
+    ("loc", GEO), ("event", hand(_event_bytes, _read_event)),
+    ("timestamp", u64)))
+DATA_TX = Layout(DataTransaction, TAG_DATA_TX, PAYLOAD.rows + (
+    ("pk", bytes_), ("vehicle_sign", bytes_)))
+RSI_TX = Layout(RsiTransaction, TAG_RSI_TX, (
+    ("rsi_pk", bytes_), ("payload", PAYLOAD),
+    ("vehicle_signs", list_of(bytes_)), ("vehicle_pks", list_of(bytes_)),
+    ("flag", u8), ("rsi_sign", bytes_)), make=_checked_rsi_tx)
+SCOPE = Layout(Scope, None, (
+    ("region_ids", list_of(string)), ("from_ms", u64), ("to_ms", u64),
+    ("kind_codes", list_of(u8))))
+CONTRACT = Layout(SmartContract, TAG_SMART_CONTRACT, (
+    ("owner_pk", bytes_), ("grantee_pk", bytes_), ("start_ms", u64),
+    ("end_ms", u64), ("scope", SCOPE), ("price", u64),
+    ("owner_sign", bytes_)))
+ACCESS_TX = Layout(AccessTransaction, TAG_ACCESS_TX, (
+    ("requester_pk", bytes_), ("query", SCOPE),
+    ("grant", hand(_grant_bytes, _read_grant)),
+    ("requester_sign", bytes_),
+    (("ruletable_pk", "ruletable_sign"),
+     hand(_approval_bytes, _read_approval))))
+DATA_REQUEST = Layout(DataRequestTransaction, TAG_DATA_REQUEST, (
+    ("sp_pk", bytes_), ("area_min", GEO), ("area_max", GEO),
+    ("from_ms", u64), ("to_ms", u64), ("target_regions", list_of(string)),
+    ("sp_sign", bytes_)))
+
+payload_bytes = PAYLOAD.encode
+data_tx_signing_bytes = DATA_TX.fields_before("vehicle_sign")
+rsi_tx_signing_bytes = RSI_TX.fields_before("rsi_sign")
+contract_signing_bytes = CONTRACT.fields_before("owner_sign")
+# what a data owner signs when granting directly, without a contract
+grant_signing_bytes = ACCESS_TX.fields_before("grant")
+access_requester_signing_bytes = ACCESS_TX.fields_before("requester_sign")
+data_request_signing_bytes = DATA_REQUEST.fields_before("sp_sign")
+
+
+def payload_len(p: Payload) -> int:
+    """`len(payload_bytes(p))`."""
+    return len(payload_bytes(p))
+
 
 canonical_encode = encoding.canonical_encode
 canonical_decode = encoding.canonical_decode

@@ -10,12 +10,11 @@ import pytest
 from tests.conftest import REPO_ROOT
 
 
-def _nominal_probe_s():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_speed", REPO_ROOT / "perfbench" / "speed.py")
-    speed = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(speed)
-    return speed.NOMINAL_PROBE_S
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_smallest_point_writes_the_schema(tmp_path):
@@ -35,12 +34,7 @@ def test_smallest_point_writes_the_schema(tmp_path):
     assert point["scheme"] == "keyed-hash"
     assert point["reports"] > 0 and len(point["runs_s"]) == 1
     assert point["run_s"] == point["runs_s"][0] > 0
-    # the mean of the probes taken right before and right after the run
-    # scales it to the nominal speed
-    ((before, after),) = point["probes_s"]
-    assert before > 0 and after > 0
-    assert point["scaled_run_s"] == pytest.approx(
-        point["run_s"] * _nominal_probe_s() / ((before + after) / 2))
+    assert point["scaled_run_s"] == point["scaled_runs_s"][0] > 0
     phases = {"emit", "move", "boundary", "sweep", "other"}
     assert set(point["phases_s"]) == phases
     assert all(point["phases_s"][p] > 0 for p in ("emit", "move", "boundary", "sweep"))
@@ -50,3 +44,24 @@ def test_smallest_point_writes_the_schema(tmp_path):
     assert set(point["verifies"]) == phases
     assert point["verifies"]["emit"] >= point["reports"]
     assert point["verifies"]["boundary"] > 0 and point["verifies"]["sweep"] > 0
+
+
+def test_each_step_is_scaled_by_the_probes_around_it(monkeypatch):
+    # with every probe at half the nominal time, each step of the run
+    # reads twice its raw time
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    speed = _load("speed", REPO_ROOT / "perfbench" / "speed.py")
+    monkeypatch.setitem(sys.modules, "speed", speed)
+    scale = _load("scale_tool", REPO_ROOT / "tools" / "scale.py")
+    probes = []
+
+    def probe():
+        probes.append(speed.NOMINAL_PROBE_S / 2)
+        return probes[-1]
+
+    monkeypatch.setattr(speed, "_probe", probe)
+    make_scenario = scale.POINTS["honest_majority_60"][0]
+    run = scale.run_once(scale.sim.ScenarioConfig.from_dict(make_scenario()),
+                         "keyed-hash")
+    assert len(probes) >= 2
+    assert run["scaled"] == pytest.approx(2 * run["wall"])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmap import edge, sim, txmodel
+from dmap import edge, encoding, sim, txmodel
 from dmap.crypto import KEYED_HASH, verify_certificate
 from dmap.encoding import canonical_encode
 from dmap.ledger import _link, validate_chain
@@ -916,15 +916,24 @@ def test_admission_verifies_only_what_it_chains(monkeypatch):
 def test_each_aggregate_encoded_at_signing_and_in_sweep(monkeypatch):
     # signing encodes each aggregate once and seeds its `wire`; admission,
     # block hashes, has_tx and store_record read it, and the sweep makes
-    # one fresh encoding of each chained aggregate
+    # one fresh encoding of each chained aggregate. Counted: the signing
+    # bytes, and every canonical encoding of an aggregate (the sweep's,
+    # and `wire` of any aggregate not seeded by its signer)
     calls = collections.Counter()
-    real = txmodel.rsi_tx_signing_bytes
+    real_signing = txmodel.rsi_tx_signing_bytes
+    real_encode = encoding.canonical_encode
 
-    def counted(*args):
+    def counted_signing(*args):
         calls["encode"] += 1
-        return real(*args)
+        return real_signing(*args)
 
-    monkeypatch.setattr(txmodel, "rsi_tx_signing_bytes", counted)
+    def counted_encode(obj):
+        calls["encode"] += isinstance(obj, RsiTransaction)
+        return real_encode(obj)
+
+    monkeypatch.setattr(txmodel, "rsi_tx_signing_bytes", counted_signing)
+    monkeypatch.setattr(encoding, "canonical_encode", counted_encode)
+    monkeypatch.setattr(sim, "canonical_encode", counted_encode)
     world = World(load_scenario_config("honest_majority"))
     world.run()
     signed = sum(r.stats.trusted_tx + r.stats.lone_tx

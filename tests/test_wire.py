@@ -1,4 +1,5 @@
-"""Signers seed each chained tx's `wire`; write-path checks verify it.
+"""Signers seed each chained tx's `wire`; write-path checks verify it;
+every wire type decodes only its own canonical bytes.
 
 Every signer of a chained type caches the bytes it signed, tagged and
 followed by the signature fields, as `wire`. These must be exactly the
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmap.encoding import canonical_decode, canonical_encode
+from dmap.encoding import DecodeError, canonical_decode, canonical_encode
+from dmap.fixtures import FIXTURE_NAMES
 from dmap.ledger import miner_admit
 from dmap.market import (
     DENY_BAD_SIGNATURE,
@@ -39,6 +41,7 @@ from dmap.txmodel import (
     payload_len,
     sign_rsi_tx,
 )
+from tests.conftest import FIXTURE_DIR
 from tests.test_market import Setup as MarketSetup
 from tests.test_txmodel import key, scheme
 
@@ -201,3 +204,43 @@ def test_field_changed_in_place_fails_sweep_chain_valid(finished_worlds, cls):
     with pytest.raises(InvariantViolation) as exc:
         world.sweep_invariants()
     assert str(exc.value).startswith(f"chain_valid[{region}]")
+
+
+def fixture_bytes(name: str) -> bytes:
+    return bytes.fromhex((FIXTURE_DIR / f"{name}.hex").read_text())
+
+
+def decodes_canonically(data: bytes) -> bool:
+    """Does `data` decode, and to an object that encodes back to `data`?
+    Raises only DecodeError."""
+    try:
+        obj = canonical_decode(data)
+    except DecodeError:
+        return False
+    assert canonical_encode(obj) == data, data.hex()
+    return True
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_every_truncation_and_byte_edit_is_refused_or_canonical(name):
+    # one byte string per object: an edit either fails to decode or
+    # decodes to an object whose encoding is the edited bytes
+    data = fixture_bytes(name)
+    assert decodes_canonically(data)
+    for end in range(len(data)):
+        assert not decodes_canonically(data[:end])
+    for at in range(len(data)):
+        for mask in (0x01, 0x80, 0xFF):
+            edited = bytearray(data)
+            edited[at] ^= mask
+            decodes_canonically(bytes(edited))
+
+
+def test_approval_marker_without_a_rule_table_signature_is_refused():
+    # it would decode to the unapproved tx, which encodes with a 0 marker
+    data = fixture_bytes("access_transaction")
+    assert data.endswith(b"\x00")
+    with pytest.raises(DecodeError):
+        canonical_decode(data[:-1] + bytes.fromhex("01 00000000 00000000"))
+    # a signature without a key is still one byte string, one tx
+    assert decodes_canonically(data[:-1] + bytes.fromhex("01 00000000 00000001 ab"))

@@ -27,12 +27,13 @@ also measures older trees. The file also holds the fitted log-log slope
 of wall time over vehicles for each scheme, the Python version and the
 probe time of ``perfbench/speed.py`` (seconds for a fixed pure-Python
 loop), so files from different machines can be compared. Times are raw
-``perf_counter`` seconds, except ``scaled_run_s``: the probe runs right
-before and right after each timed ``World.run()`` (``probes_s``, one
-``[before, after]`` pair per run), and ``scaled_run_s`` is the median over
-runs of ``wall * NOMINAL_PROBE_S / mean(before, after)``, as
-``perfbench/speed.py`` scales an interval by the mean of the probes on
-either side of it, so each run is read at the machine speed seen around it.
+``perf_counter`` seconds, except ``scaled_runs_s`` and their median
+``scaled_run_s``. A run is stepped as ``perfbench/run.py`` steps it: each
+``World.step()`` and then the rest of ``World.run()`` is timed, and a
+``perfbench/speed.py`` ``SpeedMeter`` scales each of those intervals by
+the probes taken around it, one every ``SEGMENT_S`` of run time, so a
+speed change during a run is seen. Probe time is not part of a run's wall
+time.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from dmap import sim  # noqa: E402
 from dmap.crypto import SCHEMES, SignatureScheme  # noqa: E402
-from speed import NOMINAL_PROBE_S, _probe  # noqa: E402
+from speed import SpeedMeter, _probe  # noqa: E402
 
 PHASES = {  # phase -> the World methods whose time it sums
     "emit": ("_emit_phase",),
@@ -143,19 +144,30 @@ def _phase_clock(totals: dict[str, float], scheme: PhaseVerifies):
 
 
 def run_once(cfg: sim.ScenarioConfig, scheme_name: str) -> dict:
-    """One timed `World.run()`: wall time, phase split, verify counts, and
-    the speed probes taken right before and right after it."""
+    """One timed `World.run()`, stepped: wall time, the same scaled step
+    by step, phase split and verify counts."""
     scheme = PhaseVerifies(SCHEMES[scheme_name])
     world = sim.World(cfg, scheme)
     phases: dict[str, float] = {}
-    before = _probe()
-    with _phase_clock(phases, scheme):
+    meter, scaled = SpeedMeter(), []
+    wall = 0.0
+
+    def timed(call):
+        nonlocal wall
         t0 = perf_counter()
-        metrics = world.run()
-        wall = perf_counter() - t0
-    after = _probe()
+        result = call()
+        seconds = perf_counter() - t0
+        wall += seconds
+        meter.add(seconds, scaled)
+        return result
+
+    with _phase_clock(phases, scheme):
+        while world.clock_ms < cfg.duration_ms:
+            timed(world.step)
+        metrics = timed(world.run)
+    meter.flush()
     phases["other"] = wall - sum(phases.values())
-    return {"wall": wall, "probes": [before, after], "phases": phases,
+    return {"wall": wall, "scaled": math.fsum(scaled), "phases": phases,
             "verifies": scheme.verifies,
             "reports": metrics["global"]["reports_sent"]}
 
@@ -170,10 +182,8 @@ def summarise(name: str, cfg: sim.ScenarioConfig, runs: list[dict]) -> dict:
         "reports": runs[0]["reports"],
         "run_s": statistics.median(r["wall"] for r in runs),
         "runs_s": [r["wall"] for r in runs],
-        "probes_s": [r["probes"] for r in runs],
-        "scaled_run_s": statistics.median(
-            r["wall"] * NOMINAL_PROBE_S / statistics.fmean(r["probes"])
-            for r in runs),
+        "scaled_runs_s": [r["scaled"] for r in runs],
+        "scaled_run_s": statistics.median(r["scaled"] for r in runs),
         "phases_s": {phase: statistics.median(r["phases"][phase] for r in runs)
                      for phase in ALL_PHASES},
         "verifies": runs[0]["verifies"],
