@@ -6,7 +6,8 @@ Two signature scheme implementations sit behind one interface:
   Ed25519 signing is deterministic (RFC 8032), so replayable runs work
   under it too.
 * ``KeyedHashScheme`` — a test double where the keypair derives from the
-  seed by hashing and a "signature" is an HMAC keyed off the public key.
+  seed by hashing and a "signature" is an HMAC-SHA256 keyed off the public
+  key, computed as two SHA-256 calls over the pad blocks, per RFC 2104.
   Anyone holding the public key could forge, which is fine for a
   deterministic fixture scheme and irrelevant to the protocol logic the
   tests exercise.
@@ -29,6 +30,11 @@ if TYPE_CHECKING:
 
 DIGEST_LEN = 32
 ZERO_DIGEST = b"\x00" * DIGEST_LEN
+
+# RFC 2104's inner and outer pads, as `bytes.translate` tables; a 32-byte
+# key fills the rest of SHA-256's 64-byte block with the pad byte itself
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
 def sha256(message: bytes) -> bytes:
@@ -125,8 +131,15 @@ class KeyedHashScheme(SignatureScheme):
 
     @staticmethod
     def _mac(public: bytes, message: bytes) -> bytes:
+        """HMAC-SHA256 (RFC 2104) of `message` under a key derived from
+        `public`, without the stdlib `hmac` object, whose Python frames
+        cost more than the hashing; the key is shorter than the block, so
+        it is padded and never hashed."""
         key = sha256(b"dmap/keyed-hash/mac" + public)
-        return hmac.new(key, message, hashlib.sha256).digest()
+        inner = hashlib.sha256(key.translate(_IPAD) + b"\x36" * 32
+                               + message).digest()
+        return hashlib.sha256(key.translate(_OPAD) + b"\x5c" * 32
+                              + inner).digest()
 
 
 ED25519 = Ed25519Scheme()

@@ -9,7 +9,7 @@ detectable by a full rescan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import encoding
 from .crypto import (
@@ -92,6 +92,10 @@ BLOCK = Layout(Block, TAG_BLOCK, (
     ("txs", list_of(hand(lambda tx: tx.wire, _read_chained)))),
     make=Block.make)
 _block_body_bytes = BLOCK.fields_before()
+# a block in a ledger dump: its rows, then the hash it was chained with,
+# which decodes into `block_hash` without hashing the block
+_DUMPED_BLOCK = Layout(Block, None, (
+    *BLOCK.rows, ("block_hash", raw(DIGEST_LEN))))
 
 
 @dataclass
@@ -293,11 +297,13 @@ def dump_ledger(ledger: Ledger) -> bytes:
     return b"".join((LEDGER_DUMP_MAGIC,
                      length_prefixed(ledger.rsi_region.encode()),
                      len(ledger.blocks).to_bytes(4, "big"),
-                     *(BLOCK.encode(b) + b.block_hash for b in ledger.blocks)))
+                     *(BLOCK.tag_byte + _DUMPED_BLOCK.encode(b)
+                       for b in ledger.blocks)))
 
 
 def load_ledger(data: bytes) -> Ledger:
-    """Decode a `dump_ledger` dump; each block keeps its stored hash."""
+    """Decode a `dump_ledger` dump; each block keeps its stored hash, and
+    none is hashed here."""
     r = Reader(data)
     if r.raw(len(LEDGER_DUMP_MAGIC)) != LEDGER_DUMP_MAGIC:
         raise DecodeError("not a ledger dump")
@@ -306,7 +312,7 @@ def load_ledger(data: bytes) -> Ledger:
     for _ in range(r.u32()):
         if r.u8() != TAG_BLOCK:
             raise DecodeError("expected a block")
-        blocks.append(replace(BLOCK.decode(r), block_hash=r.raw(DIGEST_LEN)))
+        blocks.append(_DUMPED_BLOCK.decode(r))
     r.expect_eof()
     return Ledger(rsi_region=region, blocks=blocks)
 

@@ -1,3 +1,5 @@
+import hashlib
+import hmac
 import os
 import pathlib
 import struct
@@ -5,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dmap
 from dmap import fixtures
@@ -119,6 +123,37 @@ class TestSignVerify:
             sig = sch.sign(k, m)
             assert sch.verify(k.public, m, sig)
             assert not sch.verify(k.public, m + b"x", sig)
+
+
+class TestKeyedHashMac:
+    """`KEYED_HASH` computes HMAC-SHA256 by hand; it must equal `hmac.new`."""
+
+    @staticmethod
+    def check(public, message):
+        sig = KEYED_HASH.sign(KeyPair(public=public, secret=b""), message)
+        key = sha256(b"dmap/keyed-hash/mac" + public)
+        assert sig == hmac.new(key, message, hashlib.sha256).digest()
+        assert KEYED_HASH.verify(public, message, sig)
+        for at in (0, len(sig) - 1):
+            flipped = bytearray(sig)
+            flipped[at] ^= 0x01
+            assert not KEYED_HASH.verify(public, message, bytes(flipped))
+        # a 31- or 33-byte key or signature is refused
+        for key in (public[:31], public + b"\x00"):
+            assert not KEYED_HASH.verify(key, message, sig)
+        for bad in (sig[:31], sig + b"\x00"):
+            assert not KEYED_HASH.verify(public, message, bad)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(public=st.binary(min_size=32, max_size=32),
+           message=st.binary(max_size=300))
+    def test_equals_stdlib_hmac(self, public, message):
+        self.check(public, message)
+
+    # around SHA-256's 64-byte block and its 55/56-byte padding boundary
+    @pytest.mark.parametrize("n", [0, 55, 56, 63, 64, 65, 119, 120, 1000])
+    def test_equals_stdlib_hmac_at_block_boundaries(self, n):
+        self.check(sha256(b"boundary"), bytes(i % 251 for i in range(n)))
 
 
 class TestCertificates:

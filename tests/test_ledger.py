@@ -3,6 +3,7 @@ import hashlib
 
 import pytest
 
+from dmap import ledger as ledger_module
 from dmap.crypto import KEYED_HASH, ZERO_DIGEST, issue_certificate, sha256
 from dmap.encoding import DecodeError, canonical_encode
 from dmap.ledger import (
@@ -431,6 +432,22 @@ class TestDumpLoad:
         assert restored.rsi_region == ledger.rsi_region
         assert restored.blocks == ledger.blocks
         assert validate_chain(restored).ok
+
+    def test_loading_and_validating_hashes_each_block_once(
+            self, finished_worlds, monkeypatch):
+        world, _ = finished_worlds["honest_majority"]
+        data = dump_ledger(world.ledgers["r0_c0"])
+        calls = []
+
+        def counted(message):
+            calls.append(len(message))
+            return sha256(message)
+
+        monkeypatch.setattr(ledger_module, "sha256", counted)
+        restored = load_ledger(data)
+        assert calls == []
+        assert validate_chain(restored).ok
+        assert len(calls) == len(restored.blocks) > 1
 
     def test_previous_format_is_refused(self, setup):
         # version 1 dumps had no stored hashes under the magic "DMAPLEDG"

@@ -25,10 +25,12 @@ def test_smallest_point_writes_the_schema(tmp_path):
                    check=True, capture_output=True, timeout=120)
     result = json.loads(out.read_text())
     assert set(result) == {"python", "probe_s", "repeats",
-                           "slope_over_vehicles", "points"}
+                           "slope_over_vehicles", "slope_over_duration",
+                           "points"}
     assert result["probe_s"] > 0 and result["repeats"] == 1
-    # one vehicle count per scheme
+    # one vehicle count per scheme, and no market_suite point
     assert result["slope_over_vehicles"] == {"keyed-hash": None}
+    assert result["slope_over_duration"] is None
     (point,) = result["points"]
     assert point["name"] == "honest_majority_60" and point["vehicles"] == 60
     assert point["scheme"] == "keyed-hash"
@@ -65,3 +67,23 @@ def test_each_step_is_scaled_by_the_probes_around_it(monkeypatch):
                          "keyed-hash")
     assert len(probes) >= 2
     assert run["scaled"] == pytest.approx(2 * run["wall"])
+
+
+def test_slope_over_duration_fits_the_market_suite_points(monkeypatch):
+    # run_s grows as the square root of the duration on the market_suite
+    # points; the vehicle points do not enter the duration slope
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    scale = _load("scale_tool", REPO_ROOT / "tools" / "scale.py")
+    times = {"honest_majority_60": 1, "market_suite_1x": 1,
+             "market_suite_10x": 10, "market_suite_30x": 30}
+    names = list(times)
+
+    def measure(names, repeats):
+        return [{"name": name, "scheme": "keyed-hash", "vehicles": 60,
+                 "duration_ms": 1000 * times[name],
+                 "run_s": 0.01 * times[name] ** 0.5} for name in names]
+
+    monkeypatch.setattr(scale, "measure", measure)
+    monkeypatch.setattr(scale, "_probe", lambda: 1.0)
+    assert scale.report(names, 1)["slope_over_duration"] == pytest.approx(0.5)
+    assert scale.report(names[:2], 1)["slope_over_duration"] is None

@@ -24,16 +24,17 @@ scheme, in every timed run (about 2 % of the 600-vehicle keyed-hash run,
 8 alternating runs each way); they are deterministic, so the first
 run's counts are recorded. A method the tree lacks counts 0, so the tool
 also measures older trees. The file also holds the fitted log-log slope
-of wall time over vehicles for each scheme, the Python version and the
-probe time of ``perfbench/speed.py`` (seconds for a fixed pure-Python
-loop), so files from different machines can be compared. Times are raw
-``perf_counter`` seconds, except ``scaled_runs_s`` and their median
-``scaled_run_s``. A run is stepped as ``perfbench/run.py`` steps it: each
-``World.step()`` and then the rest of ``World.run()`` is timed, and a
-``perfbench/speed.py`` ``SpeedMeter`` scales each of those intervals by
-the probes taken around it, one every ``SEGMENT_S`` of run time, so a
-speed change during a run is seen. Probe time is not part of a run's wall
-time.
+of wall time over vehicles for each scheme and over duration for the
+``market_suite_*`` points (``slope_over_duration``), each None with fewer
+than two points, the Python version and the probe time of
+``perfbench/speed.py`` (seconds for a fixed pure-Python loop), so files
+from different machines can be compared. Times are raw ``perf_counter``
+seconds, except ``scaled_runs_s`` and their median ``scaled_run_s``. A
+run is stepped as ``perfbench/run.py`` steps it: each ``World.step()`` and
+then the rest of ``World.run()`` is timed, and a ``perfbench/speed.py``
+``SpeedMeter`` scales each of those intervals by the probes taken around
+it, one every ``SEGMENT_S`` of run time, so a speed change during a run is
+seen. Probe time is not part of a run's wall time.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ POINTS = {  # name -> (scenario maker, vehicle count or None, scheme)
     "honest_majority_600_ed25519": (lambda: _vehicles(600), 600, "ed25519"),
     "market_suite_1x": (lambda: _duration(1), None, "keyed-hash"),
     "market_suite_10x": (lambda: _duration(10), None, "keyed-hash"),
+    "market_suite_30x": (lambda: _duration(30), None, "keyed-hash"),
 }
 ALL_PHASES = (*PHASES, "other")
 
@@ -201,10 +203,10 @@ def measure(names: list[str], repeats: int) -> list[dict]:
     return [summarise(name, configs[name], runs[name]) for name in names]
 
 
-def slope(points: list[dict]) -> float | None:
-    """Least-squares slope of log(run_s) over log(vehicles); None with
+def slope(points: list[dict], axis: str) -> float | None:
+    """Least-squares slope of log(run_s) over log(p[axis]); None with
     fewer than two points."""
-    xy = [(math.log(p["vehicles"]), math.log(p["run_s"])) for p in points]
+    xy = [(math.log(p[axis]), math.log(p["run_s"])) for p in points]
     if len(xy) < 2:
         return None
     mx = statistics.fmean(x for x, _ in xy)
@@ -216,15 +218,19 @@ def slope(points: list[dict]) -> float | None:
 def report(names: list[str], repeats: int) -> dict:
     points = measure(names, repeats)
     by_scheme: dict[str, list[dict]] = {}
+    over_duration = []
     for p in points:
         if POINTS[p["name"]][1] is not None:
             by_scheme.setdefault(p["scheme"], []).append(p)
+        else:
+            over_duration.append(p)
     return {
         "python": platform.python_version(),
         "probe_s": _probe(),
         "repeats": repeats,
-        "slope_over_vehicles": {scheme: slope(ps)
+        "slope_over_vehicles": {scheme: slope(ps, "vehicles")
                                 for scheme, ps in by_scheme.items()},
+        "slope_over_duration": slope(over_duration, "duration_ms"),
         "points": points,
     }
 
