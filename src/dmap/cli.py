@@ -21,6 +21,7 @@ import time
 from . import fixtures, sim
 from .encoding import DecodeError, canonical_encode
 from .ledger import load_ledger, validate_chain
+from .scenario import ConfigError
 
 EXIT_OK = 0
 EXIT_TAMPERED = 1
@@ -42,7 +43,7 @@ def build_run_report(world: sim.World, metrics: dict) -> dict:
             }
             for region in sorted(world.ledgers)
         },
-        "invariants": getattr(world, "invariant_results", {}),
+        "invariants": world.invariant_results,
     }
 
 
@@ -65,7 +66,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_NOINPUT
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8, and integers of over 4,300 digits
         print(f"scenario is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_BADCONFIG
     if not isinstance(raw, dict):
@@ -87,7 +88,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         world = sim.World(sim.ScenarioConfig.from_dict(raw))
         started = time.monotonic()
         metrics = world.run()
-    except sim.ConfigError as exc:
+    except ConfigError as exc:
         print(f"invalid scenario field {exc}", file=sys.stderr)
         return EXIT_BADCONFIG
     except sim.InvariantViolation as exc:

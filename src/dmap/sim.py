@@ -7,20 +7,17 @@ from a counter-based stream keyed by (scenario seed, entity), so the full
 state trajectory is a pure function of the scenario config. Vehicles
 sample their surroundings at validation-window boundaries and sign each
 report with a key freshly derived from their private master seed; the
-world keeps the key-to-vehicle map as ground truth for the linkability
-metric, and nothing linkable ever enters a protocol message.
+linkability metric counts key reuse per vehicle from the world's own
+delivery log, and nothing linkable ever enters a protocol message.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import re
 import struct
-import sys
-from dataclasses import dataclass, field, fields, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from itertools import repeat
-from typing import Any, Callable
 
 from . import edge, txmodel
 from .crypto import KEYED_HASH, KeyPair, SignatureScheme, issue_certificate, sha256
@@ -28,6 +25,8 @@ from .edge import ConsistencyPolicy, RegionStats, RsiState
 from .ledger import Ledger, MinerPolicy, append_admitted, genesis, miner_admit, validate_chain
 from .market import AccessResult, RuleTable, build_access_tx, build_data_request, create_contract
 from .rng import CounterRng
+from .scenario import (STRATEGY_FABRICATE, STRATEGY_REPLAY, TICK_MS, Access, CreateContract,
+                       DataRequest, GroundTruthEvent, MarketAction, ScenarioConfig, region_name)
 from .txmodel import (
     DataTransaction,
     EventKind,
@@ -44,19 +43,7 @@ from .txmodel import (
     distance_m,
 )
 
-TICK_MS = 100
 TICK_S = TICK_MS / 1000.0
-
-STRATEGY_FABRICATE = "FabricateEvent"
-STRATEGY_SUPPRESS = "SuppressReports"
-STRATEGY_REPLAY = "ReplayStale"
-STRATEGIES = (STRATEGY_FABRICATE, STRATEGY_SUPPRESS, STRATEGY_REPLAY)
-
-
-class ConfigError(ValueError):
-    def __init__(self, field_name: str, message: str = "") -> None:
-        self.field = field_name
-        super().__init__(f"{field_name}: {message}" if message else field_name)
 
 
 class InvariantViolation(RuntimeError):
@@ -66,10 +53,6 @@ class InvariantViolation(RuntimeError):
 def _geo_to_xy(loc: GeoPoint) -> tuple[float, float]:
     return (loc.lon_micro / 1e6 * txmodel.METERS_PER_DEGREE,
             loc.lat_micro / 1e6 * txmodel.METERS_PER_DEGREE)
-
-
-def region_name(row: int, col: int) -> str:
-    return f"r{row}_c{col}"
 
 
 def _advance(v: "Vehicle", ticks: int) -> tuple[float, float]:
@@ -102,391 +85,6 @@ def _ticks_inside(pos: float, step: float, floor: float, size: float,
     else:
         return math.inf
     return max(int((d - 2 * ulp) / (abs(step) + ulp)) - 1, 0)
-
-
-# --- configuration ----------------------------------------------------------
-#
-# A scenario is read through tables of (path, parser, default) rows, one
-# row per field, in the order of the fields of the type the table makes.
-# A parser takes (value, field name) and returns the typed value or raises
-# ConfigError naming the field; a dotted path reads a nested object; a
-# callable default is called for each value it supplies.
-
-_REQUIRED = object()  # the default of a field that must be given
-Parser = Callable[[Any, str], Any]
-
-
-def _values(obj: Any, where: str, table: tuple) -> list[Any]:
-    """The value of each row of `table` in the object `obj`, named `where`."""
-    if not isinstance(obj, dict):
-        raise ConfigError(where or "scenario", "must be an object")
-    prefix = where + "." if where else ""
-    return [parse(obj[path], prefix + path) if "." not in path and path in obj
-            else _nested(obj, where, path, parse, default)
-            for path, parse, default in table]
-
-
-def _nested(obj: Any, where: str, path: str, parse: Parser, default: Any) -> Any:
-    """The value of a row that `_values` did not find at the top of `obj`."""
-    for key in path.split("."):
-        if not isinstance(obj, dict):
-            raise ConfigError(where, "must be an object")
-        where = f"{where}.{key}" if where else key
-        if key not in obj:
-            if default is _REQUIRED:
-                raise ConfigError(where, "missing")
-            return default() if callable(default) else default
-        obj = obj[key]
-    return parse(obj, where)
-
-
-def _object(table: tuple, build: Callable[..., Any]) -> Parser:
-    """An object read by `table`; `build(where, *values)` makes its value."""
-    return lambda value, where: build(where, *_values(value, where, table))
-
-
-def _check(ok: Callable[[Any], bool], message: str) -> Parser:
-    """A value that `ok` accepts; a `TypeError` from `ok` is a refusal."""
-    def parse(value: Any, where: str) -> Any:
-        try:
-            if ok(value):
-                return value
-        except TypeError:
-            pass
-        raise ConfigError(where, message)
-    parse.ok, parse.message = ok, message  # for `_list`
-    return parse
-
-
-def _list(item: Parser, nonempty: bool = False, indexed: bool = False) -> Parser:
-    """A list of values that `item` parses, as a tuple. When `indexed`, each
-    is named by its index; else `item` is a `_check` and the list is named."""
-    def parse(value: Any, where: str) -> tuple:
-        if not isinstance(value, list) or (nonempty and not value):
-            raise ConfigError(where, f"must be a {'non-empty ' if nonempty else ''}list")
-        if indexed:
-            return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
-        try:
-            if all(map(item.ok, value)):
-                return tuple(value)
-        except TypeError:
-            pass
-        raise ConfigError(where, item.message)
-    return parse
-
-
-def _is_number(value: Any) -> bool:
-    # the range test also rejects JSON's NaN and Infinity, and integers too
-    # large for the float arithmetic the simulation does with them
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and -sys.float_info.max <= value <= sys.float_info.max)
-
-
-def _integer(lo: float = 0, hi: float = 2**64) -> Parser:
-    """An integer in [lo, hi); times and prices go on the wire as u64."""
-    return _check(lambda v: type(v) is int and lo <= v < hi,
-                  f"must be an integer in [{lo}, {hi})")
-
-
-def _interval(strict: bool) -> Parser:
-    """[start, end] integer milliseconds in [0, 2**64), as a pair; start < end
-    when `strict`, else start <= end."""
-    check = _check(lambda v: type(v) is list and len(v) == 2 and type(v[0]) is int
-                   and type(v[1]) is int and 0 <= v[0] <= v[1] - strict and v[1] < 2**64,
-                   f"expected [start, end], 0 <= start {'<' if strict else '<='} end")
-    return lambda value, where: tuple(check(value, where))
-
-
-# SP names are encoded into key seeds, so a lone surrogate is refused
-_string = _check(lambda v: isinstance(v, str) and v.encode(errors="ignore").decode() == v,
-                 "must be a string of valid Unicode")
-_NUMBER = _check(_is_number, "must be a number")
-_POSITIVE = _check(lambda v: _is_number(v) and v > 0, "must be a positive number")
-_KIND_NAME = _check(frozenset(EventKind.CODE_NAMES).__contains__, "must name an event kind")
-
-
-def _geo(where: str, lat: float, lon: float) -> GeoPoint:
-    try:
-        # OverflowError: a magnitude so large that degrees * 1e6 is infinite
-        loc = GeoPoint.from_degrees(lat, lon)
-        loc.check_range()
-    except (txmodel.RangeError, OverflowError) as exc:
-        raise ConfigError(where, str(exc)) from exc
-    return loc
-
-
-_LOC = _object((("lat", _NUMBER, _REQUIRED), ("lon", _NUMBER, _REQUIRED)), _geo)
-
-
-def _area(value: Any, where: str) -> tuple[GeoPoint, GeoPoint]:
-    if not (type(value) is list and len(value) == 2 and all(
-            type(c) is list and len(c) == 2 and all(map(_is_number, c)) for c in value)):
-        raise ConfigError(where, "expected [[lat, lon], [lat, lon]] in degrees")
-    low, high = (_geo(where, *corner) for corner in value)
-    if low.lat_micro >= high.lat_micro or low.lon_micro >= high.lon_micro:
-        raise ConfigError(where, "the first corner must lie south-west of the second")
-    return low, high
-
-
-_KIND_FIELDS = (("name", _KIND_NAME, _REQUIRED),
-                ("speed_kmh", _integer(0, 2**32), 0))
-
-
-def _kind(value: Any, where: str) -> EventKind:
-    """An event kind: its name, or {name, speed_kmh} for TrafficSpeed."""
-    name, speed = _values({"name": value} if isinstance(value, str) else value,
-                          where, _KIND_FIELDS)
-    if name != "TrafficSpeed" and speed:
-        raise ConfigError(where, "speed only valid for TrafficSpeed")
-    return EventKind(EventKind.CODE_NAMES.index(name), speed)
-
-
-def _kind_value(kind: EventKind) -> str | dict:
-    """The scenario value that `_kind` reads back as `kind`."""
-    if kind.name == "TrafficSpeed":
-        return {"name": kind.name, "speed_kmh": kind.speed_kmh}
-    return kind.name
-
-
-@dataclass
-class GroundTruthEvent:
-    region: str
-    loc: GeoPoint
-    kind: EventKind
-    start_ms: int
-    end_ms: int
-
-
-@dataclass(frozen=True)
-class AdversaryConfig:
-    fraction: float = 0.0
-    strategy: str = STRATEGY_FABRICATE
-    fab_kind: EventKind | None = None
-    fab_loc: GeoPoint | None = None
-
-
-_ADVERSARY_FIELDS = (
-    ("fraction", _check(lambda v: _is_number(v) and 0 <= v <= 1,
-                        "must be a number in [0, 1]"), 0.0),
-    ("strategy.type", _check(lambda v: v in STRATEGIES, f"must be one of {STRATEGIES}"),
-     STRATEGY_FABRICATE),
-    ("strategy.kind", _kind, None),
-    ("strategy.loc", _LOC, None),
-)
-_EVENT = _object((
-    ("region", _string, ""),
-    ("loc", _LOC, _REQUIRED),
-    ("kind", _kind, _REQUIRED),
-    ("active_ms", _interval(strict=True), _REQUIRED),
-), lambda where, region, loc, kind, active: GroundTruthEvent(region, loc, kind, *active))
-
-# ScenarioConfig's fields that need no other to be checked; to_dict repeats
-# the scalar ones as given
-_SCALAR_FIELDS = (
-    ("seed", _integer(), _REQUIRED),
-    ("grid.rows", _integer(1, math.inf), _REQUIRED),
-    ("grid.cols", _integer(1, math.inf), _REQUIRED),
-    ("grid.cell_size_m", _POSITIVE, _REQUIRED),
-    ("vehicles.count", _integer(0, math.inf), _REQUIRED),
-    ("vehicles.speed_min_mps",
-     _check(lambda v: _is_number(v) and v >= 0, "must be non-negative"), _REQUIRED),
-    ("vehicles.speed_max_mps", _NUMBER, _REQUIRED),
-    ("duration_ms", _integer(1, math.inf), _REQUIRED),
-    ("window_ms", _check(lambda v: type(v) is int and v > 0 and v % TICK_MS == 0,
-                         f"must be a positive multiple of {TICK_MS}"), _REQUIRED),
-    ("consistency.eps_distance_m", _POSITIVE, _REQUIRED),
-    ("consistency.eps_time_ms", _integer(1, math.inf), _REQUIRED),
-    ("consistency.min_corroboration", _integer(2, math.inf), _REQUIRED),
-    ("miner_m", _integer(1, math.inf), 2),
-    ("sensing_radius_m", _POSITIVE, 100.0),
-)
-_CONFIG_FIELDS = _SCALAR_FIELDS + (
-    ("ground_truth_events", _list(_EVENT, indexed=True), ()),
-    ("adversary", _object(_ADVERSARY_FIELDS, lambda where, *f: AdversaryConfig(*f)),
-     AdversaryConfig),
-)
-
-
-# --- market script ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MarketAction:
-    tick: int  # the first tick at which the action is due
-    raw: dict = field(compare=False, repr=False)  # the entry, for the report
-
-
-@dataclass(frozen=True)
-class CreateContract(MarketAction):
-    owner_vehicle: int
-    grantee_sp: str
-    timespan: tuple[int, int]
-    scope: Scope
-    price: int
-
-
-@dataclass(frozen=True)
-class Access(MarketAction):
-    """Cites `contract_index`, else a signature of `owner_sig_vehicle`."""
-
-    requester_sp: str
-    query: Scope
-    contract_index: int | None
-    owner_sig_vehicle: int | None
-
-
-@dataclass(frozen=True)
-class DataRequest(MarketAction):
-    """The SP signs a `DataRequestTransaction` over the target regions. At
-    the next window boundary each auto-grant vehicle checks the SP
-    signature and that its serving region is a signed target; if both
-    hold, it grants the SP a contract over the target regions and the
-    period. The area is advertised only: no grant is scoped by it."""
-
-    sp: str
-    area: tuple[GeoPoint, GeoPoint]
-    period: tuple[int, int]
-    target_regions: tuple[str, ...]
-    auto_grant_vehicles: tuple[int, ...]
-
-
-def _fleet_fields(cfg: "ScenarioConfig") -> tuple:
-    """The rows of `key_reuse_vehicles` and `market_script`, whose checks
-    need the grid, the fleet and the run length of `cfg`."""
-    vehicle = _integer(0, cfg.vehicle_count)
-
-    @functools.cache
-    def is_region(v: str) -> bool:
-        m = re.fullmatch(r"r(0|[1-9][0-9]*)_c(0|[1-9][0-9]*)", v)
-        return bool(m) and int(m[1]) < cfg.rows and int(m[2]) < cfg.cols
-
-    region = _check(is_region, "must name a grid region")
-    # every region, listed only when an action leaves its regions out
-    regions = functools.cache(lambda: tuple(sorted(
-        region_name(row, col) for row in range(cfg.rows) for col in range(cfg.cols))))
-    scope = _object((
-        ("regions", _list(region), regions),
-        ("period", _interval(strict=False), (0, cfg.duration_ms)),
-        ("kinds", _list(_KIND_NAME), EventKind.CODE_NAMES),
-    ), lambda where, region_ids, period, kinds: Scope(
-        region_ids, *period, tuple(map(EventKind.CODE_NAMES.index, kinds))))
-    actions = {  # each table's first row gives the due time, the rest the fields
-        "create_contract": (CreateContract, (
-            ("time_ms", _NUMBER, 0),
-            ("owner_vehicle", vehicle, _REQUIRED),
-            ("grantee_sp", _string, _REQUIRED),
-            ("timespan", _interval(strict=True), _REQUIRED),
-            ("scope", scope, _REQUIRED),
-            ("price", _integer(), 0))),
-        "access": (Access, (
-            ("time_ms", _NUMBER, 0),
-            ("requester_sp", _string, _REQUIRED),
-            ("query", scope, _REQUIRED),
-            ("grant.contract_index", _integer(), None),
-            ("grant.owner_sig_vehicle", vehicle, None))),
-        "data_request": (DataRequest, (
-            ("time_ms", _NUMBER, 0),
-            ("sp", _string, _REQUIRED),
-            ("area", _area, _REQUIRED),
-            ("period", _interval(strict=False), (0, cfg.duration_ms)),
-            ("target_regions", _list(region, nonempty=True), regions),
-            ("auto_grant_vehicles", _list(vehicle), ()))),
-    }
-
-    def action(raw: Any, where: str) -> MarketAction:
-        kind = raw.get("action") if isinstance(raw, dict) else None
-        if not isinstance(kind, str) or kind not in actions:
-            raise ConfigError(f"{where}.action", f"must be one of {tuple(actions)}")
-        cls, table = actions[kind]
-        time_ms, *values = _values(raw, where, table)
-        return cls(max(math.ceil(time_ms / TICK_MS), 0), raw, *values)
-
-    def script(value: Any, where: str) -> tuple[MarketAction, ...]:
-        """The actions. A `grant.contract_index` must name a contract made
-        before its access is due: one per `create_contract` due before it in
-        script order, one per auto-grant vehicle of each `data_request` whose
-        next window boundary is at or before its tick, granting or not."""
-        parsed = _list(action, indexed=True)(value, where)
-        window_ticks = cfg.window_ms // TICK_MS
-        made = 0
-        pending: list[tuple[int, int]] = []  # (boundary tick, contracts), in order
-        for i in sorted(range(len(parsed)), key=lambda j: parsed[j].tick):
-            act = parsed[i]
-            while pending and pending[0][0] <= act.tick:
-                made += pending.pop(0)[1]
-            if isinstance(act, CreateContract):
-                made += 1
-            elif isinstance(act, DataRequest):
-                boundary = (act.tick // window_ticks + 1) * window_ticks
-                pending.append((boundary, len(act.auto_grant_vehicles)))
-            elif act.contract_index is not None and act.contract_index >= made:
-                raise ConfigError(f"{where}[{i}].grant.contract_index",
-                                  f"only {made} contracts exist by tick {act.tick}")
-        return parsed
-
-    return (("key_reuse_vehicles", _list(vehicle), ()), ("market_script", script, ()))
-
-
-@dataclass
-class ScenarioConfig:
-    seed: int
-    rows: int
-    cols: int
-    cell_size_m: float
-    vehicle_count: int
-    speed_min_mps: float
-    speed_max_mps: float
-    duration_ms: int
-    window_ms: int
-    eps_distance_m: float
-    eps_time_ms: int
-    min_corroboration: int
-    miner_m: int
-    sensing_radius_m: float
-    ground_truth_events: tuple[GroundTruthEvent, ...]
-    adversary: AdversaryConfig
-    key_reuse_vehicles: tuple[int, ...]
-    market_script: tuple[MarketAction, ...]
-
-    @classmethod
-    def from_dict(cls, d: Any) -> "ScenarioConfig":
-        """Parse a scenario, checking every field once; raises ConfigError
-        naming the first field that is missing, mistyped or out of range."""
-        cfg = cls(*_values(d, "", _CONFIG_FIELDS), (), ())
-        if cfg.speed_max_mps < cfg.speed_min_mps:
-            raise ConfigError("vehicles.speed", "need 0 <= min <= max")
-        adv = cfg.adversary
-        if (adv.strategy == STRATEGY_FABRICATE and adv.fraction > 0
-                and (adv.fab_kind is None or adv.fab_loc is None)):
-            raise ConfigError("adversary.strategy", "FabricateEvent needs kind and loc")
-        cfg.key_reuse_vehicles, cfg.market_script = _values(d, "", _fleet_fields(cfg))
-        return cfg
-
-    def to_dict(self) -> dict:
-        """The scenario as the run report repeats it, defaults filled in."""
-        out: dict[str, Any] = {}
-        for (path, _, _), attr in zip(_SCALAR_FIELDS, fields(self)):
-            *parents, key = path.split(".")
-            node = out
-            for parent in parents:
-                node = node.setdefault(parent, {})
-            node[key] = getattr(self, attr.name)
-        adv = self.adversary
-        strategy: dict[str, Any] = {"type": adv.strategy}
-        if adv.fab_kind is not None:
-            strategy["kind"] = _kind_value(adv.fab_kind)
-        if adv.fab_loc is not None:
-            strategy["loc"] = {"lat": adv.fab_loc.lat_micro / 1e6,
-                               "lon": adv.fab_loc.lon_micro / 1e6}
-        out["adversary"] = {"fraction": adv.fraction, "strategy": strategy}
-        out["ground_truth_events"] = [
-            {"region": ev.region,
-             "loc": {"lat": ev.loc.lat_micro / 1e6, "lon": ev.loc.lon_micro / 1e6},
-             "kind": _kind_value(ev.kind),
-             "active_ms": [ev.start_ms, ev.end_ms]}
-            for ev in self.ground_truth_events]
-        out["market_script"] = [action.raw for action in self.market_script]
-        out["key_reuse_vehicles"] = list(self.key_reuse_vehicles)
-        return out
 
 
 # --- world state -------------------------------------------------------------
@@ -619,7 +217,6 @@ class World:
 
         self.window_index = 0
         self.delivery_log: list[Delivery] = []
-        self.pk_owner: dict[bytes, int] = {}
         self.injected_false = 0
         self.handover_count = 0
         self.access_granted = 0
@@ -668,7 +265,6 @@ class World:
                  fabricated: bool = False) -> None:
         """Sign a report under a fresh key and send it to the serving RSI."""
         tx = build_data_tx(self.scheme, v.fresh_key(self.scheme), loc, kind, ts)
-        self.pk_owner.setdefault(tx.pk, v.vid)
         region = v.assoc_region
         edge.ingest(self.scheme, self.rsis[region], tx)
         self.delivery_log.append(Delivery(self.window_index, region, v.vid,
@@ -684,7 +280,7 @@ class World:
     def _emit_phase(self) -> None:
         cfg = self.config
         ts = self.clock_ms
-        active = [e for e in self._events if e[0].start_ms <= ts < e[0].end_ms]
+        active = [e for e in self._events if e[0].active_ms[0] <= ts < e[0].active_ms[1]]
         for v in self.vehicles:
             if v.honest:
                 # corroborating reports must be byte-identical for the member
@@ -899,26 +495,19 @@ class World:
         cfg = self.config
         for ev in cfg.ground_truth_events:
             if (payload.event == ev.kind
-                    and ev.start_ms <= payload.timestamp < ev.end_ms
+                    and ev.active_ms[0] <= payload.timestamp < ev.active_ms[1]
                     and distance_m(payload.loc, ev.loc) <= cfg.eps_distance_m):
                 return True
         return False
 
     def compute_linkability(self) -> dict:
-        """Count protocol-visible key reuse per vehicle (ground-truth map)."""
-        per_vehicle: dict[int, dict[bytes, int]] = {}
-        for d in self.delivery_log:
-            vid = self.pk_owner[d.tx.pk]
-            per_vehicle.setdefault(vid, {})
-            per_vehicle[vid][d.tx.pk] = per_vehicle[vid].get(d.tx.pk, 0) + 1
-        violations = {}
-        total = 0
-        for vid, pks in per_vehicle.items():
-            v = sum(uses - 1 for uses in pks.values() if uses > 1)
-            if v:
-                violations[vid] = v
-                total += v
-        return {"linkability_violations": total,
+        """Count protocol-visible key reuse per vehicle: every use of a
+        report key after its vehicle's first, from the delivery log."""
+        violations: Counter[int] = Counter()
+        for (vid, _), uses in Counter((d.vid, d.tx.pk) for d in self.delivery_log).items():
+            if uses > 1:
+                violations[vid] += uses - 1
+        return {"linkability_violations": violations.total(),
                 "per_vehicle": {str(k): violations[k] for k in sorted(violations)}}
 
     def audit_access_log(self, chained: dict[bytes, str],
@@ -986,9 +575,9 @@ class World:
         results: dict[str, str] = {}
 
         def check(name: str, ok: bool, detail: str = "") -> None:
-            results[name] = "ok" if ok else f"FAIL {detail}".strip()
             if not ok:
                 raise InvariantViolation(f"{name}: {detail}")
+            results[name] = "ok"
 
         for region in sorted(self.ledgers):
             status = validate_chain(self.ledgers[region])

@@ -111,6 +111,23 @@ class TestRun:
         path.write_text("{not json")
         assert cli.main(["run", "--scenario", str(path)]) == 65
 
+    @pytest.mark.parametrize("text", [b'{"seed": "\xff"}', b'{"seed": 1' + b"1" * 5000 + b"}"],
+                             ids=["bad_utf8", "5001_digit_integer"])
+    def test_undecodable_json_exits_65(self, tmp_path, capsys, text):
+        path = tmp_path / "broken.json"
+        path.write_bytes(text)
+        assert cli.main(["run", "--scenario", str(path)]) == 65
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_overlong_region_index_exits_65(self, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "market_suite.json").read_text())
+        doc["market_script"][0]["scope"]["regions"] = ["r" + "1" * 5000 + "_c0"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--scenario", str(path)]) == 65
+        err = capsys.readouterr().err
+        assert "market_script[0].scope.regions: must name a grid region" in err
+
     def test_bad_field_exits_65_naming_field(self, tmp_path, capsys):
         doc = json.loads((SCENARIO_DIR / "honest_majority.json").read_text())
         doc["adversary"]["fraction"] = 2

@@ -15,7 +15,8 @@ from dmap.crypto import KEYED_HASH, verify_certificate
 from dmap.encoding import canonical_encode
 from dmap.ledger import _link, validate_chain
 from dmap.market import AccessResult, build_access_tx, create_contract
-from dmap.sim import ConfigError, Delivery, InvariantViolation, ScenarioConfig, World
+from dmap.scenario import ConfigError, ScenarioConfig
+from dmap.sim import Delivery, InvariantViolation, World
 from dmap.txmodel import (
     GRANT_CONTRACT_REF,
     ROAD_DAMAGE,
@@ -399,7 +400,6 @@ class TestLinkabilityDetector:
     def deliver(self, world, vid, keypair, ts):
         tx = build_data_tx(scheme, keypair, GeoPoint(1000, 1000),
                            ROAD_DAMAGE, ts)
-        world.pk_owner.setdefault(tx.pk, vid)
         world.delivery_log.append(Delivery(0, "r0_c0", vid, tx, False))
 
     def test_reused_key_counts_extra_uses(self):
