@@ -7,12 +7,17 @@ served once the requester's transaction carries both the requester's
 signature and the rule table's countersignature, and that final form is
 chained on the ledger of the region whose directory served the request.
 
-Store-side search scans each directory's records in process; external
-search services are deliberately not used.
+Store-side search runs in process; external search services are
+deliberately not used. Each directory groups its records by location and
+event code, each group in timestamp order with prefix sums of the record
+sizes, so a query bisects its period in each group instead of visiting
+every record.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from .crypto import Certificate, KeyPair, SignatureScheme, verify_certificate
@@ -77,10 +82,63 @@ class Record:
     size_bytes: int
 
 
+class _Group:
+    """The records of one directory at one location with one event code:
+    their timestamps in ascending order (directory order among equal
+    ones), their positions in the directory's `records`, and `sums[i]`,
+    the total size of the first `i`."""
+
+    __slots__ = ("lat_micro", "lon_micro", "code", "times", "positions", "sums")
+
+    def __init__(self, lat_micro: int, lon_micro: int, code: int) -> None:
+        self.lat_micro = lat_micro
+        self.lon_micro = lon_micro
+        self.code = code
+        self.times: list[int] = []
+        self.positions: list[int] = []
+        self.sums = [0]
+
+    def add(self, time: int, position: int, size: int) -> None:
+        times, sums = self.times, self.sums
+        i = bisect_right(times, time)
+        times.insert(i, time)
+        self.positions.insert(i, position)
+        sums.insert(i + 1, sums[i] + size)
+        for k in range(i + 2, len(sums)):  # none when it arrives in order
+            sums[k] += size
+
+    def span(self, from_ms: int, to_ms: int) -> tuple[int, int]:
+        """The index range of the timestamps in [from_ms, to_ms)."""
+        return bisect_left(self.times, from_ms), bisect_left(self.times, to_ms)
+
+
 @dataclass
 class DataDirectory:
     region_id: str
     records: list[Record] = field(default_factory=list)
+    # the groups of records[:_grouped], by (lat_micro, lon_micro, code)
+    _groups: dict[tuple[int, int, int], _Group] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _grouped: int = field(default=0, init=False, repr=False, compare=False)
+
+    def groups(self) -> Iterable[_Group]:
+        """Every group of `records`.
+
+        Like `Ledger.has_tx`, groups only the records appended since the
+        last call, so a record appended straight to `records` is seen,
+        while one replaced in place is not.
+        """
+        records = self.records
+        for position in range(self._grouped, len(records)):
+            record = records[position]
+            p = record.payload
+            key = (p.loc.lat_micro, p.loc.lon_micro, p.event.code)
+            group = self._groups.get(key)
+            if group is None:
+                group = self._groups[key] = _Group(*key)
+            group.add(p.timestamp, position, record.size_bytes)
+        self._grouped = len(records)
+        return self._groups.values()
 
 
 @dataclass
@@ -238,16 +296,21 @@ class RuleTable:
         return AccessResult(granted=True, records=records, access_tx=approved)
 
     def _matching_records(self, query: Scope) -> list[Record]:
-        """The records the query covers, in sorted region order."""
-        out = []
-        for rid in sorted(query.region_ids):
+        """The records the query covers, each once: by sorted region, then
+        in directory order."""
+        out: list[Record] = []
+        for rid in sorted(set(query.region_ids)):
             directory = self.directories.get(rid)
             if directory is None:
                 continue
-            for r in directory.records:
-                if (query.from_ms <= r.payload.timestamp < query.to_ms
-                        and r.payload.event.code in query.kind_codes):
-                    out.append(r)
+            positions: list[int] = []
+            for group in directory.groups():
+                if group.code in query.kind_codes:
+                    i, j = group.span(query.from_ms, query.to_ms)
+                    positions += group.positions[i:j]
+            positions.sort()
+            records = directory.records
+            out += [records[k] for k in positions]
         return out
 
     def _serving_region(self, records: list[Record], query: Scope) -> str:
@@ -275,20 +338,16 @@ class RuleTable:
 
     def query_availability(self, area_min: GeoPoint, area_max: GeoPoint,
                            from_ms: int, to_ms: int) -> tuple[int, int]:
-        """Exact (record count, byte volume) in an area/period; no payloads."""
+        """Exact (record count, byte volume) in an area, closed at both
+        corners, and the period [from_ms, to_ms); no record is visited."""
         count = 0
         volume = 0
         for directory in self.directories.values():
-            for r in directory.records:
-                if self._in_area(r.payload, area_min, area_max, from_ms, to_ms):
-                    count += 1
-                    volume += r.size_bytes
+            for group in directory.groups():
+                if (area_min.lat_micro <= group.lat_micro <= area_max.lat_micro
+                        and area_min.lon_micro <= group.lon_micro <= area_max.lon_micro):
+                    i, j = group.span(from_ms, to_ms)
+                    if i < j:
+                        count += j - i
+                        volume += group.sums[j] - group.sums[i]
         return count, volume
-
-    @staticmethod
-    def _in_area(payload: Payload, area_min: GeoPoint, area_max: GeoPoint,
-                 from_ms: int, to_ms: int) -> bool:
-        return (area_min.lat_micro <= payload.loc.lat_micro <= area_max.lat_micro
-                and area_min.lon_micro <= payload.loc.lon_micro <= area_max.lon_micro
-                and from_ms <= payload.timestamp < to_ms)
-

@@ -205,8 +205,7 @@ class Chained:
     def signed_prefix(self, field: str) -> bytes:
         """`wire` without its tag byte and the rows from `field` on."""
         wire = self.wire
-        tail = encoding.LAYOUTS[type(self)].tails[field](self)
-        return wire[1:len(wire) - len(tail)]
+        return wire[1:len(wire) - encoding.LAYOUTS[type(self)].tail_lengths[field](self)]
 
 
 # --- RSI aggregate ----------------------------------------------------------
@@ -474,6 +473,11 @@ def _approval_bytes(ruletable_pk: bytes, ruletable_sign: bytes) -> bytes:
                      length_prefixed(ruletable_sign)))
 
 
+def _approval_len(ruletable_pk: bytes, ruletable_sign: bytes) -> int:
+    """`len(_approval_bytes(ruletable_pk, ruletable_sign))`."""
+    return 9 + len(ruletable_pk) + len(ruletable_sign) if ruletable_sign else 1
+
+
 def _read_approval(r: Reader) -> tuple[bytes, bytes]:
     marker = r.u8()
     if marker == 0:
@@ -510,7 +514,7 @@ ACCESS_TX = Layout(AccessTransaction, TAG_ACCESS_TX, (
     ("grant", hand(_grant_bytes, _read_grant)),
     ("requester_sign", bytes_),
     (("ruletable_pk", "ruletable_sign"),
-     hand(_approval_bytes, _read_approval))))
+     hand(_approval_bytes, _read_approval, _approval_len))))
 DATA_REQUEST = Layout(DataRequestTransaction, TAG_DATA_REQUEST, (
     ("sp_pk", bytes_), ("area_min", GEO), ("area_max", GEO),
     ("from_ms", u64), ("to_ms", u64), ("target_regions", list_of(string)),

@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmap.crypto import KEYED_HASH, issue_certificate, sha256
 from dmap.encoding import canonical_encode
@@ -8,12 +10,14 @@ from dmap.ledger import Ledger, MinerPolicy, append_block, genesis
 from dmap.market import (
     AlreadyRegistered,
     CertError,
+    DataDirectory,
     DENY_BAD_SIGNATURE,
     DENY_EXPIRED,
     DENY_NO_GRANT,
     DENY_SCOPE_EXCEEDED,
     FlagRejected,
     NotChained,
+    Record,
     RuleTable,
     TargetError,
     UnknownRsi,
@@ -24,6 +28,7 @@ from dmap.market import (
 from dmap.rng import CounterRng
 from dmap.txmodel import (
     CLEAR,
+    EventKind,
     GRANT_CONTRACT_REF,
     GRANT_OWNER_SIG,
     GeoPoint,
@@ -239,6 +244,15 @@ class TestContractAccess:
         res = world.table.evaluate_access(forged, now_ms=100)
         assert res.reason == DENY_BAD_SIGNATURE
 
+    def test_region_named_twice_is_served_once(self, world):
+        ids = self.seed_records(world)
+        sp = key("sp")
+        contract = self.grantable(world, sp)
+        twice = Scope(("r0_c0", "r0_c0"), 0, 2000, (0,))
+        res = contract_access(world, sp, contract, query=twice)
+        assert res.granted
+        assert [r.record_id for r in res.records] == ids[:1]
+
     def test_nothing_chained_on_denial(self, world):
         sp = key("sp")
         heights = {r: world.ledgers[r].tip.height for r in REGIONS}
@@ -382,3 +396,110 @@ class TestAvailability:
         assert count == len(records)
         assert volume == sum(r.size_bytes for r in records)
 
+
+# --- grouped queries against the linear scans they replaced -------------------
+
+def scan_matching(table, query):
+    """`RuleTable._matching_records` as a scan of every record, each region
+    once."""
+    out = []
+    for rid in sorted(set(query.region_ids)):
+        directory = table.directories.get(rid)
+        if directory is None:
+            continue
+        for r in directory.records:
+            if (query.from_ms <= r.payload.timestamp < query.to_ms
+                    and r.payload.event.code in query.kind_codes):
+                out.append(r)
+    return out
+
+
+def scan_availability(table, area_min, area_max, from_ms, to_ms):
+    """`RuleTable.query_availability` as a scan of every record."""
+    count = 0
+    volume = 0
+    for directory in table.directories.values():
+        for r in directory.records:
+            p = r.payload
+            if (area_min.lat_micro <= p.loc.lat_micro <= area_max.lat_micro
+                    and area_min.lon_micro <= p.loc.lon_micro <= area_max.lon_micro
+                    and from_ms <= p.timestamp < to_ms):
+                count += 1
+                volume += r.size_bytes
+    return count, volume
+
+
+# places on both sides of (0, 0), and area corners on and next to them
+LATS, LONS = (-300, 0, 400), (-500, 0, 200)
+PLACES = tuple(GeoPoint(lat, lon) for lat in LATS for lon in LONS)
+kinds = st.one_of(st.sampled_from((0, 1, 3, 4)).map(EventKind),
+                  st.sampled_from((0, 30, 80)).map(lambda v: EventKind(2, v)))
+# timestamps from a narrow range, so that many are equal and out of order
+times = st.integers(0, 12)
+
+
+@st.composite
+def batches(draw):
+    """Batches of records, each a (region, payload, size) list. Locations
+    are all distinct, or drawn with kinds from small pools so that
+    records share groups."""
+    distinct = draw(st.booleans())
+    places = draw(st.lists(st.sampled_from(PLACES), min_size=1, max_size=3))
+    pool = draw(st.lists(kinds, min_size=1, max_size=3))
+    out, n = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        batch = []
+        for _ in range(draw(st.integers(0, 12))):
+            loc = (GeoPoint(LATS[n % 3] + n // 3, LONS[n % 3] - n // 3)
+                   if distinct else draw(st.sampled_from(places)))
+            kind = draw(kinds if distinct else st.sampled_from(pool))
+            batch.append((draw(st.sampled_from(REGIONS)),
+                          Payload(loc, kind, draw(times)),
+                          draw(st.integers(1, 1000))))
+            n += 1
+        out.append(batch)
+    return out
+
+
+def near(values):
+    return st.sampled_from(sorted({v + d for v in values for d in (-1, 0, 1)}))
+
+
+def corners(lats, lons):
+    return (GeoPoint(min(lats), min(lons)), GeoPoint(max(lats), max(lons)))
+
+
+periods = st.tuples(st.integers(-1, 14), st.integers(-1, 14))
+areas = st.one_of(
+    st.builds(lambda a, b: corners((a.lat_micro, b.lat_micro),
+                                   (a.lon_micro, b.lon_micro)),
+              st.sampled_from(PLACES), st.sampled_from(PLACES)),
+    st.builds(corners, st.tuples(near(LATS), near(LATS)),
+              st.tuples(near(LONS), near(LONS))))
+queries = st.builds(
+    lambda regions, period, codes: Scope(tuple(regions), *period, tuple(codes)),
+    st.lists(st.sampled_from(REGIONS + ("r9_c9",)), max_size=4),
+    periods, st.lists(st.integers(0, 4), max_size=5))
+
+
+class TestGroupedQueries:
+    """Records go straight into `records`, a batch at a time, with queries
+    after each batch: the groups catch up with what was appended."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(batches=batches(), asks=st.lists(
+        st.tuples(queries, areas, periods), min_size=1, max_size=4))
+    def test_equal_to_linear_scans(self, batches, asks):
+        table = RuleTable(scheme, key("ruletable"), None, {})
+        table.directories = {r: DataDirectory(r) for r in REGIONS}
+        record_id = 0
+        for batch in batches:
+            for region, payload, size in batch:
+                table.directories[region].records.append(Record(
+                    record_id, region, payload, b"", (), size))
+                record_id += 1
+            for query, (lo, hi), period in asks:
+                got = table._matching_records(query)
+                assert got == scan_matching(table, query)
+                assert (table.query_availability(lo, hi, *period)
+                        == scan_availability(table, lo, hi, *period))

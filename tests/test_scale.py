@@ -1,4 +1,4 @@
-"""Smoke test of tools/scale.py: the smallest point, and the file's schema."""
+"""Smoke test of tools/scale.py: the smallest points, and the file's schema."""
 
 import importlib.util
 import json
@@ -21,17 +21,22 @@ def test_smallest_point_writes_the_schema(tmp_path):
     out = tmp_path / "bench.json"
     subprocess.run([sys.executable, str(REPO_ROOT / "tools" / "scale.py"),
                     "--out", str(out), "--repeats", "1",
-                    "--points", "honest_majority_60"],
+                    "--points", "honest_majority_60", "market_suite_1x"],
                    check=True, capture_output=True, timeout=120)
     result = json.loads(out.read_text())
     assert set(result) == {"python", "probe_s", "repeats",
                            "slope_over_vehicles", "slope_over_duration",
-                           "points"}
+                           "availability_slope_over_duration", "points"}
     assert result["probe_s"] > 0 and result["repeats"] == 1
-    # one vehicle count per scheme, and no market_suite point
+    # one vehicle count per scheme, and one market_suite point
     assert result["slope_over_vehicles"] == {"keyed-hash": None}
     assert result["slope_over_duration"] is None
-    (point,) = result["points"]
+    assert result["availability_slope_over_duration"] is None
+    point, market = result["points"]
+    # only a market_suite point times an availability query
+    assert point["availability_s"] is None
+    assert market["name"] == "market_suite_1x"
+    assert 0 < market["availability_s"] < market["run_s"]
     assert point["name"] == "honest_majority_60" and point["vehicles"] == 60
     assert point["scheme"] == "keyed-hash"
     assert point["reports"] > 0 and len(point["runs_s"]) == 1
@@ -71,7 +76,8 @@ def test_each_step_is_scaled_by_the_probes_around_it(monkeypatch):
 
 def test_slope_over_duration_fits_the_market_suite_points(monkeypatch):
     # run_s grows as the square root of the duration on the market_suite
-    # points; the vehicle points do not enter the duration slope
+    # points, availability_s as its tenth root; the vehicle points do not
+    # enter the duration slopes
     monkeypatch.setattr(sys, "path", list(sys.path))
     scale = _load("scale_tool", REPO_ROOT / "tools" / "scale.py")
     times = {"honest_majority_60": 1, "market_suite_1x": 1,
@@ -81,9 +87,15 @@ def test_slope_over_duration_fits_the_market_suite_points(monkeypatch):
     def measure(names, repeats):
         return [{"name": name, "scheme": "keyed-hash", "vehicles": 60,
                  "duration_ms": 1000 * times[name],
-                 "run_s": 0.01 * times[name] ** 0.5} for name in names]
+                 "run_s": 0.01 * times[name] ** 0.5,
+                 "availability_s": 1e-5 * times[name] ** 0.1}
+                for name in names]
 
     monkeypatch.setattr(scale, "measure", measure)
     monkeypatch.setattr(scale, "_probe", lambda: 1.0)
-    assert scale.report(names, 1)["slope_over_duration"] == pytest.approx(0.5)
-    assert scale.report(names[:2], 1)["slope_over_duration"] is None
+    result = scale.report(names, 1)
+    assert result["slope_over_duration"] == pytest.approx(0.5)
+    assert result["availability_slope_over_duration"] == pytest.approx(0.1)
+    result = scale.report(names[:2], 1)
+    assert result["slope_over_duration"] is None
+    assert result["availability_slope_over_duration"] is None

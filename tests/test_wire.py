@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmap.encoding import DecodeError, canonical_decode, canonical_encode
+from dmap.encoding import LAYOUTS, DecodeError, canonical_decode, canonical_encode
 from dmap.fixtures import FIXTURE_NAMES
 from dmap.ledger import miner_admit
 from dmap.market import (
@@ -68,11 +68,19 @@ grants = st.one_of(
 labels = st.text(min_size=1, max_size=6)
 
 
+def assert_tail_lengths(obj):
+    """Each compiled tail length is the length of the tail's bytes."""
+    layout = LAYOUTS[type(obj)]
+    for field, tail in layout.tails.items():
+        assert layout.tail_lengths[field](obj) == len(tail(obj)), field
+
+
 def assert_seeded(tx):
     """`wire` was cached by the signer and is the tx's canonical encoding."""
     assert "wire" in vars(tx)
     assert tx.wire == canonical_encode(dataclasses.replace(tx))
     assert canonical_decode(tx.wire) == tx
+    assert_tail_lengths(tx)
 
 
 class TestSignersSeedWire:
@@ -219,6 +227,11 @@ def decodes_canonically(data: bytes) -> bool:
         return False
     assert canonical_encode(obj) == data, data.hex()
     return True
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_tail_lengths_of_each_fixture(name):
+    assert_tail_lengths(canonical_decode(fixture_bytes(name)))
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -23,10 +23,16 @@ Verifies are counted by a ``SignatureScheme`` that wraps the point's
 scheme, in every timed run (about 2 % of the 600-vehicle keyed-hash run,
 8 alternating runs each way); they are deterministic, so the first
 run's counts are recorded. A method the tree lacks counts 0, so the tool
-also measures older trees. The file also holds the fitted log-log slope
-of wall time over vehicles for each scheme and over duration for the
-``market_suite_*`` points (``slope_over_duration``), each None with fewer
-than two points, the Python version and the probe time of
+also measures older trees. After each run of a ``market_suite_*`` point,
+one read-only ``RuleTable.query_availability`` over the whole grid and the
+whole duration is timed ``AVAILABILITY_CALLS`` times, after one untimed
+call; the point's ``availability_s`` is the median over its runs of each
+run's median call, in raw seconds (None on the other points), and
+``availability_slope_over_duration`` is its log-log slope over
+duration. The file also holds the fitted log-log slope of wall time over
+vehicles for each scheme and over duration for the ``market_suite_*``
+points (``slope_over_duration``), each slope None with fewer than two
+points, the Python version and the probe time of
 ``perfbench/speed.py`` (seconds for a fixed pure-Python loop), so files
 from different machines can be compared. Times are raw ``perf_counter``
 seconds, except ``scaled_runs_s`` and their median ``scaled_run_s``. A
@@ -55,6 +61,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from dmap import sim  # noqa: E402
 from dmap.crypto import SCHEMES, SignatureScheme  # noqa: E402
+from dmap.txmodel import METERS_PER_DEGREE, GeoPoint  # noqa: E402
 from speed import SpeedMeter, _probe  # noqa: E402
 
 PHASES = {  # phase -> the World methods whose time it sums
@@ -93,6 +100,7 @@ POINTS = {  # name -> (scenario maker, vehicle count or None, scheme)
     "market_suite_30x": (lambda: _duration(30), None, "keyed-hash"),
 }
 ALL_PHASES = (*PHASES, "other")
+AVAILABILITY_CALLS = 101
 
 
 class PhaseVerifies(SignatureScheme):
@@ -145,9 +153,28 @@ def _phase_clock(totals: dict[str, float], scheme: PhaseVerifies):
             setattr(sim.World, name, method)
 
 
-def run_once(cfg: sim.ScenarioConfig, scheme_name: str) -> dict:
+def time_availability(world: sim.World) -> float:
+    """Median seconds of one availability query over the whole grid and
+    the whole duration of the finished `world`."""
+    cfg = world.config
+    lo = GeoPoint(0, 0)
+    hi = GeoPoint.from_degrees(cfg.rows * cfg.cell_size_m / METERS_PER_DEGREE,
+                               cfg.cols * cfg.cell_size_m / METERS_PER_DEGREE)
+    query = world.rule_table.query_availability
+    query(lo, hi, 0, cfg.duration_ms)
+    times = []
+    for _ in range(AVAILABILITY_CALLS):
+        t0 = perf_counter()
+        query(lo, hi, 0, cfg.duration_ms)
+        times.append(perf_counter() - t0)
+    return statistics.median(times)
+
+
+def run_once(cfg: sim.ScenarioConfig, scheme_name: str,
+             availability: bool = False) -> dict:
     """One timed `World.run()`, stepped: wall time, the same scaled step
-    by step, phase split and verify counts."""
+    by step, phase split and verify counts; then, with `availability`,
+    the time of one availability query (not part of the wall time)."""
     scheme = PhaseVerifies(SCHEMES[scheme_name])
     world = sim.World(cfg, scheme)
     phases: dict[str, float] = {}
@@ -171,7 +198,8 @@ def run_once(cfg: sim.ScenarioConfig, scheme_name: str) -> dict:
     phases["other"] = wall - sum(phases.values())
     return {"wall": wall, "scaled": math.fsum(scaled), "phases": phases,
             "verifies": scheme.verifies,
-            "reports": metrics["global"]["reports_sent"]}
+            "reports": metrics["global"]["reports_sent"],
+            "availability": time_availability(world) if availability else None}
 
 
 def summarise(name: str, cfg: sim.ScenarioConfig, runs: list[dict]) -> dict:
@@ -189,6 +217,8 @@ def summarise(name: str, cfg: sim.ScenarioConfig, runs: list[dict]) -> dict:
         "phases_s": {phase: statistics.median(r["phases"][phase] for r in runs)
                      for phase in ALL_PHASES},
         "verifies": runs[0]["verifies"],
+        "availability_s": (None if runs[0]["availability"] is None else
+                           statistics.median(r["availability"] for r in runs)),
     }
 
 
@@ -199,14 +229,15 @@ def measure(names: list[str], repeats: int) -> list[dict]:
     runs: dict[str, list[dict]] = {name: [] for name in names}
     for _ in range(repeats):
         for name in names:
-            runs[name].append(run_once(configs[name], POINTS[name][2]))
+            runs[name].append(run_once(configs[name], POINTS[name][2],
+                                       availability=POINTS[name][1] is None))
     return [summarise(name, configs[name], runs[name]) for name in names]
 
 
-def slope(points: list[dict], axis: str) -> float | None:
-    """Least-squares slope of log(run_s) over log(p[axis]); None with
+def slope(points: list[dict], axis: str, metric: str = "run_s") -> float | None:
+    """Least-squares slope of log(p[metric]) over log(p[axis]); None with
     fewer than two points."""
-    xy = [(math.log(p[axis]), math.log(p["run_s"])) for p in points]
+    xy = [(math.log(p[axis]), math.log(p[metric])) for p in points]
     if len(xy) < 2:
         return None
     mx = statistics.fmean(x for x, _ in xy)
@@ -231,6 +262,8 @@ def report(names: list[str], repeats: int) -> dict:
         "slope_over_vehicles": {scheme: slope(ps, "vehicles")
                                 for scheme, ps in by_scheme.items()},
         "slope_over_duration": slope(over_duration, "duration_ms"),
+        "availability_slope_over_duration": slope(
+            over_duration, "duration_ms", "availability_s"),
         "points": points,
     }
 
@@ -252,7 +285,9 @@ def main(argv: list[str] | None = None) -> int:
         split = " ".join(f"{k}={v:.3f}" for k, v in p["phases_s"].items())
         print(f"{p['name']:<28} run_s={p['run_s']:.3f} "
               f"scaled_run_s={p['scaled_run_s']:.3f}  {split}  "
-              f"boundary_verifies={p['verifies']['boundary']}")
+              f"boundary_verifies={p['verifies']['boundary']}"
+              + (f"  availability_us={p['availability_s'] * 1e6:.1f}"
+                 if p["availability_s"] is not None else ""))
     return 0
 
 
