@@ -9,7 +9,8 @@ detectable by a full rescan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 from . import encoding
 from .crypto import (
@@ -243,28 +244,46 @@ class ChainStatus:
     ok: bool
     first_bad_height: int = -1
 
-    @classmethod
-    def valid(cls) -> "ChainStatus":
-        return cls(True)
-
-    @classmethod
-    def tampered(cls, height: int) -> "ChainStatus":
-        return cls(False, height)
-
 
 def validate_chain(ledger: Ledger) -> ChainStatus:
-    """Recompute every block hash and link; report the first bad height."""
+    """Check the genesis block, every link and block hash, and that each
+    tx's cached `wire`, which its block hash covers, equals a fresh
+    encoding; report the first bad height."""
+    blocks = ledger.blocks
+    if not blocks or blocks[0].txs or blocks[0].timestamp:
+        return ChainStatus(False, 0)
     prev_hash = ZERO_DIGEST
-    for i, b in enumerate(ledger.blocks):
-        if b.height != i:
-            return ChainStatus.tampered(i)
-        if b.prev_hash != prev_hash:
-            return ChainStatus.tampered(i)
-        recomputed = Block.compute_hash(b.height, b.prev_hash, b.timestamp, b.txs)
-        if recomputed != b.block_hash:
-            return ChainStatus.tampered(i)
+    for i, b in enumerate(blocks):
+        if (b.height != i or b.prev_hash != prev_hash
+                or Block.compute_hash(i, prev_hash, b.timestamp, b.txs) != b.block_hash
+                or any(encoding.canonical_encode(tx) != tx.wire for tx in b.txs)):
+            return ChainStatus(False, i)
         prev_hash = b.block_hash
-    return ChainStatus.valid()
+    return ChainStatus(True)
+
+
+def check_ledger(scheme: SignatureScheme, ledger: Ledger, policy: MinerPolicy,
+                 check: Callable[[str, bool, str], None]
+                 ) -> list[tuple[bytes, ChainedTx]]:
+    """Every check `ledger` must pass on its own, each result handed by
+    name to `check(name, ok, detail)`, which raises on a failure:
+    `chain_valid` (`validate_chain`), then for each tx `admission_sound`,
+    admission replayed without the certificate memo so that every
+    certificate is verified, and for each aggregate `flag_sweep`, which
+    cannot fail after admission but does not rest on it. Returns each
+    chained tx in chain order with the SHA-256 of its `wire`, which
+    `validate_chain` found equal to a fresh encoding."""
+    status = validate_chain(ledger)
+    check("chain_valid", status.ok, f"first_bad_height={status.first_bad_height}")
+    replay = replace(policy, verified_certs=None)
+    chained = []
+    for tx in ledger.all_txs():
+        verdict = miner_admit(scheme, tx, replay, ledger.rsi_region)
+        check("admission_sound", verdict.accepted, verdict.reason)
+        if isinstance(tx, RsiTransaction):
+            check("flag_sweep", tx.flag == 1, "flag=0 chained")
+        chained.append((sha256(tx.wire), tx))
+    return chained
 
 
 def lookup_access_log(ledger: Ledger, owner_pk: bytes) -> list[AccessTransaction]:

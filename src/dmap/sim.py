@@ -16,13 +16,13 @@ from __future__ import annotations
 import math
 import struct
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 
 from . import edge, txmodel
 from .crypto import KEYED_HASH, KeyPair, SignatureScheme, issue_certificate, sha256
 from .edge import ConsistencyPolicy, RegionStats, RsiState
-from .ledger import Ledger, MinerPolicy, append_admitted, genesis, miner_admit, validate_chain
+from .ledger import Ledger, MinerPolicy, append_admitted, check_ledger, genesis
 from .market import AccessResult, RuleTable, build_access_tx, build_data_request, create_contract
 from .rng import CounterRng
 from .scenario import (STRATEGY_FABRICATE, STRATEGY_REPLAY, TICK_MS, Access, CreateContract,
@@ -579,38 +579,19 @@ class World:
                 raise InvariantViolation(f"{name}: {detail}")
             results[name] = "ok"
 
-        for region in sorted(self.ledgers):
-            status = validate_chain(self.ledgers[region])
-            check(f"chain_valid[{region}]", status.ok,
-                  f"first_bad_height={status.first_bad_height}")
-
         # one pass over every chained tx, in region order: the digest map
-        # serves the isolation, provenance and grant checks. Admission is
-        # replayed without the certificate memo, so every certificate of
-        # every chained tx is verified here. Each tx is encoded afresh, and
-        # the bytes its block hash was computed from must equal them; that
-        # check raises first, so the replay, which verifies slices of
-        # `wire`, checks bytes equal to this fresh encoding.
-        replay = replace(self.policy, verified_certs=None)
+        # serves the isolation, provenance and grant checks
         region_of: dict[bytes, str] = {}
         contracts: dict[bytes, SmartContract] = {}
         isolated = True
         false_chained = 0
         for region in sorted(self.ledgers):
-            for tx in self.ledgers[region].all_txs():
-                fresh = canonical_encode(tx)
-                check(f"chain_valid[{region}]", fresh == tx.wire,
-                      "cached tx bytes differ from a fresh encoding")
-                verdict = miner_admit(self.scheme, tx, replay, region)
-                check(f"admission_sound[{region}]", verdict.accepted,
-                      verdict.reason)
-                digest = sha256(fresh)
+            for digest, tx in check_ledger(
+                    self.scheme, self.ledgers[region], self.policy,
+                    lambda name, ok, detail: check(f"{name}[{region}]", ok, detail)):
                 if region_of.setdefault(digest, region) != region:
                     isolated = False
                 if isinstance(tx, RsiTransaction):
-                    # cannot fail: admission rejects flag 0 and is checked
-                    # first; kept as a check that does not rest on it
-                    check(f"flag_sweep[{region}]", tx.flag == 1, "flag=0 chained")
                     # counted in reports, the unit of false_data_injected
                     if not self._payload_matches_truth(tx.payload):
                         false_chained += len(tx.vehicle_pks)

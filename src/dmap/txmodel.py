@@ -180,9 +180,9 @@ class Chained:
     and contract checks verify `signed_prefix` slices of it. Block hashes
     are computed over `wire` too. `dataclasses.replace` and decoding
     build new objects with nothing cached; only a field changed in place
-    with `object.__setattr__` can leave `wire` stale, and the post-run
-    sweep compares it with its own fresh encoding before it replays
-    admission.
+    with `object.__setattr__` can leave `wire` stale, and
+    `ledger.validate_chain` compares it with a fresh encoding, which
+    `ledger.check_ledger` does before it replays admission.
     """
 
     @cached_property

@@ -21,22 +21,30 @@ def test_smallest_point_writes_the_schema(tmp_path):
     out = tmp_path / "bench.json"
     subprocess.run([sys.executable, str(REPO_ROOT / "tools" / "scale.py"),
                     "--out", str(out), "--repeats", "1",
-                    "--points", "honest_majority_60", "market_suite_1x"],
+                    "--points", "honest_majority_60", "market_suite_1x",
+                    "city_market_1x"],
                    check=True, capture_output=True, timeout=120)
     result = json.loads(out.read_text())
     assert set(result) == {"python", "probe_s", "repeats",
                            "slope_over_vehicles", "slope_over_duration",
-                           "availability_slope_over_duration", "points"}
+                           "availability_slope_over_duration",
+                           "city_market_slopes_over_duration", "points"}
     assert result["probe_s"] > 0 and result["repeats"] == 1
     # one vehicle count per scheme, and one market_suite point
     assert result["slope_over_vehicles"] == {"keyed-hash": None}
     assert result["slope_over_duration"] is None
     assert result["availability_slope_over_duration"] is None
-    point, market = result["points"]
-    # only a market_suite point times an availability query
+    assert result["city_market_slopes_over_duration"] == {
+        "run_s": None, "availability_s": None, "records": None, "groups": None}
+    point, market, city = result["points"]
+    # only a point scaled by duration times an availability query
     assert point["availability_s"] is None
     assert market["name"] == "market_suite_1x"
     assert 0 < market["availability_s"] < market["run_s"]
+    # a city_market point stores records in groups and times a query too
+    assert city["name"] == "city_market_1x"
+    assert 0 < city["availability_s"] < city["run_s"]
+    assert all(0 < p["groups"] <= p["records"] for p in (point, market, city))
     assert point["name"] == "honest_majority_60" and point["vehicles"] == 60
     assert point["scheme"] == "keyed-hash"
     assert point["reports"] > 0 and len(point["runs_s"]) == 1
@@ -76,19 +84,22 @@ def test_each_step_is_scaled_by_the_probes_around_it(monkeypatch):
 
 def test_slope_over_duration_fits_the_market_suite_points(monkeypatch):
     # run_s grows as the square root of the duration on the market_suite
-    # points, availability_s as its tenth root; the vehicle points do not
-    # enter the duration slopes
+    # points and linearly on the city_market ones, availability_s as its
+    # tenth root; the vehicle points do not enter the duration slopes
     monkeypatch.setattr(sys, "path", list(sys.path))
     scale = _load("scale_tool", REPO_ROOT / "tools" / "scale.py")
     times = {"honest_majority_60": 1, "market_suite_1x": 1,
-             "market_suite_10x": 10, "market_suite_30x": 30}
+             "market_suite_10x": 10, "market_suite_30x": 30,
+             "city_market_1x": 1, "city_market_20x": 20}
     names = list(times)
 
     def measure(names, repeats):
         return [{"name": name, "scheme": "keyed-hash", "vehicles": 60,
                  "duration_ms": 1000 * times[name],
-                 "run_s": 0.01 * times[name] ** 0.5,
-                 "availability_s": 1e-5 * times[name] ** 0.1}
+                 "run_s": 0.01 * times[name] ** (
+                     1.0 if name.startswith("city") else 0.5),
+                 "availability_s": 1e-5 * times[name] ** 0.1,
+                 "records": 100 * times[name], "groups": 10}
                 for name in names]
 
     monkeypatch.setattr(scale, "measure", measure)
@@ -96,6 +107,8 @@ def test_slope_over_duration_fits_the_market_suite_points(monkeypatch):
     result = scale.report(names, 1)
     assert result["slope_over_duration"] == pytest.approx(0.5)
     assert result["availability_slope_over_duration"] == pytest.approx(0.1)
+    assert result["city_market_slopes_over_duration"] == pytest.approx(
+        {"run_s": 1.0, "availability_s": 0.1, "records": 1.0, "groups": 0.0})
     result = scale.report(names[:2], 1)
     assert result["slope_over_duration"] is None
     assert result["availability_slope_over_duration"] is None

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from dmap import edge, encoding, sim, txmodel
 from dmap.crypto import KEYED_HASH, verify_certificate
 from dmap.encoding import canonical_encode
-from dmap.ledger import _link, validate_chain
+from dmap.ledger import _link, check_ledger, validate_chain
 from dmap.market import AccessResult, build_access_tx, create_contract
 from dmap.scenario import ConfigError, ScenarioConfig
 from dmap.sim import Delivery, InvariantViolation, World
@@ -804,31 +804,54 @@ def _forge_memoised_certificate(world):
 
 def _rewrite_chained_tx_in_place(world):
     # the block hash was computed from the tx's cached bytes, which a field
-    # changed in place leaves stale, so validate_chain still passes
+    # changed in place leaves stale; validate_chain compares them with a
+    # fresh encoding
     ledger = world.ledgers["r0_c0"]
     tx = next(tx for tx in ledger.all_txs() if isinstance(tx, RsiTransaction))
     assert tx.wire and tx.digest
     object.__setattr__(tx, "rsi_sign", bytes(len(tx.rsi_sign)))
-    assert validate_chain(ledger).ok
+    assert not validate_chain(ledger).ok
 
 
-@pytest.mark.parametrize("tamper, check", [
-    (_rewrite_block_timestamp, "chain_valid"),
-    (_rewrite_chained_tx_in_place, "chain_valid"),
-    (_link_flag0_aggregate, "admission_sound"),
-    (_forge_certificate, "admission_sound"),
-    (_forge_memoised_certificate, "admission_sound"),
-    (_link_contract_on_two_ledgers, "ledger_isolation"),
-    (_add_unchained_record, "store_provenance"),
-    (_bump_reports_sent, "conservation"),
-    (_log_unchained_grant, "unauthorized_served"),
-], ids=lambda p: getattr(p, "__name__", p).lstrip("_"))
-def test_sweep_names_the_failed_check(finished_worlds, tamper, check):
+SWEEP_TAMPERS = [  # (tamper, the check it fails, one check_ledger sees)
+    (_rewrite_block_timestamp, "chain_valid", True),
+    (_rewrite_chained_tx_in_place, "chain_valid", True),
+    (_link_flag0_aggregate, "admission_sound", True),
+    (_forge_certificate, "admission_sound", True),
+    (_forge_memoised_certificate, "admission_sound", True),
+    (_link_contract_on_two_ledgers, "ledger_isolation", False),
+    (_add_unchained_record, "store_provenance", False),
+    (_bump_reports_sent, "conservation", False),
+    (_log_unchained_grant, "unauthorized_served", False),
+]
+
+
+@pytest.mark.parametrize(
+    "tamper, check, per_ledger", SWEEP_TAMPERS,
+    ids=[f"{t.__name__.lstrip('_')}-{c}" for t, c, _ in SWEEP_TAMPERS])
+def test_sweep_names_the_failed_check(finished_worlds, tamper, check,
+                                      per_ledger):
     world = copy.deepcopy(finished_worlds["honest_majority"][0])
     tamper(world)
     with pytest.raises(InvariantViolation) as exc:
         world.sweep_invariants()
     assert str(exc.value).startswith(check)
+
+    # the shared per-ledger check names the same fault on its own, and
+    # passes the ledger when the fault is a world-level one
+    def fail(name, ok, detail):
+        if not ok:
+            raise InvariantViolation(name)
+
+    def check_r0_c0():
+        check_ledger(world.scheme, world.ledgers["r0_c0"], world.policy, fail)
+
+    if per_ledger:
+        with pytest.raises(InvariantViolation) as exc:
+            check_r0_c0()
+        assert str(exc.value) == check
+    else:
+        check_r0_c0()
 
 
 def test_replaced_chained_aggregate_fails_chain_and_sweep(finished_worlds):

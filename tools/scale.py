@@ -5,7 +5,8 @@ counts, as JSON.
 
 Run from the repository root; the package is imported from ``src/``. Each
 point builds a scenario from a bundled one, changing only the vehicle count
-or the duration, and names its signature scheme. ``World.run()`` runs
+or the duration (and, on ``city_market_*``, the event intervals and the
+market script), and names its signature scheme. ``World.run()`` runs
 ``--repeats`` times per point, round-robin: one run of every point, then
 the next round, so a slow spell of a shared machine spreads over all
 points instead of landing on one. A point records the median wall time,
@@ -23,16 +24,23 @@ Verifies are counted by a ``SignatureScheme`` that wraps the point's
 scheme, in every timed run (about 2 % of the 600-vehicle keyed-hash run,
 8 alternating runs each way); they are deterministic, so the first
 run's counts are recorded. A method the tree lacks counts 0, so the tool
-also measures older trees. After each run of a ``market_suite_*`` point,
-one read-only ``RuleTable.query_availability`` over the whole grid and the
-whole duration is timed ``AVAILABILITY_CALLS`` times, after one untimed
-call; the point's ``availability_s`` is the median over its runs of each
-run's median call, in raw seconds (None on the other points), and
-``availability_slope_over_duration`` is its log-log slope over
-duration. The file also holds the fitted log-log slope of wall time over
-vehicles for each scheme and over duration for the ``market_suite_*``
-points (``slope_over_duration``), each slope None with fewer than two
-points, the Python version and the probe time of
+also measures older trees. Each point records the rule table's
+``records`` and record ``groups`` after its first run. The
+``city_market_*`` points are ``honest_majority`` scaled in duration with
+every event active throughout and an access each window, so their
+records grow with the duration; ``market_suite``'s events end early.
+After each run of a point scaled in duration, one read-only
+``RuleTable.query_availability`` over the whole grid and the whole
+duration is timed ``AVAILABILITY_CALLS`` times, after one untimed call;
+the point's ``availability_s`` is the median over its runs of each run's
+median call, in raw seconds (None on the other points). The file also
+holds the fitted log-log slope of wall time over vehicles for each
+scheme, of wall time and ``availability_s`` over duration for the
+``market_suite_*`` points (``slope_over_duration``,
+``availability_slope_over_duration``), and of each of
+``CITY_MARKET_METRICS`` over duration for the ``city_market_*`` points
+(``city_market_slopes_over_duration``), each slope None with fewer than
+two points, the Python version and the probe time of
 ``perfbench/speed.py`` (seconds for a fixed pure-Python loop), so files
 from different machines can be compared. Times are raw ``perf_counter``
 seconds, except ``scaled_runs_s`` and their median ``scaled_run_s``. A
@@ -89,6 +97,25 @@ def _duration(times: int) -> dict:
     return d
 
 
+def _city_market(times: int) -> dict:
+    """`honest_majority` over `times` of its duration, every event active
+    for the whole run, one contract over everything and an access citing
+    it at each window after the first, so records grow with duration."""
+    d = _scenario("honest_majority")
+    duration, window = d["duration_ms"] * times, d["window_ms"]
+    d["duration_ms"] = duration
+    for event in d["ground_truth_events"]:
+        event["active_ms"] = [0, duration]
+    d["market_script"] = [
+        {"time_ms": window, "action": "create_contract", "owner_vehicle": 0,
+         "grantee_sp": "sp1", "timespan": [window, duration + window],
+         "scope": {}},
+        *({"time_ms": t, "action": "access", "requester_sp": "sp1",
+           "grant": {"contract_index": 0}, "query": {"period": [0, t]}}
+          for t in range(2 * window, duration, window))]
+    return d
+
+
 POINTS = {  # name -> (scenario maker, vehicle count or None, scheme)
     "honest_majority_60": (lambda: _vehicles(60), 60, "keyed-hash"),
     "honest_majority_600": (lambda: _vehicles(600), 600, "keyed-hash"),
@@ -98,7 +125,12 @@ POINTS = {  # name -> (scenario maker, vehicle count or None, scheme)
     "market_suite_1x": (lambda: _duration(1), None, "keyed-hash"),
     "market_suite_10x": (lambda: _duration(10), None, "keyed-hash"),
     "market_suite_30x": (lambda: _duration(30), None, "keyed-hash"),
+    "city_market_1x": (lambda: _city_market(1), None, "keyed-hash"),
+    "city_market_5x": (lambda: _city_market(5), None, "keyed-hash"),
+    "city_market_20x": (lambda: _city_market(20), None, "keyed-hash"),
 }
+# the city_market slopes over duration, one per point field
+CITY_MARKET_METRICS = ("run_s", "availability_s", "records", "groups")
 ALL_PHASES = (*PHASES, "other")
 AVAILABILITY_CALLS = 101
 
@@ -196,9 +228,12 @@ def run_once(cfg: sim.ScenarioConfig, scheme_name: str,
         metrics = timed(world.run)
     meter.flush()
     phases["other"] = wall - sum(phases.values())
+    directories = world.rule_table.directories.values()
     return {"wall": wall, "scaled": math.fsum(scaled), "phases": phases,
             "verifies": scheme.verifies,
             "reports": metrics["global"]["reports_sent"],
+            "records": sum(len(d.records) for d in directories),
+            "groups": sum(len(d.groups()) for d in directories),
             "availability": time_availability(world) if availability else None}
 
 
@@ -210,6 +245,8 @@ def summarise(name: str, cfg: sim.ScenarioConfig, runs: list[dict]) -> dict:
         "vehicles": cfg.vehicle_count,
         "duration_ms": cfg.duration_ms,
         "reports": runs[0]["reports"],
+        "records": runs[0]["records"],
+        "groups": runs[0]["groups"],
         "run_s": statistics.median(r["wall"] for r in runs),
         "runs_s": [r["wall"] for r in runs],
         "scaled_runs_s": [r["scaled"] for r in runs],
@@ -249,21 +286,23 @@ def slope(points: list[dict], axis: str, metric: str = "run_s") -> float | None:
 def report(names: list[str], repeats: int) -> dict:
     points = measure(names, repeats)
     by_scheme: dict[str, list[dict]] = {}
-    over_duration = []
     for p in points:
         if POINTS[p["name"]][1] is not None:
             by_scheme.setdefault(p["scheme"], []).append(p)
-        else:
-            over_duration.append(p)
+    market, city = ([p for p in points if p["name"].startswith(family)]
+                    for family in ("market_suite_", "city_market_"))
     return {
         "python": platform.python_version(),
         "probe_s": _probe(),
         "repeats": repeats,
         "slope_over_vehicles": {scheme: slope(ps, "vehicles")
                                 for scheme, ps in by_scheme.items()},
-        "slope_over_duration": slope(over_duration, "duration_ms"),
+        "slope_over_duration": slope(market, "duration_ms"),
         "availability_slope_over_duration": slope(
-            over_duration, "duration_ms", "availability_s"),
+            market, "duration_ms", "availability_s"),
+        "city_market_slopes_over_duration": {
+            metric: slope(city, "duration_ms", metric)
+            for metric in CITY_MARKET_METRICS},
         "points": points,
     }
 
