@@ -24,7 +24,7 @@ from .txmodel import (
     distance_m,
     payload_bytes,
     sign_rsi_tx,
-    verify_data_tx,
+    verify_data_txs,
 )
 
 
@@ -93,16 +93,27 @@ class RsiState:
 
 def ingest(scheme: SignatureScheme, rsi: RsiState, tx: DataTransaction) -> bool:
     """Buffer a vehicle report into the open window; returns False if dropped."""
-    rsi.stats.reports_sent += 1
-    if not verify_data_tx(scheme, tx):
-        rsi.stats.sig_rejects += 1
-        return False
-    w = rsi.window
-    if not w.opens_at <= tx.timestamp < w.closes_at:
-        rsi.stats.stale += 1
-        return False
-    w.reports.append(tx)
-    return True
+    return ingest_all(scheme, [(rsi, tx)])[0]
+
+
+def ingest_all(scheme: SignatureScheme,
+               deliveries: list[tuple[RsiState, DataTransaction]]) -> list[bool]:
+    """`ingest` of each (RSI, report) pair in order, every report's
+    signature verified first, as one batch."""
+    kept = []
+    for (rsi, tx), signed in zip(deliveries, verify_data_txs(
+            scheme, [tx for _, tx in deliveries])):
+        rsi.stats.reports_sent += 1
+        w = rsi.window
+        fresh = w.opens_at <= tx.timestamp < w.closes_at
+        if not signed:
+            rsi.stats.sig_rejects += 1
+        elif not fresh:
+            rsi.stats.stale += 1
+        else:
+            w.reports.append(tx)
+        kept.append(signed and fresh)
+    return kept
 
 
 def _compatible(a: DataTransaction, b: DataTransaction,

@@ -35,6 +35,13 @@ class Reader:
         self._data = data
         self._pos = 0
 
+    def tell(self) -> int:
+        return self._pos
+
+    def since(self, start: int) -> bytes:
+        """The bytes read from offset `start` on."""
+        return self._data[start:self._pos]
+
     def raw(self, n: int) -> bytes:
         if n < 0 or self._pos + n > len(self._data):
             raise DecodeError("truncated input")

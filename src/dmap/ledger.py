@@ -9,17 +9,18 @@ detectable by a full rescan.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 from . import encoding
 from .crypto import (
     DIGEST_LEN,
     ZERO_DIGEST,
     Certificate,
+    Checks,
     SignatureScheme,
     sha256,
-    verify_certificate,
 )
 from .encoding import (
     DecodeError,
@@ -36,10 +37,12 @@ from .txmodel import (
     GRANT_OWNER_SIG,
     REJECT_WRONG_LEDGER,
     AccessTransaction,
+    Plan,
     RsiTransaction,
     SmartContract,
     Verdict,
-    verify_rsi_tx,
+    decide,
+    plan_rsi_tx,
 )
 
 TAG_BLOCK = 0x03
@@ -81,9 +84,14 @@ class Block:
 
 
 def _read_chained(r: Reader) -> ChainedTx:
+    """A tx of a block, its `wire` the bytes it was read from: the block
+    hash covers them, and `validate_chain`'s fresh encoding, compared with
+    them, is the tx's one encode."""
+    start = r.tell()
     tx = encoding.decode_from(r)
     if not isinstance(tx, ChainedTx):
         raise DecodeError(f"{type(tx).__name__} cannot appear in a block")
+    tx.__dict__["wire"] = r.since(start)
     return tx
 
 
@@ -105,7 +113,7 @@ class MinerPolicy:
     ca_pk: bytes
     cert_registry: dict[bytes, Certificate] = field(default_factory=dict)
     # the certificates that verified, as in Bitcoin Core's signature cache
-    # (see `verify_certificate`); None verifies every certificate each time
+    # (see `crypto.Checks`); None verifies every certificate each time
     verified_certs: set[tuple[bytes, Certificate]] | None = field(
         default_factory=set, repr=False, compare=False)
 
@@ -174,40 +182,51 @@ def miner_admit(scheme: SignatureScheme, tx: ChainedTx, policy: MinerPolicy,
     the rule table picks their ledger. The post-run sweep's
     `ledger_isolation` check catches a tx chained on two ledgers.
     """
+    checks = Checks(policy.verified_certs)
+    plan = _plan(tx, policy, region, checks)
+    return decide(plan, checks.run(scheme))
+
+
+def admit_all(scheme: SignatureScheme,
+              candidates: Iterable[tuple[ChainedTx, str]],
+              policy: MinerPolicy) -> list[Verdict]:
+    """`miner_admit` of each (tx, region) pair: every tx is planned, then
+    the signature checks of all of them are verified as one batch."""
+    checks = Checks(policy.verified_certs)
+    plans = [_plan(tx, policy, region, checks) for tx, region in candidates]
+    return list(map(decide, plans, repeat(checks.run(scheme))))
+
+
+def _plan(tx: ChainedTx, policy: MinerPolicy, region: str,
+          checks: Checks) -> Plan:
     if isinstance(tx, RsiTransaction):
         cert = policy.cert_registry.get(tx.rsi_pk)
         if cert is not None and cert.region_id != region:
-            return Verdict.reject(REJECT_WRONG_LEDGER)
-        return verify_rsi_tx(scheme, tx, policy.ca_pk, policy.cert_registry,
-                             policy.m, policy.verified_certs)
+            return [(REJECT_WRONG_LEDGER, 0, 0)]
+        return plan_rsi_tx(tx, policy.ca_pk, policy.cert_registry, policy.m,
+                           checks)
     if isinstance(tx, AccessTransaction):
-        return _admit_access_tx(scheme, tx, policy)
+        # the chained form is multisign: requester plus certified rule table
+        plan: Plan = [("BadRequesterSignature", checks.add(
+            (tx.requester_pk, tx.requester_message(), tx.requester_sign)), 1)]
+        cert = policy.cert_registry.get(tx.ruletable_pk)
+        if not tx.is_approved():
+            plan.append(("MissingRuleTableSignature", 0, 0))
+        elif cert is None:
+            plan.append(("UncertifiedRuleTable", 0, 0))
+        else:
+            i = checks.certificate(policy.ca_pk, cert)
+            if i is not None:
+                plan.append(("UncertifiedRuleTable", i, 1))
+            plan.append(("BadRuleTableSignature", checks.add(
+                (tx.ruletable_pk, tx.countersigned_message(), tx.ruletable_sign)), 1))
+        return plan
     if isinstance(tx, SmartContract):
         if tx.start_ms >= tx.end_ms:
-            return Verdict.reject("Malformed")
-        if not scheme.verify(tx.owner_pk, tx.signed_prefix("owner_sign"),
-                             tx.owner_sign):
-            return Verdict.reject("BadOwnerSignature")
-        return Verdict.accept()
-    return Verdict.reject("UnknownTxType")
-
-
-def _admit_access_tx(scheme: SignatureScheme, tx: AccessTransaction,
-                     policy: MinerPolicy) -> Verdict:
-    # The chained form is multisign: requester plus certified rule table.
-    if not scheme.verify(tx.requester_pk, tx.requester_message(),
-                         tx.requester_sign):
-        return Verdict.reject("BadRequesterSignature")
-    if not tx.is_approved():
-        return Verdict.reject("MissingRuleTableSignature")
-    cert = policy.cert_registry.get(tx.ruletable_pk)
-    if cert is None or not verify_certificate(scheme, policy.ca_pk, cert,
-                                              policy.verified_certs):
-        return Verdict.reject("UncertifiedRuleTable")
-    if not scheme.verify(tx.ruletable_pk, tx.countersigned_message(),
-                         tx.ruletable_sign):
-        return Verdict.reject("BadRuleTableSignature")
-    return Verdict.accept()
+            return [("Malformed", 0, 0)]
+        return [("BadOwnerSignature", checks.add(
+            (tx.owner_pk, tx.signed_prefix("owner_sign"), tx.owner_sign)), 1)]
+    return [("UnknownTxType", 0, 0)]
 
 
 def append_block(scheme: SignatureScheme, ledger: Ledger,
@@ -221,14 +240,21 @@ def append_block(scheme: SignatureScheme, ledger: Ledger,
     return _link(ledger, txs, ts)
 
 
-def append_admitted(scheme: SignatureScheme, ledger: Ledger,
-                    candidates: list[ChainedTx], ts: int,
-                    policy: MinerPolicy) -> Block | None:
-    """Admit each candidate once and chain the admitted ones in input
-    order; with none admitted, return None and leave the ledger as it is."""
-    admitted = [tx for tx in candidates
-                if miner_admit(scheme, tx, policy, ledger.rsi_region).accepted]
-    return _link(ledger, admitted, ts) if admitted else None
+def append_admitted(scheme: SignatureScheme,
+                    batches: Sequence[tuple[Ledger, list[ChainedTx]]], ts: int,
+                    policy: MinerPolicy) -> list[Block | None]:
+    """Admit each ledger's candidates, all in one `admit_all` batch, then
+    chain each ledger's admitted ones in input order, ledger by ledger.
+    Returns each ledger's new block, or None where none was admitted and
+    the ledger is left as it was."""
+    verdicts = iter(admit_all(scheme, [(tx, ledger.rsi_region)
+                                       for ledger, txs in batches for tx in txs],
+                              policy))
+    blocks = []
+    for ledger, txs in batches:
+        admitted = [tx for tx in txs if next(verdicts).accepted]
+        blocks.append(_link(ledger, admitted, ts) if admitted else None)
+    return blocks
 
 
 def _link(ledger: Ledger, txs: list[ChainedTx], ts: int) -> Block:
@@ -269,16 +295,18 @@ def check_ledger(scheme: SignatureScheme, ledger: Ledger, policy: MinerPolicy,
     name to `check(name, ok, detail)`, which raises on a failure:
     `chain_valid` (`validate_chain`), then for each tx `admission_sound`,
     admission replayed without the certificate memo so that every
-    certificate is verified, and for each aggregate `flag_sweep`, which
+    certificate is verified, all of the ledger's signatures as one
+    `admit_all` batch, and for each aggregate `flag_sweep`, which
     cannot fail after admission but does not rest on it. Returns each
     chained tx in chain order with the SHA-256 of its `wire`, which
     `validate_chain` found equal to a fresh encoding."""
     status = validate_chain(ledger)
     check("chain_valid", status.ok, f"first_bad_height={status.first_bad_height}")
-    replay = replace(policy, verified_certs=None)
+    txs = ledger.all_txs()
+    verdicts = admit_all(scheme, zip(txs, repeat(ledger.rsi_region)),
+                         replace(policy, verified_certs=None))
     chained = []
-    for tx in ledger.all_txs():
-        verdict = miner_admit(scheme, tx, replay, ledger.rsi_region)
+    for tx, verdict in zip(txs, verdicts):
         check("admission_sound", verdict.accepted, verdict.reason)
         if isinstance(tx, RsiTransaction):
             check("flag_sweep", tx.flag == 1, "flag=0 chained")

@@ -135,7 +135,7 @@ class Vehicle:
         return key
 
 
-@dataclass
+@dataclass(slots=True)
 class Delivery:
     window_id: int
     region: str
@@ -263,12 +263,11 @@ class World:
 
     def _deliver(self, v: Vehicle, loc: GeoPoint, kind: EventKind, ts: int,
                  fabricated: bool = False) -> None:
-        """Sign a report under a fresh key and send it to the serving RSI."""
+        """Sign a report under a fresh key and log it for the serving RSI,
+        which `_emit_phase` sends it to."""
         tx = build_data_tx(self.scheme, v.fresh_key(self.scheme), loc, kind, ts)
-        region = v.assoc_region
-        edge.ingest(self.scheme, self.rsis[region], tx)
-        self.delivery_log.append(Delivery(self.window_index, region, v.vid,
-                                          tx, fabricated))
+        self.delivery_log.append(Delivery(self.window_index, v.assoc_region,
+                                          v.vid, tx, fabricated))
 
     def _sensed(self, v: Vehicle, active: list[tuple[GroundTruthEvent, float, float]]
                 ) -> list[GroundTruthEvent]:
@@ -278,8 +277,11 @@ class World:
                 if math.hypot(v.x - ex, v.y - ey) <= radius]
 
     def _emit_phase(self) -> None:
+        """Every vehicle's reports of this tick, then their `ingest` in
+        delivery order, the signatures verified as one batch."""
         cfg = self.config
         ts = self.clock_ms
+        sent = len(self.delivery_log)
         active = [e for e in self._events if e[0].active_ms[0] <= ts < e[0].active_ms[1]]
         for v in self.vehicles:
             if v.honest:
@@ -293,6 +295,8 @@ class World:
             elif cfg.adversary.strategy == STRATEGY_REPLAY:
                 self._emit_replay(v, ts, active)
             # SuppressReports: silence
+        edge.ingest_all(self.scheme, [(self.rsis[d.region], d.tx)
+                                      for d in self.delivery_log[sent:]])
 
     def _emit_fabricated(self, v: Vehicle, ts: int) -> None:
         cfg = self.config
@@ -376,18 +380,19 @@ class World:
             if wait != math.inf:
                 buckets.setdefault(tick + 1 + wait, []).append(v)
 
-    def _close_region(self, region: str) -> None:
-        """Close the region's window, chain what miners admit, store it."""
-        txs = edge.close_window(self.scheme, self.rsis[region], self.consistency)
-        block = append_admitted(self.scheme, self.ledgers[region], txs,
-                                self.clock_ms, self.policy)
-        if block is not None:
-            for tx in block.txs:
+    def _close_regions(self, regions: list[str]) -> None:
+        """Close each region's window, admit every aggregate as one batch,
+        then chain and store each region's admitted ones, in `regions`
+        order."""
+        closed = [(self.ledgers[region], edge.close_window(
+            self.scheme, self.rsis[region], self.consistency)) for region in regions]
+        for block in append_admitted(self.scheme, closed, self.clock_ms,
+                                     self.policy):
+            for tx in block.txs if block is not None else ():
                 self.rule_table.store_record(tx)
 
     def _window_boundary(self) -> None:
-        for region in sorted(self.rsis):
-            self._close_region(region)
+        self._close_regions(sorted(self.rsis))
         for v in self.vehicles:
             if v.pending_region is not None:
                 v.assoc_region = v.pending_region
@@ -483,9 +488,8 @@ class World:
         while self.clock_ms < self.config.duration_ms:
             self.step()
         self._catch_up()
-        for region in sorted(self.rsis):
-            if self.rsis[region].window.reports:
-                self._close_region(region)
+        self._close_regions([region for region in sorted(self.rsis)
+                             if self.rsis[region].window.reports])
         self.sweep_invariants()
         return self.compute_metrics()
 

@@ -17,12 +17,14 @@ fields.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import starmap
 from typing import TypeVar
 
 from . import encoding
-from .crypto import Certificate, KeyPair, SignatureScheme, sha256, verify_certificate
+from .crypto import Certificate, Checks, KeyPair, SignatureScheme, Triple, sha256
 from .encoding import (
     DecodeError,
     Layout,
@@ -122,7 +124,7 @@ CLEAR = EventKind(4)
 
 # --- vehicle report ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataTransaction:
     loc: GeoPoint
     event: EventKind
@@ -131,13 +133,14 @@ class DataTransaction:
     vehicle_sign: bytes
 
 
-def member_signing_bytes(payload_prefix: bytes, pk: bytes) -> bytes:
-    """What the report key `pk` signs, given its payload's wire bytes.
-
-    An aggregate's members share one payload, so a verifier encodes it
-    once and appends each member's length-prefixed key.
-    """
-    return payload_prefix + length_prefixed(pk)
+def member_triples(payload: Payload, members: Iterable[tuple[bytes, bytes]]
+                   ) -> list[Triple]:
+    """The check of each (pk, sign) member of an aggregate over `payload`:
+    a member signed its report's bytes before the signature, the payload's
+    wire bytes and its length-prefixed key. The members share the payload,
+    so it is encoded once."""
+    prefix = payload_bytes(payload)
+    return [(pk, prefix + length_prefixed(pk), sig) for pk, sig in members]
 
 
 def build_data_tx(scheme: SignatureScheme, vehicle_key: KeyPair,
@@ -151,15 +154,28 @@ def build_data_tx(scheme: SignatureScheme, vehicle_key: KeyPair,
                            pk=vehicle_key.public, vehicle_sign=sig)
 
 
-def verify_data_tx(scheme: SignatureScheme, tx: DataTransaction) -> bool:
+def _data_tx_triple(tx: DataTransaction) -> Triple | None:
+    """What verifies `tx`, or None if a field is out of range."""
     try:
         tx.loc.check_range()
     except RangeError:
-        return False
+        return None
     if tx.timestamp < 0:
-        return False
+        return None
     msg = data_tx_signing_bytes(tx.loc, tx.event, tx.timestamp, tx.pk)
-    return scheme.verify(tx.pk, msg, tx.vehicle_sign)
+    return tx.pk, msg, tx.vehicle_sign
+
+
+def verify_data_txs(scheme: SignatureScheme,
+                    txs: Sequence[DataTransaction]) -> list[bool]:
+    """`verify_data_tx` of each tx, the signatures verified as one batch."""
+    triples = [_data_tx_triple(tx) for tx in txs]
+    results = iter(scheme.verify_many([t for t in triples if t is not None]))
+    return [t is not None and next(results) for t in triples]
+
+
+def verify_data_tx(scheme: SignatureScheme, tx: DataTransaction) -> bool:
+    return verify_data_txs(scheme, [tx])[0]
 
 
 # --- chained transactions ---------------------------------------------------
@@ -178,9 +194,10 @@ class Chained:
     with `seed_wire`; any other tx is encoded on first use. Each signed
     message is a prefix of `wire`, and the RSI, requester, countersigned
     and contract checks verify `signed_prefix` slices of it. Block hashes
-    are computed over `wire` too. `dataclasses.replace` and decoding
-    build new objects with nothing cached; only a field changed in place
-    with `object.__setattr__` can leave `wire` stale, and
+    are computed over `wire` too. A tx decoded from a block caches the
+    bytes it was read from (`ledger._read_chained`). `dataclasses.replace`
+    and other decoding build new objects with nothing cached; only a field
+    changed in place with `object.__setattr__` can leave `wire` stale, and
     `ledger.validate_chain` compares it with a fresh encoding, which
     `ledger.check_ledger` does before it replays admission.
     """
@@ -240,10 +257,8 @@ def build_rsi_tx(scheme: SignatureScheme, rsi_key: KeyPair, payload: Payload,
         raise RangeError(f"flag must be 0 or 1, got {flag}")
     if not members:
         raise MemberSignatureError("an aggregate needs at least one member")
-    prefix = payload_bytes(payload)
-    for pk, sig in members:
-        if not scheme.verify(pk, member_signing_bytes(prefix, pk), sig):
-            raise MemberSignatureError("member signature does not verify")
+    if not all(starmap(scheme.verify, member_triples(payload, members))):
+        raise MemberSignatureError("member signature does not verify")
     return sign_rsi_tx(scheme, rsi_key, payload, members, flag)
 
 
@@ -269,13 +284,24 @@ class Verdict:
     accepted: bool
     reason: str = ""
 
-    @classmethod
-    def accept(cls) -> "Verdict":
-        return cls(True)
 
-    @classmethod
-    def reject(cls, reason: str) -> "Verdict":
-        return cls(False, reason)
+_ACCEPTED = Verdict(True)
+
+
+# One tx's admission, decided up to its signature checks: in precedence
+# order, (reason, i, n), the reject reason of a check and the index and
+# number of its results in the batch (see `crypto.Checks`); a check with
+# no results (n = 0) is a field check that failed, after which nothing
+# is checked.
+Plan = list[tuple[str, int, int]]
+
+
+def decide(plan: Plan, results: Sequence[bool]) -> Verdict:
+    """The verdict of `plan`, given the results of its batch."""
+    for reason, i, n in plan:
+        if not (results[i] if n == 1 else n and all(results[i:i + n])):
+            return Verdict(False, reason)
+    return _ACCEPTED
 
 
 REJECT_UNCERTIFIED_RSI = "UncertifiedRsi"
@@ -291,37 +317,47 @@ def verify_rsi_tx(scheme: SignatureScheme, tx: RsiTransaction, ca_pk: bytes,
                   cert_registry: dict[bytes, Certificate], m: int,
                   verified_certs: set[tuple[bytes, Certificate]] | None = None
                   ) -> Verdict:
-    """Miner-side admission check for an aggregate transaction.
+    """Miner-side admission check for an aggregate transaction; see
+    `plan_rsi_tx`. `verified_certs` is the certificate memo of `Checks`."""
+    checks = Checks(verified_certs)
+    plan = plan_rsi_tx(tx, ca_pk, cert_registry, m, checks)
+    return decide(plan, checks.run(scheme))
+
+
+def plan_rsi_tx(tx: RsiTransaction, ca_pk: bytes,
+                cert_registry: dict[bytes, Certificate], m: int,
+                checks: Checks) -> Plan:
+    """The admission of an aggregate, its signature checks queued on
+    `checks`.
 
     Accept requires a CA-certified RSI key, a well-formed member list,
     at least `m` members, flag = 1, a valid RSI signature and every member
-    signature verifying. The checks run in that order and the first that
-    fails names the verdict, so the reason precedence is
-    `UncertifiedRsi`, `Malformed`, `InsufficientMembers`, `Untrusted`,
-    `BadRsiSignature`, `BadMemberSignature`. Every field check comes
-    before any signature check: an aggregate its RSI flagged 0, or one
-    with too few members, is rejected without a single verify.
-    `verified_certs` is the certificate memo of `verify_certificate`.
+    signature verifying. The first that fails, in that order, names the
+    verdict, so the reason precedence is `UncertifiedRsi`, `Malformed`,
+    `InsufficientMembers`, `Untrusted`, `BadRsiSignature`,
+    `BadMemberSignature`. Every field check comes before any signature
+    check but the certificate's: an aggregate its RSI flagged 0, or one
+    with too few members, queues no other verify.
     """
     cert = cert_registry.get(tx.rsi_pk)
-    if not isinstance(cert, Certificate) or not verify_certificate(
-            scheme, ca_pk, cert, verified_certs):
-        return Verdict.reject(REJECT_UNCERTIFIED_RSI)
-    if len(tx.vehicle_signs) != len(tx.vehicle_pks) or not tx.vehicle_pks:
-        return Verdict.reject(REJECT_MALFORMED)
-    if tx.flag not in (0, 1):
-        return Verdict.reject(REJECT_MALFORMED)
-    if len(tx.vehicle_pks) < m:
-        return Verdict.reject(REJECT_INSUFFICIENT_MEMBERS)
-    if tx.flag != 1:
-        return Verdict.reject(REJECT_UNTRUSTED)
-    if not scheme.verify(tx.rsi_pk, tx.signed_prefix("rsi_sign"), tx.rsi_sign):
-        return Verdict.reject(REJECT_BAD_RSI_SIGNATURE)
-    prefix = payload_bytes(tx.payload)
-    for pk, sig in zip(tx.vehicle_pks, tx.vehicle_signs):
-        if not scheme.verify(pk, member_signing_bytes(prefix, pk), sig):
-            return Verdict.reject(REJECT_BAD_MEMBER_SIGNATURE)
-    return Verdict.accept()
+    if not isinstance(cert, Certificate):
+        return [(REJECT_UNCERTIFIED_RSI, 0, 0)]
+    i = checks.certificate(ca_pk, cert)
+    plan = [] if i is None else [(REJECT_UNCERTIFIED_RSI, i, 1)]
+    n = len(tx.vehicle_pks)
+    if len(tx.vehicle_signs) != n or not n or tx.flag not in (0, 1):
+        plan.append((REJECT_MALFORMED, 0, 0))
+    elif n < m:
+        plan.append((REJECT_INSUFFICIENT_MEMBERS, 0, 0))
+    elif tx.flag != 1:
+        plan.append((REJECT_UNTRUSTED, 0, 0))
+    else:
+        i = checks.add((tx.rsi_pk, tx.signed_prefix("rsi_sign"), tx.rsi_sign),
+                       *member_triples(tx.payload,
+                                       zip(tx.vehicle_pks, tx.vehicle_signs)))
+        plan += [(REJECT_BAD_RSI_SIGNATURE, i, 1),
+                 (REJECT_BAD_MEMBER_SIGNATURE, i + 1, n)]
+    return plan
 
 
 # --- marketplace types ------------------------------------------------------

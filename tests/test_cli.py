@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmap import cli
+from dmap import cli, encoding
 from dmap.encoding import DecodeError
 from dmap.crypto import KEYED_HASH, ZERO_DIGEST, issue_certificate
 from dmap.ledger import (
@@ -340,7 +340,8 @@ class TestValidate:
     @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
     def test_dumped_ledgers_pass_the_shared_check(self, finished_worlds,
                                                   tmp_path, scenario):
-        # decoded txs carry no seeded `wire`, yet give the same digests
+        # decoded txs carry the bytes they were read from as `wire`, and
+        # give the same digests
         world, _ = finished_worlds[scenario]
 
         def check(name, ok, detail):
@@ -353,6 +354,24 @@ class TestValidate:
             assert (check_ledger(world.scheme, restored, world.policy, check)
                     == check_ledger(world.scheme, ledger, world.policy, check))
             assert cli.main(["validate", "--ledger", str(path)]) == 0
+
+    def test_validating_a_dump_encodes_each_tx_once(self, finished_worlds,
+                                                    monkeypatch):
+        # the block hash reads each decoded tx's `wire`, the bytes it was
+        # read from; the fresh-encoding check is the one encode
+        world, _ = finished_worlds["market_suite"]
+        restored = load_ledger(dump_ledger(world.ledgers["r0_c0"]))
+        real = encoding.canonical_encode
+        calls = []
+
+        def counted(obj):
+            calls.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(encoding, "canonical_encode", counted)
+        assert validate_chain(restored).ok
+        assert calls == restored.all_txs()
+        assert len(calls) == 16
 
     def test_garbage_file_exits_1(self, tmp_path):
         path = tmp_path / "junk.bin"

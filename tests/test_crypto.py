@@ -2,9 +2,11 @@ import hashlib
 import hmac
 import os
 import pathlib
+import signal
 import struct
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,10 @@ from dmap import fixtures
 from dmap.crypto import (
     ED25519,
     KEYED_HASH,
+    SPLIT_MIN,
+    Ed25519Scheme,
     KeyPair,
+    _cpus,
     certificate_signing_bytes,
     issue_certificate,
     sha256,
@@ -189,6 +194,120 @@ class TestCertificates:
         assert verify_certificate(scheme, ca.public, cert) == scheme.verify(
             ca.public, certificate_signing_bytes(cert.subject_pk, cert.region_id),
             cert.ca_signature)
+
+
+def mixed_triples(sch, n):
+    """`n` triples cycling through a good one, a wrong message, a flipped
+    signature byte, a short key and a short signature, each with the
+    verdict it must get."""
+    out = []
+    for i, seed in enumerate(seeds(n)):
+        k = sch.generate_keypair(seed)
+        message = b"batch message %d" % i
+        sig = sch.sign(k, message)
+        out.append([(k.public, message, sig, True),
+                    (k.public, message + b"!", sig, False),
+                    (k.public, message, sig[:-1] + bytes([sig[-1] ^ 1]), False),
+                    (k.public[:31], message, sig, False),
+                    (k.public, message, sig[:-1], False)][i % 5])
+    return [t[:3] for t in out], [t[3] for t in out]
+
+
+# the conditions under which `Ed25519Scheme` forks its helper
+HELPER_RUNS = hasattr(os, "fork") and _cpus() >= 2
+
+
+@pytest.fixture
+def fresh_ed25519():
+    """An Ed25519 scheme with a helper of its own, closed afterwards."""
+    sch = Ed25519Scheme()
+    yield sch
+    if sch._helper is not None:
+        sch._helper.close()
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestVerifyMany:
+    @pytest.mark.parametrize("n", [SPLIT_MIN - 1, 5 * SPLIT_MIN + 3])
+    def test_results_in_input_order(self, fresh_ed25519, n):
+        for sch in (KEYED_HASH, fresh_ed25519):
+            triples, expected = mixed_triples(sch, n)
+            assert sch.verify_many(triples) == expected
+            assert [sch.verify(*t) for t in triples] == expected
+            assert sch.verify_many([]) == []
+        # the helper answered, and is still there: it did not die on a frame
+        split = HELPER_RUNS and n >= SPLIT_MIN
+        assert (fresh_ed25519._helper is not None) == split
+
+    @pytest.mark.skipif(not HELPER_RUNS, reason="no helper on this machine")
+    def test_batch_after_the_helper_is_killed(self, fresh_ed25519):
+        sch = fresh_ed25519
+        triples, expected = mixed_triples(sch, 4 * SPLIT_MIN)
+        assert sch.verify_many(triples) == expected
+        pid = sch._helper.pid
+        os.kill(pid, signal.SIGKILL)
+        assert sch.verify_many(triples) == expected
+        # the dead helper was reaped; the next batch forks a new one
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+        assert sch.verify_many(triples) == expected
+        assert sch._helper.pid != pid
+
+    def test_no_fork_while_another_thread_runs(self, fresh_ed25519):
+        # fork copies only the calling thread, so a batch then stays here
+        triples, expected = mixed_triples(fresh_ed25519, 4 * SPLIT_MIN)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert fresh_ed25519.verify_many(triples) == expected
+            assert fresh_ed25519._helper is None
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+
+    def test_helper_ends_with_the_interpreter(self):
+        # the fork path outside pytest: one batch, then a normal exit under
+        # -W error. An exit hook registered before the helper's runs after
+        # its hook and finds the helper already reaped
+        package_root = str(pathlib.Path(dmap.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+        code = """if True:
+            import atexit, os
+            from dmap.crypto import ED25519, SPLIT_MIN
+
+            def reaped():
+                try:
+                    if helper:
+                        os.waitpid(helper.pid, os.WNOHANG)
+                except ChildProcessError:
+                    print("reaped")
+
+            atexit.register(reaped)
+            k = ED25519.generate_keypair(bytes(32))
+            batch = [(k.public, b"m", ED25519.sign(k, b"m"))] * 2 * SPLIT_MIN
+            assert ED25519.verify_many(batch) == [True] * len(batch)
+            helper = ED25519._helper
+            print(helper.pid if helper else 0)
+            """
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        pid, *rest = proc.stdout.split()
+        if pid == "0":
+            pytest.skip("no helper process on this machine")
+        assert rest == ["reaped"]
+        assert not _alive(int(pid))
 
 
 def test_no_secret_key_bytes_in_any_protocol_encoding():

@@ -13,6 +13,7 @@ from dmap.ledger import (
     EmptyBlockError,
     Ledger,
     MinerPolicy,
+    admit_all,
     append_admitted,
     append_block,
     dump_ledger,
@@ -141,7 +142,7 @@ class TestAppendAdmitted:
     def test_mixed_batch_chains_admitted_in_input_order(self, batch):
         policy, txs = batch
         ledger = genesis("r0_c0")
-        block = append_admitted(scheme, ledger, txs, 1000, policy)
+        block, = append_admitted(scheme, [(ledger, txs)], 1000, policy)
         assert block is ledger.tip
         assert block.height == 1
         assert block.txs == (txs[0], txs[3])
@@ -151,22 +152,31 @@ class TestAppendAdmitted:
         policy, txs = batch
         via_admitted = genesis("r0_c0")
         via_strict = genesis("r0_c0")
-        append_admitted(scheme, via_admitted, txs, 1000, policy)
+        append_admitted(scheme, [(via_admitted, txs)], 1000, policy)
         append_block(scheme, via_strict, [txs[0], txs[3]], 1000, policy)
         assert via_admitted.tip == via_strict.tip
+
+    def test_each_ledger_chains_its_own_in_one_batch(self, batch):
+        # the other region's aggregate is refused on r0_c0 and chained on
+        # r1_c1, where the rest are refused
+        policy, txs = batch
+        r0, r1 = genesis("r0_c0"), genesis("r1_c1")
+        b0, b1 = append_admitted(scheme, [(r0, txs), (r1, txs)], 1000, policy)
+        assert b0.txs == (txs[0], txs[3]) and r0.tip is b0
+        assert b1.txs == (txs[2],) and r1.tip is b1
 
     def test_all_rejected_returns_none_and_leaves_ledger(self, batch):
         policy, txs = batch
         ledger = genesis("r0_c0")
         tip = ledger.tip
-        assert append_admitted(scheme, ledger, txs[1:3], 1000, policy) is None
-        assert append_admitted(scheme, ledger, [], 1000, policy) is None
+        assert append_admitted(scheme, [(ledger, txs[1:3])], 1000, policy) == [None]
+        assert append_admitted(scheme, [(ledger, [])], 1000, policy) == [None]
         assert ledger.tip is tip
 
     def test_member_signatures_verified_once(self, batch):
         policy, txs = batch
         counting = CountingScheme()
-        append_admitted(counting, genesis("r0_c0"), txs, 1000, policy)
+        append_admitted(counting, [(genesis("r0_c0"), txs)], 1000, policy)
         for tx in (txs[0], txs[3]):
             for pk in tx.vehicle_pks:
                 assert counting.verified[pk] == 1
@@ -193,7 +203,46 @@ def approved_access_tx(ca, policy):
         rt_key, tx.countersigned_message()))
 
 
+class TestAdmitAll:
+    def test_batch_verdicts_equal_one_by_one(self, setup):
+        ca, rsi_key, policy = setup
+        good = make_tx(rsi_key, ts=1)
+        access = approved_access_tx(ca, policy)
+        candidates = [
+            (good, "r0_c0"),
+            (make_tx(rsi_key, ts=2, flag=0), "r0_c0"),
+            (dataclasses.replace(good, rsi_sign=bytes(32)), "r0_c0"),
+            (dataclasses.replace(good, vehicle_signs=(bytes(32),)
+                                 + good.vehicle_signs[1:]), "r0_c0"),
+            (good, "r1_c1"),
+            (access, "r0_c0"),
+            (dataclasses.replace(access, ruletable_sign=bytes(32)), "r0_c0"),
+            (dataclasses.replace(access, requester_sign=bytes(32)), "r0_c0"),
+        ]
+        batched = admit_all(scheme, candidates, dataclasses.replace(
+            policy, verified_certs=set()))
+        alone = [miner_admit(scheme, tx, dataclasses.replace(
+            policy, verified_certs=set()), region) for tx, region in candidates]
+        assert batched == alone
+        assert [v.reason for v in batched] == [
+            "", "Untrusted", "BadRsiSignature", "BadRsiSignature",
+            "WrongLedger", "", "BadRuleTableSignature",
+            "BadRequesterSignature"]
+
+
 class TestCertificateMemo:
+    def test_certificate_verified_once_per_batch(self, setup):
+        ca, rsi_key, policy = setup
+        candidates = [(make_tx(rsi_key, ts=ts), "r0_c0") for ts in (1, 2)]
+        counting = CountingScheme()
+        assert all(v.accepted for v in admit_all(counting, candidates, policy))
+        assert counting.verified[ca.public] == 1
+        # without the memo, as the sweep replays admission, once per tx
+        counting = CountingScheme()
+        admit_all(counting, candidates,
+                  dataclasses.replace(policy, verified_certs=None))
+        assert counting.verified[ca.public] == 2
+
     def test_certificate_verified_once_across_admissions(self, setup):
         ca, rsi_key, policy = setup
         counting = CountingScheme()
@@ -258,7 +307,7 @@ class TestHasTx:
             batch = [make_tx(rsi_key, ts=100 + b, labels=(f"r{b}", f"s{b}")),
                      make_tx(rsi_key, ts=200 + b, flag=0,
                              labels=(f"t{b}", f"u{b}"))]
-            append_admitted(scheme, ledger, batch, 2000 + b, policy)
+            append_admitted(scheme, [(ledger, batch)], 2000 + b, policy)
             self.assert_agrees(ledger)
             # the flag-0 aggregate was refused, so it is not chained
             assert not ledger.has_tx(sha256(canonical_encode(batch[1])))

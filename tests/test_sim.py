@@ -921,12 +921,13 @@ def test_admission_verifies_only_what_it_chains(monkeypatch):
 
     def counted(*args):
         calls, memo = counting.verify_calls(), len(world.policy.verified_certs)
-        block = real(*args)
+        blocks = real(*args)
         spent["verify"] += counting.verify_calls() - calls
         spent["memo_misses"] += len(world.policy.verified_certs) - memo
-        for tx in block.txs if block is not None else ():
-            spent["chained"] += 1 + len(tx.vehicle_pks)
-        return block
+        for block in blocks:
+            for tx in block.txs if block is not None else ():
+                spent["chained"] += 1 + len(tx.vehicle_pks)
+        return blocks
 
     monkeypatch.setattr(sim, "append_admitted", counted)
     world.run()
