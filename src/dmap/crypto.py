@@ -232,13 +232,8 @@ class Ed25519Scheme(SignatureScheme):
         if len(seed) != 32:
             seed = sha256(seed)
         sk = _ed25519()[0].Ed25519PrivateKey.from_private_bytes(seed)
-        from cryptography.hazmat.primitives.serialization import (
-            Encoding,
-            PublicFormat,
-        )
-
-        public = sk.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-        return KeyPair(public=public, secret=seed, private_key=sk)
+        return KeyPair(public=sk.public_key().public_bytes_raw(), secret=seed,
+                       private_key=sk)
 
     def sign(self, key: KeyPair, message: bytes) -> bytes:
         sk = key.private_key

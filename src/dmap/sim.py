@@ -17,6 +17,7 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 
 from . import edge, txmodel
@@ -98,7 +99,7 @@ class Vehicle:
     speed: float
     honest: bool
     master_seed: bytes
-    grant_key: KeyPair
+    scheme: SignatureScheme  # derives the vehicle's keys
     rng: CounterRng
     assoc_region: str
     cell: tuple[int, int]  # World._cell(x, y), kept up to date by moves
@@ -108,8 +109,7 @@ class Vehicle:
     floor_y: float
     pending_region: str | None = None
     key_counter: int = 0
-    first_key: KeyPair | None = None  # signs owner-signature grants
-    reuse_key: KeyPair | None = None
+    reuse_key: KeyPair | None = None  # signs every report when set
     replay_payload: Payload | None = None
     tick: int = 0  # the tick that x and y belong to; see World._move_phase
     # the move of one tick, refreshed by `turn` whenever the heading changes
@@ -124,15 +124,31 @@ class Vehicle:
         self.step_x = math.cos(heading) * self.speed * TICK_S
         self.step_y = math.sin(heading) * self.speed * TICK_S
 
-    def fresh_key(self, scheme: SignatureScheme) -> KeyPair:
+    def _report_key(self, counter: int) -> KeyPair:
+        return self.scheme.generate_keypair(
+            sha256(self.master_seed + struct.pack(">Q", counter)))
+
+    def fresh_key(self) -> KeyPair:
         if self.reuse_key is not None:
             return self.reuse_key
-        seed = sha256(self.master_seed + struct.pack(">Q", self.key_counter))
         self.key_counter += 1
-        key = scheme.generate_keypair(seed)
-        if self.first_key is None:
-            self.first_key = key
-        return key
+        return self._report_key(self.key_counter - 1)
+
+    @cached_property
+    def grant_key(self) -> KeyPair:
+        """The long-term key that signs the vehicle's contracts, derived
+        when the vehicle first trades."""
+        return self.scheme.generate_keypair(self.master_seed + b"/grant")
+
+    @property
+    def first_key(self) -> KeyPair | None:
+        """The first report's key, which signs owner-signature grants;
+        None before any report and for a vehicle that reuses one key."""
+        return None if self.key_counter == 0 else self._first_report_key
+
+    @cached_property
+    def _first_report_key(self) -> KeyPair:
+        return self._report_key(0)
 
 
 @dataclass(slots=True)
@@ -189,7 +205,6 @@ class World:
             rng = CounterRng(seed, "vehicle", vid)
             master = sha256(b"dmap/vehicle-master"
                             + struct.pack(">QQ", seed, vid))
-            grant_key = scheme.generate_keypair(master + b"/grant")
             x, y = rng.uniform(0.0, width), rng.uniform(0.0, height)
             cell = self._cell(x, y)
             v = Vehicle(vid=vid, x=x, y=y,
@@ -197,7 +212,7 @@ class World:
                         speed=rng.uniform(config.speed_min_mps,
                                           config.speed_max_mps),
                         honest=vid >= n_adv,
-                        master_seed=master, grant_key=grant_key, rng=rng,
+                        master_seed=master, scheme=scheme, rng=rng,
                         assoc_region=region_name(*cell), cell=cell,
                         floor_x=x // config.cell_size_m,
                         floor_y=y // config.cell_size_m)
@@ -265,7 +280,7 @@ class World:
                  fabricated: bool = False) -> None:
         """Sign a report under a fresh key and log it for the serving RSI,
         which `_emit_phase` sends it to."""
-        tx = build_data_tx(self.scheme, v.fresh_key(self.scheme), loc, kind, ts)
+        tx = build_data_tx(self.scheme, v.fresh_key(), loc, kind, ts)
         self.delivery_log.append(Delivery(self.window_index, v.assoc_region,
                                           v.vid, tx, fabricated))
 

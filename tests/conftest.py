@@ -16,14 +16,17 @@ SCENARIO_NAMES = ("honest_majority", "majority_capture", "market_suite",
 
 
 class CountingScheme(SignatureScheme):
-    """Keyed-hash scheme that counts verify calls per public key."""
+    """Keyed-hash scheme that counts verify calls per public key, and
+    keypairs generated."""
 
     name = "counting"
 
     def __init__(self):
         self.verified = collections.Counter()
+        self.keygens = 0
 
     def generate_keypair(self, seed):
+        self.keygens += 1
         return KEYED_HASH.generate_keypair(seed)
 
     def sign(self, key, message):

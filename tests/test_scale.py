@@ -45,6 +45,11 @@ def test_smallest_point_writes_the_schema(tmp_path):
     assert city["name"] == "city_market_1x"
     assert 0 < city["availability_s"] < city["run_s"]
     assert all(0 < p["groups"] <= p["records"] for p in (point, market, city))
+    assert all(set(p) == {"name", "scheme", "vehicles", "duration_ms",
+                          "reports", "records", "groups", "setup_s", "run_s",
+                          "runs_s", "scaled_runs_s", "scaled_run_s",
+                          "phases_s", "verifies", "availability_s"}
+               for p in (point, market, city))
     assert point["name"] == "honest_majority_60" and point["vehicles"] == 60
     assert point["scheme"] == "keyed-hash"
     assert point["reports"] > 0 and len(point["runs_s"]) == 1
@@ -54,6 +59,8 @@ def test_smallest_point_writes_the_schema(tmp_path):
     assert set(point["phases_s"]) == phases
     assert all(point["phases_s"][p] > 0 for p in ("emit", "move", "boundary", "sweep"))
     assert abs(sum(point["phases_s"].values()) - point["run_s"]) < 1e-9
+    # building the world is timed apart from the run
+    assert 0 < point["setup_s"] < point["run_s"]
     # ingest verifies every report; the boundary admits and the sweep
     # re-verifies what was chained
     assert set(point["verifies"]) == phases

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import struct
 import sys
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmap import edge, encoding, sim, txmodel
-from dmap.crypto import KEYED_HASH, verify_certificate
+from dmap.crypto import KEYED_HASH, SCHEMES, sha256, verify_certificate
 from dmap.encoding import canonical_encode
 from dmap.ledger import _link, check_ledger, validate_chain
 from dmap.market import AccessResult, build_access_tx, create_contract
@@ -316,6 +317,55 @@ class TestWorldConstruction:
         for v in world.vehicles:
             assert 0 <= v.x <= 1000 and 0 <= v.y <= 1000
             assert v.assoc_region in world.rsis
+
+
+class TestVehicleKeys:
+    @pytest.mark.parametrize("name, keygens", [
+        ("honest_majority", 11),  # the CA, 9 RSIs and the rule table
+        ("market_suite", 6),
+        ("key_reuse", 4),  # the reused key is made up front
+    ])
+    def test_world_derives_no_vehicle_key_up_front(self, name, keygens):
+        counting = CountingScheme()
+        World(load_scenario_config(name), counting)
+        assert counting.keygens == keygens
+
+    def test_only_trading_vehicles_derive_a_grant_key(self):
+        world = World(load_scenario_config("market_suite"))
+        world.run()
+        assert [v.vid for v in world.vehicles if "grant_key" in vars(v)] == [0, 1]
+
+    @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+    def test_grant_key_is_the_master_seed_derivation(self, scheme_name):
+        keys = SCHEMES[scheme_name]
+        world = World(ScenarioConfig.from_dict(minimal_dict()), keys)
+        for v in world.vehicles:
+            master = sha256(b"dmap/vehicle-master" + struct.pack(">QQ", 1, v.vid))
+            assert v.grant_key == keys.generate_keypair(master + b"/grant")
+            assert v.grant_key is v.grant_key
+
+    def test_first_key_signed_the_first_report(self):
+        world = World(load_scenario_config("market_suite"))
+        assert all(v.first_key is None for v in world.vehicles)
+        world.run()
+        first_pk = {}
+        for d in world.delivery_log:
+            first_pk.setdefault(d.vid, d.tx.pk)
+        assert len(first_pk) > 1
+        for v in world.vehicles:
+            if v.vid in first_pk:
+                assert v.first_key.public == first_pk[v.vid]
+                assert v.first_key is v.first_key
+            else:
+                assert v.first_key is None
+
+    def test_key_reuse_vehicle_has_no_first_key(self):
+        world = World(load_scenario_config("key_reuse"))
+        world.run()
+        reused = world.vehicles[0]
+        assert any(d.vid == 0 for d in world.delivery_log)
+        assert reused.first_key is None
+        assert world.vehicles[1].first_key is not None
 
 
 class TestDeterminism:

@@ -1,5 +1,5 @@
-"""Scale points of `World.run()`: wall time, phase split and verify
-counts, as JSON.
+"""Scale points of `World.run()`: wall time, phase split, verify counts
+and the time of building the world, as JSON.
 
     python3 tools/scale.py --out BENCH_<n>.json [--repeats 3] [--points NAME ...]
 
@@ -19,6 +19,10 @@ the scheme from outside:
 - ``boundary``: ``_window_boundary`` (window close, admission, storage);
 - ``sweep``: ``sweep_invariants``;
 - ``other``: the rest of ``run()``.
+
+A point's ``setup_s`` is the median raw seconds of building its
+``World`` (``World(cfg, scheme)``: keys, certificates, rule table and
+vehicles), timed before each run and not part of its wall time.
 
 Verifies are counted by a ``SignatureScheme`` that wraps the point's
 scheme, in every timed run (about 2 % of the 600-vehicle keyed-hash run,
@@ -120,6 +124,7 @@ POINTS = {  # name -> (scenario maker, vehicle count or None, scheme)
     "honest_majority_60": (lambda: _vehicles(60), 60, "keyed-hash"),
     "honest_majority_600": (lambda: _vehicles(600), 600, "keyed-hash"),
     "honest_majority_2000": (lambda: _vehicles(2000), 2000, "keyed-hash"),
+    "honest_majority_6000": (lambda: _vehicles(6000), 6000, "keyed-hash"),
     "honest_majority_60_ed25519": (lambda: _vehicles(60), 60, "ed25519"),
     "honest_majority_600_ed25519": (lambda: _vehicles(600), 600, "ed25519"),
     "market_suite_1x": (lambda: _duration(1), None, "keyed-hash"),
@@ -209,11 +214,14 @@ def time_availability(world: sim.World) -> float:
 
 def run_once(cfg: sim.ScenarioConfig, scheme_name: str,
              availability: bool = False) -> dict:
-    """One timed `World.run()`, stepped: wall time, the same scaled step
-    by step, phase split and verify counts; then, with `availability`,
-    the time of one availability query (not part of the wall time)."""
+    """One timed `World.run()`, stepped: the time of building its world,
+    wall time, the same scaled step by step, phase split and verify
+    counts; then, with `availability`, the time of one availability query
+    (neither is part of the wall time)."""
     scheme = PhaseVerifies(SCHEMES[scheme_name])
+    t0 = perf_counter()
     world = sim.World(cfg, scheme)
+    setup = perf_counter() - t0
     phases: dict[str, float] = {}
     meter, scaled = SpeedMeter(), []
     wall = 0.0
@@ -234,8 +242,8 @@ def run_once(cfg: sim.ScenarioConfig, scheme_name: str,
     meter.flush()
     phases["other"] = wall - sum(phases.values())
     directories = world.rule_table.directories.values()
-    return {"wall": wall, "scaled": math.fsum(scaled), "phases": phases,
-            "verifies": scheme.verifies,
+    return {"setup": setup, "wall": wall, "scaled": math.fsum(scaled),
+            "phases": phases, "verifies": scheme.verifies,
             "reports": metrics["global"]["reports_sent"],
             "records": sum(len(d.records) for d in directories),
             "groups": sum(len(d.groups()) for d in directories),
@@ -252,6 +260,7 @@ def summarise(name: str, cfg: sim.ScenarioConfig, runs: list[dict]) -> dict:
         "reports": runs[0]["reports"],
         "records": runs[0]["records"],
         "groups": runs[0]["groups"],
+        "setup_s": statistics.median(r["setup"] for r in runs),
         "run_s": statistics.median(r["wall"] for r in runs),
         "runs_s": [r["wall"] for r in runs],
         "scaled_runs_s": [r["scaled"] for r in runs],
@@ -327,7 +336,8 @@ def main(argv: list[str] | None = None) -> int:
         fh.write("\n")
     for p in result["points"]:
         split = " ".join(f"{k}={v:.3f}" for k, v in p["phases_s"].items())
-        print(f"{p['name']:<28} run_s={p['run_s']:.3f} "
+        print(f"{p['name']:<28} setup_ms={p['setup_s'] * 1e3:.2f} "
+              f"run_s={p['run_s']:.3f} "
               f"scaled_run_s={p['scaled_run_s']:.3f}  {split}  "
               f"boundary_verifies={p['verifies']['boundary']}"
               + (f"  availability_us={p['availability_s'] * 1e6:.1f}"
