@@ -8,17 +8,27 @@ signature and the rule table's countersignature, and that final form is
 chained on the ledger of the region whose directory served the request.
 
 Store-side search runs in process; external search services are
-deliberately not used. Each directory groups its records by location and
-event code, each group in timestamp order with prefix sums of the record
-sizes, so a query bisects its period in each group instead of visiting
-every record.
+deliberately not used. The rule table indexes the records of every
+directory twice, each by what one read selects on, and each group keeps
+its timestamps in ascending order, so a read bisects its period in each
+group instead of visiting every record:
+
+- by place, `(lat_micro, lon_micro)` across all regions and kinds, with
+  prefix sums of the record sizes, for `query_availability`;
+- by region and event code, with the positions of the records in that
+  directory's `records`, for the access path.
+
+Each read first indexes the records appended to any directory since the
+last read, in store order (`record_id`). In a run each window's records
+follow the last window's, so every group grows by appends; a record out
+of time order is inserted in place.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .crypto import Certificate, KeyPair, SignatureScheme, verify_certificate
 from .ledger import Ledger, MinerPolicy, append_block
@@ -82,63 +92,63 @@ class Record:
     size_bytes: int
 
 
-class _Group:
-    """The records of one directory at one location with one event code:
-    their timestamps in ascending order (directory order among equal
-    ones), their positions in the directory's `records`, and `sums[i]`,
-    the total size of the first `i`."""
+class _Times:
+    """The timestamps of a group of records in ascending order, store
+    order among equal ones."""
 
-    __slots__ = ("lat_micro", "lon_micro", "code", "times", "positions", "sums")
+    __slots__ = ("times",)
 
-    def __init__(self, lat_micro: int, lon_micro: int, code: int) -> None:
-        self.lat_micro = lat_micro
-        self.lon_micro = lon_micro
-        self.code = code
+    def __init__(self) -> None:
         self.times: list[int] = []
-        self.positions: list[int] = []
-        self.sums = [0]
 
-    def add(self, time: int, position: int, size: int) -> None:
-        times, sums = self.times, self.sums
+    def _insert(self, time: int) -> int:
+        """Insert `time` after any equal one; its index."""
+        times = self.times
         i = bisect_right(times, time)
         times.insert(i, time)
-        self.positions.insert(i, position)
-        sums.insert(i + 1, sums[i] + size)
-        for k in range(i + 2, len(sums)):  # none when it arrives in order
-            sums[k] += size
+        return i
 
     def span(self, from_ms: int, to_ms: int) -> tuple[int, int]:
         """The index range of the timestamps in [from_ms, to_ms)."""
         return bisect_left(self.times, from_ms), bisect_left(self.times, to_ms)
 
 
+class _Place(_Times):
+    """The records at one place, with `sums[i]` the total size of the
+    first `i`."""
+
+    __slots__ = ("sums",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sums = [0]
+
+    def add(self, time: int, size: int) -> None:
+        sums = self.sums
+        i = self._insert(time)
+        sums.insert(i + 1, sums[i] + size)
+        for k in range(i + 2, len(sums)):  # none when it arrives in order
+            sums[k] += size
+
+
+class _Kind(_Times):
+    """The records of one directory with one event code, with their
+    positions in its `records`."""
+
+    __slots__ = ("positions",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.positions: list[int] = []
+
+    def add(self, time: int, position: int) -> None:
+        self.positions.insert(self._insert(time), position)
+
+
 @dataclass
 class DataDirectory:
     region_id: str
     records: list[Record] = field(default_factory=list)
-    # the groups of records[:_grouped], by (lat_micro, lon_micro, code)
-    _groups: dict[tuple[int, int, int], _Group] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _grouped: int = field(default=0, init=False, repr=False, compare=False)
-
-    def groups(self) -> Iterable[_Group]:
-        """Every group of `records`.
-
-        Like `Ledger.has_tx`, groups only the records appended since the
-        last call, so a record appended straight to `records` is seen,
-        while one replaced in place is not.
-        """
-        records = self.records
-        for position in range(self._grouped, len(records)):
-            record = records[position]
-            p = record.payload
-            key = (p.loc.lat_micro, p.loc.lon_micro, p.event.code)
-            group = self._groups.get(key)
-            if group is None:
-                group = self._groups[key] = _Group(*key)
-            group.add(p.timestamp, position, record.size_bytes)
-        self._grouped = len(records)
-        return self._groups.values()
 
 
 @dataclass
@@ -214,6 +224,10 @@ class RuleTable:
         self.ledgers = ledgers
         self.directories: dict[str, DataDirectory] = {}
         self._next_record_id = 0
+        # the indexes of each directory's records[:_indexed[region]]
+        self._indexed: dict[str, int] = {}
+        self._places: dict[tuple[int, int], _Place] = {}
+        self._kinds: dict[str, dict[int, _Kind]] = {}
 
     # -- storage path --------------------------------------------------------
 
@@ -289,27 +303,30 @@ class RuleTable:
         # approved form's bytes are them plus those fields
         counter = access_tx.countersigned_message()
         sig = self.scheme.sign(self.key, counter)
-        approved = replace(access_tx, ruletable_pk=self.key.public,
-                           ruletable_sign=sig)
-        approved.seed_wire(counter, "ruletable_pk")
+        approved = AccessTransaction(
+            requester_pk=access_tx.requester_pk, query=access_tx.query,
+            grant=grant, requester_sign=access_tx.requester_sign,
+            ruletable_pk=self.key.public, ruletable_sign=sig,
+        ).seed_wire(counter, "ruletable_pk")
         self._chain_access_tx(approved, records, now_ms)
         return AccessResult(granted=True, records=records, access_tx=approved)
 
     def _matching_records(self, query: Scope) -> list[Record]:
         """The records the query covers, each once: by sorted region, then
         in directory order."""
+        self._catch_up()
         out: list[Record] = []
         for rid in sorted(set(query.region_ids)):
-            directory = self.directories.get(rid)
-            if directory is None:
+            kinds = self._kinds.get(rid)
+            if kinds is None:
                 continue
             positions: list[int] = []
-            for group in directory.groups():
-                if group.code in query.kind_codes:
+            for code, group in kinds.items():
+                if code in query.kind_codes:
                     i, j = group.span(query.from_ms, query.to_ms)
                     positions += group.positions[i:j]
             positions.sort()
-            records = directory.records
+            records = self.directories[rid].records
             out += [records[k] for k in positions]
         return out
 
@@ -340,14 +357,51 @@ class RuleTable:
                            from_ms: int, to_ms: int) -> tuple[int, int]:
         """Exact (record count, byte volume) in an area, closed at both
         corners, and the period [from_ms, to_ms); no record is visited."""
+        self._catch_up()
+        lat_min, lat_max = area_min.lat_micro, area_max.lat_micro
+        lon_min, lon_max = area_min.lon_micro, area_max.lon_micro
         count = 0
         volume = 0
-        for directory in self.directories.values():
-            for group in directory.groups():
-                if (area_min.lat_micro <= group.lat_micro <= area_max.lat_micro
-                        and area_min.lon_micro <= group.lon_micro <= area_max.lon_micro):
-                    i, j = group.span(from_ms, to_ms)
-                    if i < j:
-                        count += j - i
-                        volume += group.sums[j] - group.sums[i]
+        for (lat, lon), place in self._places.items():
+            if lat_min <= lat <= lat_max and lon_min <= lon <= lon_max:
+                i, j = place.span(from_ms, to_ms)
+                if i < j:
+                    count += j - i
+                    volume += place.sums[j] - place.sums[i]
         return count, volume
+
+    def _catch_up(self) -> None:
+        """Index the records appended to any directory since the last read.
+
+        Like `Ledger.has_tx`, a record appended straight to `records` is
+        seen, while one replaced in place is not. The places take the new
+        records of all directories in store order, so a place that several
+        directories store at grows by appends.
+        """
+        indexed = self._indexed
+        fresh: list[Record] = []
+        for rid, directory in self.directories.items():
+            records = directory.records
+            start = indexed.get(rid, 0)
+            if start == len(records):
+                continue
+            kinds = self._kinds.setdefault(rid, {})
+            for position in range(start, len(records)):
+                p = records[position].payload
+                group = kinds.get(p.event.code)
+                if group is None:
+                    group = kinds[p.event.code] = _Kind()
+                group.add(p.timestamp, position)
+            fresh += records[start:]
+            indexed[rid] = len(records)
+        if not fresh:
+            return
+        fresh.sort(key=attrgetter("record_id"))
+        places = self._places
+        for record in fresh:
+            p = record.payload
+            key = (p.loc.lat_micro, p.loc.lon_micro)
+            place = places.get(key)
+            if place is None:
+                place = places[key] = _Place()
+            place.add(p.timestamp, record.size_bytes)

@@ -372,10 +372,10 @@ class Scope:
     kind_codes: tuple[int, ...]
 
     def contains_query(self, query: "Scope") -> bool:
-        return (set(query.region_ids) <= set(self.region_ids)
-                and self.from_ms <= query.from_ms
+        return (self.from_ms <= query.from_ms
                 and query.to_ms <= self.to_ms
-                and set(query.kind_codes) <= set(self.kind_codes))
+                and set(self.region_ids).issuperset(query.region_ids)
+                and set(self.kind_codes).issuperset(query.kind_codes))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmap import market
 from dmap.crypto import KEYED_HASH, issue_certificate, sha256
 from dmap.encoding import canonical_encode
 from dmap.ledger import Ledger, MinerPolicy, append_block, genesis
@@ -26,6 +27,7 @@ from dmap.market import (
     create_contract,
 )
 from dmap.rng import CounterRng
+from dmap.sim import World
 from dmap.txmodel import (
     CLEAR,
     EventKind,
@@ -40,6 +42,7 @@ from dmap.txmodel import (
     build_rsi_tx,
     grant_signing_bytes,
 )
+from tests.conftest import load_scenario_config
 from tests.test_txmodel import key, make_members
 
 scheme = KEYED_HASH
@@ -503,3 +506,65 @@ class TestGroupedQueries:
                 assert got == scan_matching(table, query)
                 assert (table.query_availability(lo, hi, *period)
                         == scan_availability(table, lo, hi, *period))
+
+
+def spy_appends(monkeypatch, cls):
+    """Wrap `cls.add`; the returned list says, per call, whether the time
+    went after every time its group held."""
+    appends = []
+    add = cls.add
+
+    def spy(group, time, value):
+        appends.append(not group.times or group.times[-1] <= time)
+        add(group, time, value)
+
+    monkeypatch.setattr(cls, "add", spy)
+    return appends
+
+
+class TestIndexes:
+    def test_catch_up_in_store_order(self, monkeypatch):
+        """Three directories store at one place over 50 windows and are read
+        once at the end: taken in store order, every add is an append."""
+        regions = ("r0_c0", "r0_c1", "r1_c0")
+        table = RuleTable(scheme, key("ruletable"), None, {})
+        table.directories = {r: DataDirectory(r) for r in regions}
+        place = GeoPoint(1000, 2000)
+        record_id = 0
+        for window in range(50):
+            kind = (ROAD_DAMAGE, CLEAR)[window % 2]
+            for i, region in enumerate(regions):
+                # the first two regions tie within a window
+                payload = Payload(place, kind, 5000 * window + 2000 * (i // 2))
+                table.directories[region].records.append(Record(
+                    record_id, region, payload, b"", (), 10 + record_id))
+                record_id += 1
+        places = spy_appends(monkeypatch, market._Place)
+        kinds = spy_appends(monkeypatch, market._Kind)
+        lo, hi = GeoPoint(0, 0), GeoPoint(2000, 3000)
+        everything = (150, 150 * 10 + sum(range(150)))
+        assert table.query_availability(lo, hi, 0, 250_000) == everything
+        assert scan_availability(table, lo, hi, 0, 250_000) == everything
+        assert len(places) == len(kinds) == 150
+        assert all(places) and all(kinds)
+        for period in ((0, 1), (12_000, 99_000), (2000, 2001)):
+            assert (table.query_availability(lo, hi, *period)
+                    == scan_availability(table, lo, hi, *period))
+            query = Scope(regions, *period, (ROAD_DAMAGE.code, CLEAR.code))
+            assert table._matching_records(query) == scan_matching(table, query)
+        assert len(places) == 150  # the later reads indexed nothing
+
+    def test_one_group_per_place_and_per_region_kind(self):
+        world = World(load_scenario_config("honest_majority"))
+        world.run()
+        table = world.rule_table
+        table.query_availability(GeoPoint(0, 0), GeoPoint(1, 1), 0, 1)
+        records = [r for d in table.directories.values() for r in d.records]
+        assert records
+        assert set(table._places) == {
+            (r.payload.loc.lat_micro, r.payload.loc.lon_micro) for r in records}
+        assert table._kinds.keys() == {
+            rid for rid, d in table.directories.items() if d.records}
+        for rid, kinds in table._kinds.items():
+            assert set(kinds) == {
+                r.payload.event.code for r in table.directories[rid].records}

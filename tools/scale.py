@@ -29,7 +29,9 @@ scheme, in every timed run (about 2 % of the 600-vehicle keyed-hash run,
 8 alternating runs each way); they are deterministic, so the first
 run's counts are recorded. A method the tree lacks counts 0, so the tool
 also measures older trees. Each point records the rule table's
-``records`` and record ``groups`` after its first run. The
+``records`` after its first run, and ``groups``, the number of distinct
+places (record locations) among them, counted from ``records`` so that
+every tree reads it the same way. The
 ``city_market_*`` points are ``honest_majority`` scaled in duration with
 every event active throughout and an access each window, so their
 records grow with the duration; ``market_suite``'s events end early.
@@ -246,7 +248,8 @@ def run_once(cfg: sim.ScenarioConfig, scheme_name: str,
             "phases": phases, "verifies": scheme.verifies,
             "reports": metrics["global"]["reports_sent"],
             "records": sum(len(d.records) for d in directories),
-            "groups": sum(len(d.groups()) for d in directories),
+            "groups": len({(r.payload.loc.lat_micro, r.payload.loc.lon_micro)
+                           for d in directories for r in d.records}),
             "availability": time_availability(world) if availability else None}
 
 
