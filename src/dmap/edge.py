@@ -20,10 +20,10 @@ from .txmodel import (
     DataTransaction,
     Payload,
     RsiTransaction,
+    build_rsi_tx,
     cell_of,
     distance_m,
     payload_bytes,
-    sign_rsi_tx,
     verify_data_txs,
 )
 
@@ -91,15 +91,10 @@ class RsiState:
                    window_ms=window_ms)
 
 
-def ingest(scheme: SignatureScheme, rsi: RsiState, tx: DataTransaction) -> bool:
-    """Buffer a vehicle report into the open window; returns False if dropped."""
-    return ingest_all(scheme, [(rsi, tx)])[0]
-
-
-def ingest_all(scheme: SignatureScheme,
-               deliveries: list[tuple[RsiState, DataTransaction]]) -> list[bool]:
-    """`ingest` of each (RSI, report) pair in order, every report's
-    signature verified first, as one batch."""
+def ingest(scheme: SignatureScheme,
+           deliveries: list[tuple[RsiState, DataTransaction]]) -> list[bool]:
+    """Buffer each (RSI, report) pair into that RSI's open window, in order,
+    every signature verified first, as one batch; returns which were kept."""
     kept = []
     for (rsi, tx), signed in zip(deliveries, verify_data_txs(
             scheme, [tx for _, tx in deliveries])):
@@ -236,8 +231,8 @@ def close_window(scheme: SignatureScheme, rsi: RsiState,
     the exact-payload plurality is aggregated; compatible-but-divergent
     leftovers cannot be carried verifiably and are counted rejected.
     `ingest` verified every report in the window, and each carried member
-    signed exactly the payload, so aggregates are signed without a second
-    member check; miner admission is the independent one.
+    signed exactly the payload, so `build_rsi_tx` signs each aggregate
+    without a second member check; miner admission is the independent one.
     """
     clusters = cluster_reports(rsi.window.reports, policy)
     judge_clusters(clusters, policy)
@@ -255,11 +250,11 @@ def close_window(scheme: SignatureScheme, rsi: RsiState,
                          key=lambda m: m[0])
         rsi.stats.rejected_reports += len(c.of) - len(carried)
         if c.status is ClusterStatus.TRUSTED and len(carried) >= policy.min_corroboration:
-            txs.append(sign_rsi_tx(scheme, rsi.key, payload, members, flag=1))
+            txs.append(build_rsi_tx(scheme, rsi.key, payload, members, flag=1))
             rsi.stats.trusted_tx += 1
             rsi.stats.trusted_members += len(members)
         else:
-            txs.append(sign_rsi_tx(scheme, rsi.key, payload, members, flag=0))
+            txs.append(build_rsi_tx(scheme, rsi.key, payload, members, flag=0))
             rsi.stats.lone_tx += 1
             rsi.stats.lone_reports += 1
             rsi.stats.lone_members += len(members)

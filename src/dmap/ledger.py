@@ -181,6 +181,9 @@ def miner_admit(scheme: SignatureScheme, tx: ChainedTx, policy: MinerPolicy,
     its owner's signature alone, so neither is checked against `region`;
     the rule table picks their ledger. The post-run sweep's
     `ledger_isolation` check catches a tx chained on two ledgers.
+
+    `append_block` admits through this, not `admit_all`: on the access
+    path, one tx per grant, the batch form costs about 1 µs more a call.
     """
     checks = Checks(policy.verified_certs)
     plan = _plan(tx, policy, region, checks)

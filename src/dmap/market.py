@@ -48,7 +48,7 @@ from .txmodel import (
     contract_signing_bytes,
     data_request_signing_bytes,
     grant_signing_bytes,
-    payload_len,
+    payload_bytes,
 )
 
 
@@ -253,7 +253,7 @@ class RuleTable:
         record = Record(record_id=self._next_record_id, region_id=region,
                         payload=rsi_tx.payload, provenance=digest,
                         owner_pks=tuple(rsi_tx.vehicle_pks),
-                        size_bytes=payload_len(rsi_tx.payload))
+                        size_bytes=len(payload_bytes(rsi_tx.payload)))
         self._next_record_id += 1
         self.directories[region].records.append(record)
         return record.record_id

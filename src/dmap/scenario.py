@@ -140,6 +140,27 @@ _string = _check(lambda v: isinstance(v, str) and v.encode(errors="ignore").deco
 _NUMBER = _check(_is_number, "must be a number")
 _POSITIVE = _check(lambda v: _is_number(v) and v > 0, "must be a positive number")
 _KIND_CODES = {name: code for code, name in enumerate(EventKind.CODE_NAMES)}
+# the farthest a location lies from (0, 0) along either axis, in metres
+_MAP_EXTENT_M = txmodel.MAX_LON_MICRO / 1e6 * txmodel.METERS_PER_DEGREE
+
+
+def _cell_length(value: Any, where: str, cfg: ScenarioConfig) -> float:
+    """A positive length in metres that cuts the map into cells: every
+    location's coordinate divided by it (`txmodel.cell_of`, `World._cell`)
+    is finite."""
+    if _MAP_EXTENT_M / _POSITIVE(value, where, cfg) > sys.float_info.max:
+        least = _MAP_EXTENT_M / sys.float_info.max
+        raise ConfigError(where, f"must be at least {least:.4g}, or a location's cell is infinite")
+    return value
+
+
+def _cell_size(value: Any, where: str, cfg: ScenarioConfig) -> float:
+    """A cell length for which the grid's width and height are finite."""
+    cells = max(cfg.rows, cfg.cols)  # an int, perhaps too large for a float
+    most = sys.float_info.max / cells if cells <= sys.float_info.max else 0.0
+    if _cell_length(value, where, cfg) > most:
+        raise ConfigError(where, f"must be at most {most:.4g}, or the grid is infinitely wide")
+    return value
 
 
 def _kind_code(value: Any, where: str, cfg: ScenarioConfig) -> int:
@@ -351,7 +372,7 @@ class ScenarioConfig:
     seed: int = _at("seed", _integer())
     rows: int = _at("grid.rows", _integer(1, math.inf))
     cols: int = _at("grid.cols", _integer(1, math.inf))
-    cell_size_m: float = _at("grid.cell_size_m", _POSITIVE)
+    cell_size_m: float = _at("grid.cell_size_m", _cell_size)
     vehicle_count: int = _at("vehicles.count", _integer(0, math.inf))
     speed_min_mps: float = _at("vehicles.speed_min_mps", _check(
         lambda v: _is_number(v) and v >= 0, "must be non-negative"))
@@ -360,7 +381,7 @@ class ScenarioConfig:
     window_ms: int = _at("window_ms", _check(
         lambda v: type(v) is int and v > 0 and v % TICK_MS == 0,
         f"must be a positive multiple of {TICK_MS}"))
-    eps_distance_m: float = _at("consistency.eps_distance_m", _POSITIVE)
+    eps_distance_m: float = _at("consistency.eps_distance_m", _cell_length)
     eps_time_ms: int = _at("consistency.eps_time_ms", _integer(1, math.inf))
     min_corroboration: int = _at("consistency.min_corroboration", _integer(2, math.inf))
     miner_m: int = _at("miner_m", _integer(1, math.inf), 2)

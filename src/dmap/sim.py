@@ -23,6 +23,7 @@ from itertools import repeat
 from . import edge, txmodel
 from .crypto import KEYED_HASH, KeyPair, SignatureScheme, issue_certificate, sha256
 from .edge import ConsistencyPolicy, RegionStats, RsiState
+from .encoding import canonical_encode
 from .ledger import Ledger, MinerPolicy, append_admitted, check_ledger, genesis
 from .market import AccessResult, RuleTable, build_access_tx, build_data_request, create_contract
 from .rng import CounterRng
@@ -40,7 +41,6 @@ from .txmodel import (
     Scope,
     SmartContract,
     build_data_tx,
-    canonical_encode,
     distance_m,
 )
 
@@ -310,8 +310,8 @@ class World:
             elif cfg.adversary.strategy == STRATEGY_REPLAY:
                 self._emit_replay(v, ts, active)
             # SuppressReports: silence
-        edge.ingest_all(self.scheme, [(self.rsis[d.region], d.tx)
-                                      for d in self.delivery_log[sent:]])
+        edge.ingest(self.scheme, [(self.rsis[d.region], d.tx)
+                                  for d in self.delivery_log[sent:]])
 
     def _emit_fabricated(self, v: Vehicle, ts: int) -> None:
         cfg = self.config

@@ -20,7 +20,6 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import starmap
 from typing import TypeVar
 
 from . import encoding
@@ -55,10 +54,6 @@ METERS_PER_DEGREE = 111_320.0
 
 class RangeError(ValueError):
     """A field is outside its declared domain."""
-
-
-class MemberSignatureError(ValueError):
-    """An aggregate was attempted over an unverified member report."""
 
 
 # --- geometry ---------------------------------------------------------------
@@ -175,6 +170,7 @@ def verify_data_txs(scheme: SignatureScheme,
 
 
 def verify_data_tx(scheme: SignatureScheme, tx: DataTransaction) -> bool:
+    # only tests call it; it stays while perfbench traces its name
     return verify_data_txs(scheme, [tx])[0]
 
 
@@ -188,7 +184,7 @@ class Chained:
 
     `wire` is `canonical_encode(tx)` and `digest` is `sha256(wire)`. Both
     live in the instance dict, outside the dataclass fields, so they take
-    no part in equality, hashing or repr. The signers (`sign_rsi_tx`,
+    no part in equality, hashing or repr. The signers (`build_rsi_tx`,
     `market.build_access_tx`, the countersigned form in
     `RuleTable.evaluate_access`, `market.create_contract`) seed `wire`
     with `seed_wire`; any other tx is encoded on first use. Each signed
@@ -248,28 +244,9 @@ class RsiTransaction(Chained):
 
 def build_rsi_tx(scheme: SignatureScheme, rsi_key: KeyPair, payload: Payload,
                  members: list[tuple[bytes, bytes]], flag: int) -> RsiTransaction:
-    """Aggregate verified member reports into one multisign transaction.
-
-    `members` is a list of (pk, sign) pairs; every pair must verify
-    against the shared payload or the whole aggregation is refused.
-    """
-    if flag not in (0, 1):
-        raise RangeError(f"flag must be 0 or 1, got {flag}")
-    if not members:
-        raise MemberSignatureError("an aggregate needs at least one member")
-    if not all(starmap(scheme.verify, member_triples(payload, members))):
-        raise MemberSignatureError("member signature does not verify")
-    return sign_rsi_tx(scheme, rsi_key, payload, members, flag)
-
-
-def sign_rsi_tx(scheme: SignatureScheme, rsi_key: KeyPair, payload: Payload,
-                members: list[tuple[bytes, bytes]], flag: int) -> RsiTransaction:
-    """Sign an aggregate without re-checking its members.
-
-    For callers that have already verified every (pk, sign) pair against
-    exactly `payload`, as `edge.ingest` does for each report of a window;
-    `build_rsi_tx` is the checked form.
-    """
+    """Aggregate member reports into one multisign transaction signed by the
+    RSI. The caller has verified each (pk, sign) pair of `members` against
+    exactly `payload`, as `edge.ingest` does; miner admission re-checks."""
     pks = tuple(pk for pk, _ in members)
     signs = tuple(sig for _, sig in members)
     msg = rsi_tx_signing_bytes(rsi_key.public, payload, signs, pks, flag)
@@ -318,7 +295,8 @@ def verify_rsi_tx(scheme: SignatureScheme, tx: RsiTransaction, ca_pk: bytes,
                   verified_certs: set[tuple[bytes, Certificate]] | None = None
                   ) -> Verdict:
     """Miner-side admission check for an aggregate transaction; see
-    `plan_rsi_tx`. `verified_certs` is the certificate memo of `Checks`."""
+    `plan_rsi_tx`. `verified_certs` is the certificate memo of `Checks`.
+    Only tests call it; it stays while perfbench traces its name."""
     checks = Checks(verified_certs)
     plan = plan_rsi_tx(tx, ca_pk, cert_registry, m, checks)
     return decide(plan, checks.run(scheme))
@@ -564,12 +542,3 @@ contract_signing_bytes = CONTRACT.fields_before("owner_sign")
 grant_signing_bytes = ACCESS_TX.fields_before("grant")
 access_requester_signing_bytes = ACCESS_TX.fields_before("requester_sign")
 data_request_signing_bytes = DATA_REQUEST.fields_before("sp_sign")
-
-
-def payload_len(p: Payload) -> int:
-    """`len(payload_bytes(p))`."""
-    return len(payload_bytes(p))
-
-
-canonical_encode = encoding.canonical_encode
-canonical_decode = encoding.canonical_decode

@@ -249,6 +249,31 @@ class TestRun:
 
         check()
 
+    def test_any_positive_length_or_speed_never_exits_70(self, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "honest_majority.json").read_text())
+        doc["vehicles"]["count"] = 6
+        doc["duration_ms"] = 10_000
+        out = tmp_path / "r.json"
+        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+        @settings(max_examples=100, derandomize=True, deadline=None,
+                  database=None)
+        @given(cell=positive, eps=positive, radius=positive,
+               speeds=st.tuples(positive, positive).map(sorted))
+        def check(cell, eps, radius, speeds):
+            d = json.loads(json.dumps(doc))
+            d["grid"]["cell_size_m"] = cell
+            d["consistency"]["eps_distance_m"] = eps
+            d["sensing_radius_m"] = radius
+            d["vehicles"]["speed_min_mps"], d["vehicles"]["speed_max_mps"] = speeds
+            scenario = tmp_path / "extreme.json"
+            scenario.write_text(json.dumps(d))
+            assert cli.main(["run", "--scenario", str(scenario),
+                             "--out", str(out)]) in (0, 2, 65)
+            assert "Traceback" not in capsys.readouterr().err
+
+        check()
+
     def test_non_integer_env_seed_exits_65(self, tiny_scenario, monkeypatch,
                                            capsys):
         monkeypatch.setenv("DMAP_SEED", "abc")

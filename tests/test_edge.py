@@ -25,8 +25,8 @@ from dmap.txmodel import (
     ROAD_DAMAGE,
     Payload,
     build_data_tx,
-    build_rsi_tx,
     cell_of,
+    data_tx_signing_bytes,
     distance_m,
     verify_data_tx,
 )
@@ -371,26 +371,38 @@ def rsi():
 
 class TestIngest:
     def test_valid_report_buffered(self, rsi):
-        assert ingest(scheme, rsi, report("v", ts=100))
+        assert ingest(scheme, [(rsi, report("v", ts=100))])[0]
         assert len(rsi.window.reports) == 1
         assert rsi.stats.reports_sent == 1
 
     def test_broken_signature_dropped(self, rsi):
         tx = dataclasses.replace(report("v", ts=100), vehicle_sign=bytes(32))
-        assert not ingest(scheme, rsi, tx)
+        assert not ingest(scheme, [(rsi, tx)])[0]
         assert rsi.stats.sig_rejects == 1
         assert rsi.window.reports == []
 
     def test_stale_timestamp_dropped(self, rsi):
         rsi.window.opens_at, rsi.window.closes_at = 5000, 10000
-        assert not ingest(scheme, rsi, report("v", ts=100))
+        assert not ingest(scheme, [(rsi, report("v", ts=100))])[0]
         assert rsi.stats.stale == 1
+
+    def test_batch_keeps_delivery_order_across_rsis(self, rsi):
+        other = RsiState.fresh("r0_c1", key("rsi1"), window_ms=5000)
+        good = [report(f"v{i}", ts=100) for i in range(3)]
+        broken = dataclasses.replace(report("b", ts=100), vehicle_sign=bytes(32))
+        stale = report("s", ts=6000)
+        kept = ingest(scheme, [(rsi, good[0]), (other, broken), (other, good[1]),
+                               (rsi, stale), (rsi, good[2])])
+        assert kept == [True, False, True, False, True]
+        assert rsi.window.reports == [good[0], good[2]]
+        assert other.window.reports == [good[1]]
+        assert (rsi.stats.reports_sent, rsi.stats.stale, rsi.stats.sig_rejects) == (3, 1, 0)
+        assert (other.stats.reports_sent, other.stats.stale, other.stats.sig_rejects) == (2, 0, 1)
 
 
 class TestCloseWindow:
     def test_trusted_cluster_emits_flag1_with_all_members(self, rsi):
-        for i in range(3):
-            ingest(scheme, rsi, report(f"v{i}", ts=100))
+        ingest(scheme, [(rsi, report(f"v{i}", ts=100)) for i in range(3)])
         txs = close_window(scheme, rsi, POLICY)
         assert len(txs) == 1
         tx = txs[0]
@@ -398,23 +410,20 @@ class TestCloseWindow:
         assert len(tx.vehicle_signs) == 3
         assert rsi.stats.trusted_tx == 1
         # every member was individually verified at ingest; re-check oracle
-        from dmap.txmodel import data_tx_signing_bytes
-
         for pk, sig in zip(tx.vehicle_pks, tx.vehicle_signs):
             msg = data_tx_signing_bytes(tx.payload.loc, tx.payload.event,
                                         tx.payload.timestamp, pk)
             assert scheme.verify(pk, msg, sig)
 
     def test_lone_report_emits_flag0(self, rsi):
-        ingest(scheme, rsi, report("solo", ts=100))
+        ingest(scheme, [(rsi, report("solo", ts=100))])
         txs = close_window(scheme, rsi, POLICY)
         assert [t.flag for t in txs] == [0]
         assert rsi.stats.lone_tx == 1
 
     def test_rejected_minority_emits_nothing(self, rsi):
-        for i in range(3):
-            ingest(scheme, rsi, report(f"v{i}", ts=100))
-        ingest(scheme, rsi, report("liar", kind=CLEAR, ts=100))
+        ingest(scheme, [(rsi, report(f"v{i}", ts=100)) for i in range(3)]
+               + [(rsi, report("liar", kind=CLEAR, ts=100))])
         txs = close_window(scheme, rsi, POLICY)
         assert len(txs) == 1
         assert txs[0].payload.event == ROAD_DAMAGE
@@ -423,9 +432,9 @@ class TestCloseWindow:
     def test_divergent_but_compatible_members_not_carried(self, rsi):
         # three compatible reports, two byte-identical: only the exact
         # plurality can be carried verifiably
-        ingest(scheme, rsi, report("a", x=0.0, ts=100))
-        ingest(scheme, rsi, report("b", x=0.0, ts=100))
-        ingest(scheme, rsi, report("c", x=10.0, ts=100))
+        ingest(scheme, [(rsi, report("a", x=0.0, ts=100)),
+                        (rsi, report("b", x=0.0, ts=100)),
+                        (rsi, report("c", x=10.0, ts=100))])
         txs = close_window(scheme, rsi, POLICY)
         assert len(txs) == 1
         assert len(txs[0].vehicle_signs) == 2
@@ -433,19 +442,20 @@ class TestCloseWindow:
 
     def test_signs_without_re_verifying_members(self, rsi):
         # ingest verified every member; close_window must not verify again,
-        # and its aggregates equal those of the checked build_rsi_tx
+        # and every member it carries verifies against the payload under
+        # the raw scheme
         counting = CountingScheme()
-        for i in range(3):
-            ingest(counting, rsi, report(f"v{i}", ts=100))
-        ingest(counting, rsi, report("solo", x=500.0, ts=100))
+        ingest(counting, [(rsi, report(f"v{i}", ts=100)) for i in range(3)]
+               + [(rsi, report("solo", x=500.0, ts=100))])
         at_ingest = counting.verify_calls()
         txs = close_window(counting, rsi, POLICY)
         assert counting.verify_calls() == at_ingest == 4
         assert [t.flag for t in txs] == [1, 0]
         for tx in txs:
-            members = list(zip(tx.vehicle_pks, tx.vehicle_signs))
-            assert tx == build_rsi_tx(scheme, rsi.key, tx.payload, members,
-                                      tx.flag)
+            p = tx.payload
+            for pk, sig in zip(tx.vehicle_pks, tx.vehicle_signs):
+                assert scheme.verify(pk, data_tx_signing_bytes(
+                    p.loc, p.event, p.timestamp, pk), sig)
 
     def test_next_window_opens(self, rsi):
         close_window(scheme, rsi, POLICY)
@@ -480,8 +490,7 @@ class TestHandover:
 
 def test_emitted_reports_all_verify(rsi=None):
     rsi = RsiState.fresh("r0_c0", key("rsi"), window_ms=5000)
-    for i in range(4):
-        ingest(scheme, rsi, report(f"v{i}", ts=100))
+    ingest(scheme, [(rsi, report(f"v{i}", ts=100)) for i in range(4)])
     for tx in close_window(scheme, rsi, POLICY):
         assert verify_data_tx(scheme, build_data_tx(
             scheme, key("v0"), tx.payload.loc, tx.payload.event,

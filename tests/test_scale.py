@@ -119,3 +119,19 @@ def test_slope_over_duration_fits_the_market_suite_points(monkeypatch):
     result = scale.report(names[:2], 1)
     assert result["slope_over_duration"] is None
     assert result["availability_slope_over_duration"] is None
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # a traced name that no longer resolves turns its per-layer metrics
+    # into null, so a rename must update perfbench/tracer.py with it
+    spec = importlib.util.spec_from_file_location(
+        "tracer", REPO_ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "tracer", tracer)  # for its dataclasses
+    spec.loader.exec_module(tracer)
+    recorder = tracer.Tracer()
+    try:
+        recorder.install()
+    finally:
+        recorder.uninstall()
+    assert recorder.absent == []

@@ -130,6 +130,17 @@ CASES = [
      f"market_script[4].auto_grant_vehicles: {VEHICLE}"),
     ("market_script[4].auto_grant_vehicles", "ab",
      "market_script[4].auto_grant_vehicles: must be a list"),
+    # lengths that put a location's cell, or the grid's width, past the
+    # largest float
+    ("grid.cell_size_m", 1e-320,
+     "grid.cell_size_m: must be at least 1.115e-301, or a location's cell is infinite"),
+    ("consistency.eps_distance_m", 5e-324,
+     "consistency.eps_distance_m: must be at least 1.115e-301, "
+     "or a location's cell is infinite"),
+    ("grid.cell_size_m", 1e308,
+     "grid.cell_size_m: must be at most 8.988e+307, or the grid is infinitely wide"),
+    ("grid", {"rows": 10**400, "cols": 1, "cell_size_m": 1.0},
+     "grid.cell_size_m: must be at most 0, or the grid is infinitely wide"),
 ]
 
 

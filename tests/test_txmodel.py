@@ -14,7 +14,6 @@ from dmap.txmodel import (
     GRANT_OWNER_SIG,
     GeoPoint,
     Grant,
-    MemberSignatureError,
     Payload,
     ROAD_DAMAGE,
     RangeError,
@@ -143,18 +142,6 @@ class TestRsiTransaction:
         assert tx.payload == payload
         assert tx.flag == 1
 
-    def test_failing_member_refused(self):
-        payload = Payload(sample_loc(), ROAD_DAMAGE, 500)
-        members = make_members(payload, ["a"])
-        bad = (key("b").public, bytes(32))
-        with pytest.raises(MemberSignatureError):
-            build_rsi_tx(scheme, key("rsi"), payload, members + [bad], flag=1)
-
-    def test_zero_members_refused(self):
-        payload = Payload(sample_loc(), ROAD_DAMAGE, 500)
-        with pytest.raises(MemberSignatureError):
-            build_rsi_tx(scheme, key("rsi"), payload, [], flag=1)
-
     def _registry(self, ca, rsi_key, region="r0_c0"):
         cert = issue_certificate(scheme, ca, rsi_key.public, region)
         return {rsi_key.public: cert}
@@ -185,6 +172,18 @@ class TestRsiTransaction:
                           make_members(payload, ["a", "b"]), flag=1)
         verdict = verify_rsi_tx(scheme, tx, ca.public, {}, m=2)
         assert verdict.reason == txmodel.REJECT_UNCERTIFIED_RSI
+
+    def test_zero_members_malformed(self):
+        # malformed, not too few, even under the smallest m a scenario
+        # allows; no signature is checked but the certificate's
+        ca, rsi_key = key("ca"), key("rsi")
+        payload = Payload(sample_loc(), ROAD_DAMAGE, 500)
+        tx = build_rsi_tx(scheme, rsi_key, payload, [], flag=1)
+        counting = CountingScheme()
+        verdict = verify_rsi_tx(counting, tx, ca.public,
+                                self._registry(ca, rsi_key), m=1)
+        assert verdict == txmodel.Verdict(False, txmodel.REJECT_MALFORMED)
+        assert counting.verify_calls() == 1
 
     def test_too_few_members_rejected(self):
         ca, rsi_key = key("ca"), key("rsi")

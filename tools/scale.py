@@ -14,7 +14,8 @@ every run's wall time, the median of each phase, and the signature
 verifies made in each phase, measured by wrapping ``World`` methods and
 the scheme from outside:
 
-- ``emit``: ``_emit_phase`` (sensing, signing and ``ingest`` of reports);
+- ``emit``: ``_emit_phase`` (sensing and signing each tick's reports, and
+  one ``edge.ingest`` of them);
 - ``move``: ``_move_phase`` and ``_catch_up`` (advancing vehicles);
 - ``boundary``: ``_window_boundary`` (window close, admission, storage);
 - ``sweep``: ``sweep_invariants``;
