@@ -6,8 +6,9 @@ Subcommands:
   encode-fixtures write the reference hex fixtures for the wire format
 
 Exit codes: 0 success, 1 tampered ledger, 2 invariant violation during a
-run, 64 missing/unreadable input, 65 invalid scenario field or DMAP_SEED,
-70 internal bug only, 73 unwritable output path.
+run, 64 missing/unreadable input or a usage error (unknown subcommand or
+option, missing required option), 65 invalid scenario field, --seed or
+DMAP_SEED, 70 internal bug only, 73 unwritable output path.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_TAMPERED = 1
 EXIT_INVARIANT = 2
 EXIT_NOINPUT = 64
+EXIT_USAGE = 64
 EXIT_BADCONFIG = 65
 EXIT_SOFTWARE = 70
 EXIT_CANTCREAT = 73
@@ -73,16 +75,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("scenario is not a JSON object", file=sys.stderr)
         return EXIT_BADCONFIG
 
-    seed = args.seed
+    name, seed = "--seed", args.seed
     if seed is None and "DMAP_SEED" in os.environ:
-        try:
-            seed = int(os.environ["DMAP_SEED"])
-        except ValueError:
-            print(f"invalid DMAP_SEED {os.environ['DMAP_SEED']!r}: "
-                  "must be an integer", file=sys.stderr)
-            return EXIT_BADCONFIG
+        name, seed = "DMAP_SEED", os.environ["DMAP_SEED"]
     if seed is not None:
-        raw["seed"] = seed
+        try:
+            raw["seed"] = int(seed)
+        except ValueError:
+            print(f"invalid {name} {seed!r}: must be an integer", file=sys.stderr)
+            return EXIT_BADCONFIG
 
     try:
         world = sim.World(sim.ScenarioConfig.from_dict(raw))
@@ -153,14 +154,25 @@ def make_all_fixture_hex() -> dict[str, str]:
             for name, obj in fixtures.make_fixture_objects().items()}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits `EXIT_USAGE` on a usage error; argparse's own 2 is the code
+    of an invariant violation here. Subcommand parsers are of this class
+    too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dmap", description="vehicular data-sharing protocol simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario and emit the report")
     p_run.add_argument("--scenario", required=True, help="scenario JSON path")
-    p_run.add_argument("--seed", type=int, default=None,
+    # an integer, checked by `_cmd_run` as DMAP_SEED is, so it exits 65
+    p_run.add_argument("--seed", default=None,
                        help="override the scenario seed (env DMAP_SEED applies "
                             "when this flag is absent)")
     p_run.add_argument("--out", default=None, help="report output path")

@@ -13,8 +13,8 @@ Two signature scheme implementations sit behind one interface:
   tests exercise.
 
 Every scheme also checks a batch of signatures at once (`verify_many`).
-`Ed25519Scheme` splits a large batch with one forked helper process; see
-`_Helper`.
+`Ed25519Scheme` sends a large batch, in chunks as it pulls it, to one
+forked helper process; see `_Helper`.
 
 Hashing is fixed to SHA-256 everywhere.
 """
@@ -27,12 +27,13 @@ import gc
 import hashlib
 import hmac
 import os
+import select
 import signal
 import struct
 import threading
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import chain, islice, starmap
 from typing import TYPE_CHECKING
 
 from .encoding import Layout, bytes_, string
@@ -82,7 +83,7 @@ class SignatureScheme:
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
         raise NotImplementedError
 
-    def verify_many(self, triples: Sequence[Triple]) -> list[bool]:
+    def verify_many(self, triples: Iterable[Triple]) -> list[bool]:
         """`verify` of each triple, in input order."""
         return list(starmap(self.verify, triples))
 
@@ -100,8 +101,13 @@ def _ed25519():
 
 # A smaller batch is verified in process. Splitting gains from two triples
 # on (1.4x at 2, 1.7x at 8 on a 2-CPU VM), but the batches of the access
-# path, at most 3 triples, keep their latency off a pipe round trip.
+# path, at most 3 triples, keep their latency off a pipe round trip. A
+# batch that streams in goes to the helper in chunks of this size.
 SPLIT_MIN = 8
+# chunks of `SPLIT_MIN` triples the helper may hold unanswered while a
+# batch streams in. On a 2-CPU VM, 1 and 3 made ed25519_events' emit
+# slower than 2 (0.57 and 0.49 s against 0.42 s, min of 4 runs)
+IN_FLIGHT = 2
 # a batch on the pipe: its triple count and byte length, then per triple
 # the 32-byte key, the 64-byte signature, a u32 length and the message
 _HEADER = struct.Struct(">II")
@@ -147,9 +153,9 @@ def _serve(recv_fd: int, send_fd: int, verify) -> None:
 class _Helper:
     """One forked child that verifies Ed25519 triples for its parent.
 
-    The parent writes a batch as raw frames to one pipe and reads one
-    result byte per triple from another; nothing is pickled and no
-    thread feeds the pipe. The child leaves through `os._exit` when the
+    The parent writes each chunk of a batch as one frame of raw bytes to
+    one pipe and reads one result byte per triple, in the order sent,
+    from another; nothing is pickled and no thread feeds the pipe. The child leaves through `os._exit` when the
     parent closes its end, so it never runs the parent's code after the
     fork; `close`, registered with `atexit`, closes the pipes and reaps
     the child, so none outlives the interpreter.
@@ -176,6 +182,8 @@ class _Helper:
         os.close(child_out)
         self.pid, self.owner = pid, os.getpid()
         self.send_fd, self.recv_fd = parent_out, parent_in
+        self._answers = select.poll()  # unlike `select`, any fd number
+        self._answers.register(parent_in, select.POLLIN)
         atexit.register(self.close)
 
     def send(self, triples: list[Triple]) -> bool:
@@ -191,8 +199,15 @@ class _Helper:
         return True
 
     def receive(self, count: int) -> bytes | None:
-        """The results of the last batch sent, or None if the child is gone."""
+        """The next `count` results, or None if the child is gone."""
         return _read_exactly(self.recv_fd, count)
+
+    def ready(self, limit: int) -> bytes | None:
+        """Up to `limit` results that are already written, without
+        waiting; None if the child is gone."""
+        if not self._answers.poll(0):
+            return b""
+        return os.read(self.recv_fd, limit) or None
 
     def close(self) -> None:
         """Close the pipes, stop the child and reap it. In a process
@@ -252,22 +267,27 @@ class Ed25519Scheme(SignatureScheme):
         except (invalid_signature, ValueError):
             return False
 
-    def verify_many(self, triples: Sequence[Triple]) -> list[bool]:
+    def verify_many(self, triples: Iterable[Triple]) -> list[bool]:
         """`verify` of each triple, in input order.
 
-        From `SPLIT_MIN` triples on, when a helper can run, the first half
-        of the batch goes to the helper process and this process verifies
-        the rest meanwhile. A triple whose key or signature has the wrong
-        length is verified here, and the helper's part too if it died;
-        the results are those of `verify` either way.
+        The triples are pulled one at a time, so an iterable that signs as
+        it yields is verified while it signs. When a helper can run, each
+        `SPLIT_MIN` well-formed triples waiting go to it as a chunk, the
+        oldest first, unless it holds `IN_FLIGHT` chunks unanswered; its
+        answers are read as they come, without waiting. When the iterable
+        ends, the helper takes the front of what is left, so that it holds
+        about half of the work, and this process verifies the rest
+        meanwhile. A batch of fewer than `SPLIT_MIN` triples never reaches
+        the helper. A triple whose key or signature has the wrong length
+        is verified here, and what the helper left unanswered too if it
+        died; the results are those of `verify` either way.
         """
-        if len(triples) < SPLIT_MIN or not self._lock.acquire(blocking=False):
-            return super().verify_many(triples)
+        triples = iter(triples)
+        head = list(islice(triples, SPLIT_MIN))
+        if len(head) < SPLIT_MIN or not self._lock.acquire(blocking=False):
+            return super().verify_many(chain(head, triples))
         try:
-            helper = self._running_helper()
-            if helper is None:
-                return super().verify_many(triples)
-            return self._split(helper, triples)
+            return self._stream(chain(head, triples))
         except BaseException:
             # the pipe may hold half a batch or its answer: start afresh
             if self._helper is not None:
@@ -292,22 +312,75 @@ class Ed25519Scheme(SignatureScheme):
                 return None
         return helper
 
-    def _split(self, helper: _Helper, triples: Sequence[Triple]) -> list[bool]:
-        sent = [i for i in range(len(triples) // 2)
-                if len(triples[i][0]) == 32 and len(triples[i][2]) == 64]
-        alive = helper.send([triples[i] for i in sent])
-        results = [False] * len(triples)
-        skip = set(sent)
-        for i, t in enumerate(triples):
-            if i not in skip:
-                results[i] = self.verify(*t)
-        answers = helper.receive(len(sent)) if alive else None
-        if answers is None:
+    def _stream(self, triples: Iterable[Triple]) -> list[bool]:
+        held: list[Triple] = []
+        results: list[bool] = []
+        queue: list[int] = []    # well-formed, neither sent nor verified
+        sent: list[int] = []     # at the helper, in the order sent
+        answers = bytearray()    # its verdicts on sent[:len(answers)]
+        helper: _Helper | None = None
+        asked = False            # for a helper, in this batch
+        # a chunk goes only while at most this many sent are unanswered
+        limit = (IN_FLIGHT - 1) * SPLIT_MIN
+
+        def lose() -> None:
+            # what the dead helper left unanswered is queued here again
+            nonlocal helper
             helper.kill()
-            self._helper = None
-            answers = [self.verify(*triples[i]) for i in sent]
-        for i, ok in zip(sent, answers):
-            results[i] = bool(ok)
+            self._helper = helper = None
+            queue[:0] = sent[len(answers):]
+            del sent[len(answers):]
+
+        def send(n: int) -> None:
+            chunk = queue[:n]
+            del queue[:n]
+            sent.extend(chunk)
+            if not helper.send([held[k] for k in chunk]):
+                lose()
+
+        def collect(wait: bool) -> None:
+            missing = len(sent) - len(answers)
+            got = helper.receive(missing) if wait else helper.ready(missing)
+            if got is None:
+                lose()
+            else:
+                answers.extend(got)
+
+        for t in triples:
+            held.append(t)
+            if len(t[0]) != 32 or len(t[2]) != 64:
+                results.append(self.verify(*t))
+                continue
+            results.append(False)
+            queue.append(len(held) - 1)
+            if len(queue) % SPLIT_MIN == 0:
+                if not asked:
+                    asked, helper = True, self._running_helper()
+                if helper is not None and len(sent) - len(answers) > limit:
+                    collect(wait=False)
+                if helper is not None and len(sent) - len(answers) <= limit:
+                    send(SPLIT_MIN)
+
+        # the tail: the helper takes the front of the queue, so that it
+        # holds about half of the work left
+        if helper is not None and len(sent) > len(answers):
+            collect(wait=False)
+        unanswered = len(sent) - len(answers)
+        share = (unanswered + len(queue)) // 2 - unanswered
+        if share > 0:
+            if not asked:
+                helper = self._running_helper()
+            if helper is not None:
+                send(share)
+        for k in queue:
+            results[k] = self.verify(*held[k])
+        del queue[:]
+        if helper is not None and len(sent) > len(answers):
+            collect(wait=True)
+            for k in queue:  # the helper's share, if it died
+                results[k] = self.verify(*held[k])
+        for k, ok in zip(sent, answers):
+            results[k] = bool(ok)
         return results
 
 

@@ -11,9 +11,11 @@ uncorroborated singletons go out flagged untrusted so miners reject them.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter
+from itertools import tee
+from operator import attrgetter, itemgetter
 
 from .crypto import KeyPair, SignatureScheme
 from .txmodel import (
@@ -92,12 +94,18 @@ class RsiState:
 
 
 def ingest(scheme: SignatureScheme,
-           deliveries: list[tuple[RsiState, DataTransaction]]) -> list[bool]:
+           deliveries: Iterable[tuple[RsiState, DataTransaction]]) -> list[bool]:
     """Buffer each (RSI, report) pair into that RSI's open window, in order,
-    every signature verified first, as one batch; returns which were kept."""
+    every signature verified first, as one batch; returns which were kept.
+
+    The pairs are pulled as the batch verifies them, so when
+    `deliveries` signs each report as it is pulled (`World._emit_phase`),
+    the first reports are verified while later ones are signed. Stats and
+    windows change only after the whole batch is verified."""
+    deliveries, pulled = tee(deliveries)
     kept = []
     for (rsi, tx), signed in zip(deliveries, verify_data_txs(
-            scheme, [tx for _, tx in deliveries])):
+            scheme, map(itemgetter(1), pulled))):
         rsi.stats.reports_sent += 1
         w = rsi.window
         fresh = w.opens_at <= tx.timestamp < w.closes_at

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import struct
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -28,7 +29,7 @@ from .ledger import Ledger, MinerPolicy, append_admitted, check_ledger, genesis
 from .market import AccessResult, RuleTable, build_access_tx, build_data_request, create_contract
 from .rng import CounterRng
 from .scenario import (STRATEGY_FABRICATE, STRATEGY_REPLAY, TICK_MS, Access, CreateContract,
-                       DataRequest, GroundTruthEvent, MarketAction, ScenarioConfig, region_name)
+                       DataRequest, MarketAction, ScenarioConfig, region_name)
 from .txmodel import (
     DataTransaction,
     EventKind,
@@ -277,63 +278,61 @@ class World:
         return max(row, 0), max(col, 0)
 
     def _deliver(self, v: Vehicle, loc: GeoPoint, kind: EventKind, ts: int,
-                 fabricated: bool = False) -> None:
-        """Sign a report under a fresh key and log it for the serving RSI,
-        which `_emit_phase` sends it to."""
+                 fabricated: bool = False) -> tuple[RsiState, DataTransaction]:
+        """Sign a report under a fresh key, log it and return it with the
+        serving RSI, which `_emit_phase` sends it to."""
         tx = build_data_tx(self.scheme, v.fresh_key(), loc, kind, ts)
         self.delivery_log.append(Delivery(self.window_index, v.assoc_region,
                                           v.vid, tx, fabricated))
-
-    def _sensed(self, v: Vehicle, active: list[tuple[GroundTruthEvent, float, float]]
-                ) -> list[GroundTruthEvent]:
-        """Active events within the vehicle's sensing radius, in scenario order."""
-        radius = self.config.sensing_radius_m
-        return [ev for ev, ex, ey in active
-                if math.hypot(v.x - ex, v.y - ey) <= radius]
+        return self.rsis[v.assoc_region], tx
 
     def _emit_phase(self) -> None:
-        """Every vehicle's reports of this tick, then their `ingest` in
-        delivery order, the signatures verified as one batch."""
+        """Every vehicle's reports of this tick, `ingest`ed as one batch.
+
+        `ingest` pulls the reports from `_reports`, which signs each as it
+        is pulled, so the batch's first signatures are verified (in the
+        Ed25519 helper) while later vehicles still sign. Every report
+        byte, the delivery log and each RSI's stats are in delivery order,
+        as if all were signed first."""
+        edge.ingest(self.scheme, self._reports())
+
+    def _reports(self) -> Iterator[tuple[RsiState, DataTransaction]]:
+        """Sign and log this tick's reports, vehicle by vehicle, yielding
+        each with its RSI. A vehicle senses the active events within
+        `sensing_radius_m`, in scenario order."""
         cfg = self.config
         ts = self.clock_ms
-        sent = len(self.delivery_log)
+        strategy = cfg.adversary.strategy
+        radius, hypot, deliver = cfg.sensing_radius_m, math.hypot, self._deliver
         active = [e for e in self._events if e[0].active_ms[0] <= ts < e[0].active_ms[1]]
         for v in self.vehicles:
             if v.honest:
                 # corroborating reports must be byte-identical for the member
                 # signatures to verify against the deduplicated payload, so
                 # every sensing vehicle reports the event's own location
-                for ev in self._sensed(v, active):
-                    self._deliver(v, ev.loc, ev.kind, ts)
-            elif cfg.adversary.strategy == STRATEGY_FABRICATE:
-                self._emit_fabricated(v, ts)
-            elif cfg.adversary.strategy == STRATEGY_REPLAY:
-                self._emit_replay(v, ts, active)
+                x, y = v.x, v.y
+                for ev, ex, ey in active:
+                    if hypot(x - ex, y - ey) <= radius:
+                        yield deliver(v, ev.loc, ev.kind, ts)
+            elif strategy == STRATEGY_FABRICATE:
+                # fabricate only while served by the target locus's RSI,
+                # where the claim is at least geographically plausible
+                if self._fab_region is not None and v.assoc_region == self._fab_region:
+                    self.injected_false += 1
+                    yield deliver(v, cfg.adversary.fab_loc, cfg.adversary.fab_kind,
+                                  ts, fabricated=True)
+            elif strategy == STRATEGY_REPLAY:
+                p = v.replay_payload
+                if p is None:
+                    # capture phase: report the first sensed event honestly;
+                    # every later emit replays that same payload
+                    ev = next((ev for ev, ex, ey in active
+                               if hypot(v.x - ex, v.y - ey) <= radius), None)
+                    if ev is None:
+                        continue
+                    p = v.replay_payload = Payload(ev.loc, ev.kind, ts)
+                yield deliver(v, p.loc, p.event, p.timestamp)
             # SuppressReports: silence
-        edge.ingest(self.scheme, [(self.rsis[d.region], d.tx)
-                                  for d in self.delivery_log[sent:]])
-
-    def _emit_fabricated(self, v: Vehicle, ts: int) -> None:
-        cfg = self.config
-        # fabricate only while served by the target locus's RSI, where the
-        # claim is at least geographically plausible
-        if self._fab_region is None or v.assoc_region != self._fab_region:
-            return
-        self.injected_false += 1
-        self._deliver(v, cfg.adversary.fab_loc, cfg.adversary.fab_kind, ts,
-                      fabricated=True)
-
-    def _emit_replay(self, v: Vehicle, ts: int,
-                     active: list[tuple[GroundTruthEvent, float, float]]) -> None:
-        p = v.replay_payload
-        if p is None:
-            # capture phase: report the first sensed event honestly; every
-            # later emit replays that same payload
-            sensed = self._sensed(v, active)
-            if not sensed:
-                return
-            p = v.replay_payload = Payload(sensed[0].loc, sensed[0].kind, ts)
-        self._deliver(v, p.loc, p.event, p.timestamp)
 
     def _catch_up(self) -> None:
         """Bring every vehicle's x and y to the current tick."""

@@ -20,6 +20,7 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import tee
 from typing import TypeVar
 
 from . import encoding
@@ -162,10 +163,13 @@ def _data_tx_triple(tx: DataTransaction) -> Triple | None:
 
 
 def verify_data_txs(scheme: SignatureScheme,
-                    txs: Sequence[DataTransaction]) -> list[bool]:
-    """`verify_data_tx` of each tx, the signatures verified as one batch."""
-    triples = [_data_tx_triple(tx) for tx in txs]
-    results = iter(scheme.verify_many([t for t in triples if t is not None]))
+                    txs: Iterable[DataTransaction]) -> list[bool]:
+    """`verify_data_tx` of each tx, the signatures verified as one batch.
+
+    `txs` is pulled as `verify_many` pulls the triples, so a lazy `txs`
+    is verified while it is made (`edge.ingest`)."""
+    triples, pulled = tee(map(_data_tx_triple, txs))
+    results = iter(scheme.verify_many(filter(None, pulled)))
     return [t is not None and next(results) for t in triples]
 
 

@@ -280,6 +280,31 @@ class TestRun:
         assert cli.main(["run", "--scenario", str(tiny_scenario)]) == 65
         assert "DMAP_SEED" in capsys.readouterr().err
 
+    def test_non_integer_seed_flag_exits_65(self, tiny_scenario, capsys):
+        # checked as DMAP_SEED is, not by argparse, whose code 2 would read
+        # as an invariant violation
+        assert cli.main(["run", "--scenario", str(tiny_scenario),
+                         "--seed", "abc"]) == 65
+        err = capsys.readouterr().err
+        assert "invalid --seed 'abc'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["frob"], [], ["run", "--scenario", "s.json", "--bogus"],
+        ["validate"]], ids=["no_scenario", "unknown_subcommand", "no_subcommand",
+                            "unknown_option", "no_ledger"])
+    def test_usage_error_exits_64(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dmap") and "error:" in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--seed" in capsys.readouterr().out
+
     def test_unwritable_out_exits_73(self, tiny_scenario, tmp_path):
         out = tmp_path / "missing-dir" / "report.json"
         with pytest.raises(SystemExit) as exc:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dmap
-from dmap import fixtures
+from dmap import crypto, fixtures
 from dmap.crypto import (
     ED25519,
     KEYED_HASH,
@@ -196,20 +196,24 @@ class TestCertificates:
             cert.ca_signature)
 
 
-def mixed_triples(sch, n):
-    """`n` triples cycling through a good one, a wrong message, a flipped
-    signature byte, a short key and a short signature, each with the
-    verdict it must get."""
-    out = []
+def mixed(sch, n):
+    """`n` triples, each made and signed as it is pulled, cycling through a
+    good one, a wrong message, a flipped signature byte, a short key and a
+    short signature, each with the verdict it must get as a fourth item."""
     for i, seed in enumerate(seeds(n)):
         k = sch.generate_keypair(seed)
         message = b"batch message %d" % i
         sig = sch.sign(k, message)
-        out.append([(k.public, message, sig, True),
-                    (k.public, message + b"!", sig, False),
-                    (k.public, message, sig[:-1] + bytes([sig[-1] ^ 1]), False),
-                    (k.public[:31], message, sig, False),
-                    (k.public, message, sig[:-1], False)][i % 5])
+        yield [(k.public, message, sig, True),
+               (k.public, message + b"!", sig, False),
+               (k.public, message, sig[:-1] + bytes([sig[-1] ^ 1]), False),
+               (k.public[:31], message, sig, False),
+               (k.public, message, sig[:-1], False)][i % 5]
+
+
+def mixed_triples(sch, n):
+    """`mixed` as a list of triples and the list of their verdicts."""
+    out = list(mixed(sch, n))
     return [t[:3] for t in out], [t[3] for t in out]
 
 
@@ -235,14 +239,17 @@ def _alive(pid):
 
 
 class TestVerifyMany:
-    @pytest.mark.parametrize("n", [SPLIT_MIN - 1, 5 * SPLIT_MIN + 3])
+    @pytest.mark.parametrize("n", [0, 1, SPLIT_MIN - 1, SPLIT_MIN,
+                                   5 * SPLIT_MIN + 3])
     def test_results_in_input_order(self, fresh_ed25519, n):
         for sch in (KEYED_HASH, fresh_ed25519):
             triples, expected = mixed_triples(sch, n)
             assert sch.verify_many(triples) == expected
             assert [sch.verify(*t) for t in triples] == expected
-            assert sch.verify_many([]) == []
-        # the helper answered, and is still there: it did not die on a frame
+            # a generator that signs each triple as it is pulled
+            assert sch.verify_many(t[:3] for t in mixed(sch, n)) == expected
+        # the helper answered, and is still there: it did not die on a
+        # frame; a batch of fewer than SPLIT_MIN triples never forks it
         split = HELPER_RUNS and n >= SPLIT_MIN
         assert (fresh_ed25519._helper is not None) == split
 
@@ -259,6 +266,70 @@ class TestVerifyMany:
             os.waitpid(pid, os.WNOHANG)
         assert sch.verify_many(triples) == expected
         assert sch._helper.pid != pid
+
+    @pytest.mark.skipif(not HELPER_RUNS, reason="no helper on this machine")
+    def test_helper_killed_mid_stream(self, fresh_ed25519):
+        sch = fresh_ed25519
+        triples, expected = mixed_triples(sch, 8 * SPLIT_MIN)
+        killed = []
+
+        def stream():
+            for i, t in enumerate(triples):
+                if i == 4 * SPLIT_MIN:  # two chunks are at the helper
+                    killed.append(sch._helper.pid)
+                    os.kill(killed[0], signal.SIGKILL)
+                yield t
+
+        assert sch.verify_many(stream()) == expected
+        assert killed and sch._helper is None
+        with pytest.raises(ChildProcessError):  # reaped
+            os.waitpid(killed[0], os.WNOHANG)
+        assert sch.verify_many(t[:3] for t in mixed(sch, 8 * SPLIT_MIN)) == expected
+        assert sch._helper is not None and sch._helper.pid != killed[0]
+
+    def test_generator_that_raises(self, fresh_ed25519):
+        sch = fresh_ed25519
+        triples, expected = mixed_triples(sch, 6 * SPLIT_MIN)
+        helpers = []
+
+        def stream():
+            yield from triples[:4 * SPLIT_MIN]
+            helpers.append(sch._helper)
+            raise RuntimeError("signing failed")
+
+        with pytest.raises(RuntimeError, match="signing failed"):
+            sch.verify_many(stream())
+        assert sch._helper is None
+        assert (helpers[0] is not None) == HELPER_RUNS
+        if helpers[0] is not None:  # the child is killed and reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(helpers[0].pid, os.WNOHANG)
+        assert sch.verify_many(triples) == expected
+
+    @pytest.mark.skipif(not HELPER_RUNS, reason="no helper on this machine")
+    def test_chunks_reach_the_helper_while_the_stream_signs(
+            self, fresh_ed25519, monkeypatch):
+        sch = fresh_ed25519
+        n = 5 * SPLIT_MIN + 3
+        pulled, sends = 0, []
+        real_send = crypto._Helper.send
+
+        def send(helper, triples):
+            sends.append((pulled, len(triples)))
+            return real_send(helper, triples)
+
+        def stream():
+            nonlocal pulled
+            for t in mixed(sch, n):
+                pulled += 1
+                yield t[:3]
+
+        monkeypatch.setattr(crypto._Helper, "send", send)
+        assert sch.verify_many(stream()) == mixed_triples(sch, n)[1]
+        # the first chunk left as soon as SPLIT_MIN well-formed triples
+        # were pulled, long before the last one was signed
+        assert sends[0][1] == SPLIT_MIN and sends[0][0] < n // 2
+        assert [size for _, size in sends[:-1]] == [SPLIT_MIN] * (len(sends) - 1)
 
     def test_no_fork_while_another_thread_runs(self, fresh_ed25519):
         # fork copies only the calling thread, so a batch then stays here

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from dmap.crypto import SignatureScheme
 from tests.conftest import REPO_ROOT
 
 
@@ -87,6 +88,38 @@ def test_each_step_is_scaled_by_the_probes_around_it(monkeypatch):
                          "keyed-hash")
     assert len(probes) >= 2
     assert run["scaled"] == pytest.approx(2 * run["wall"])
+
+
+def test_a_streamed_batch_counts_in_the_phase_that_pulls_it(monkeypatch):
+    # the emit batch streams in while vehicles sign it, so each triple
+    # counts in the phase current when the scheme pulls it; a list is
+    # passed on as a list
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    scale = _load("scale_tool", REPO_ROOT / "tools" / "scale.py")
+    passed = []
+
+    class Inner(SignatureScheme):
+        def verify(self, public, message, signature):
+            return True
+
+        def verify_many(self, triples):
+            passed.append(type(triples))
+            return super().verify_many(triples)
+
+    counting = scale.PhaseVerifies(Inner())
+    triple = (b"key", b"message", b"signature")
+
+    def stream():
+        counting.phase = "emit"  # set once the scheme starts pulling
+        yield triple
+        yield triple
+
+    assert counting.verify_many(stream()) == [True, True]
+    counting.phase = "sweep"
+    assert counting.verify_many([triple] * 3) == [True] * 3
+    assert counting.verifies == {"emit": 2, "move": 0, "boundary": 0,
+                                 "sweep": 3, "other": 0}
+    assert passed[1] is list
 
 
 def test_slope_over_duration_fits_the_market_suite_points(monkeypatch):
