@@ -56,7 +56,6 @@ class Cluster:
 
 @dataclass
 class ValidationWindow:
-    window_id: int
     opens_at: int
     closes_at: int
     reports: list[DataTransaction] = field(default_factory=list)
@@ -83,40 +82,35 @@ class RsiState:
     region_id: str
     key: KeyPair
     window: ValidationWindow
-    window_ms: int
     stats: RegionStats = field(default_factory=RegionStats)
 
     @classmethod
     def fresh(cls, region_id: str, key: KeyPair, window_ms: int) -> "RsiState":
         return cls(region_id=region_id, key=key,
-                   window=ValidationWindow(0, 0, window_ms),
-                   window_ms=window_ms)
+                   window=ValidationWindow(0, window_ms))
 
 
 def ingest(scheme: SignatureScheme,
-           deliveries: Iterable[tuple[RsiState, DataTransaction]]) -> list[bool]:
+           deliveries: Iterable[tuple[RsiState, DataTransaction]]) -> None:
     """Buffer each (RSI, report) pair into that RSI's open window, in order,
-    every signature verified first, as one batch; returns which were kept.
+    every signature verified first, as one batch; a report with a bad
+    signature or a timestamp outside the window is counted and dropped.
 
     The pairs are pulled as the batch verifies them, so when
     `deliveries` signs each report as it is pulled (`World._emit_phase`),
     the first reports are verified while later ones are signed. Stats and
     windows change only after the whole batch is verified."""
     deliveries, pulled = tee(deliveries)
-    kept = []
     for (rsi, tx), signed in zip(deliveries, verify_data_txs(
             scheme, map(itemgetter(1), pulled))):
         rsi.stats.reports_sent += 1
         w = rsi.window
-        fresh = w.opens_at <= tx.timestamp < w.closes_at
         if not signed:
             rsi.stats.sig_rejects += 1
-        elif not fresh:
+        elif not w.opens_at <= tx.timestamp < w.closes_at:
             rsi.stats.stale += 1
         else:
             w.reports.append(tx)
-        kept.append(signed and fresh)
-    return kept
 
 
 def _compatible(a: DataTransaction, b: DataTransaction,
@@ -231,7 +225,8 @@ def close_window(scheme: SignatureScheme, rsi: RsiState,
     Trusted clusters go out flag=1 with one deduplicated payload and every
     member signature; lone reports go out flag=0, and miners reject them
     on the flag alone, without a signature check; divergent minorities
-    are dropped and counted. Opens the next window before returning.
+    are dropped and counted. Opens the next window, as long as the closing
+    one, before returning.
 
     Member signatures were made over the members' own report bytes, so an
     aggregate is only independently verifiable when every carried member
@@ -267,17 +262,7 @@ def close_window(scheme: SignatureScheme, rsi: RsiState,
             rsi.stats.lone_reports += 1
             rsi.stats.lone_members += len(members)
     w = rsi.window
-    rsi.window = ValidationWindow(window_id=w.window_id + 1,
-                                  opens_at=w.closes_at,
-                                  closes_at=w.closes_at + rsi.window_ms)
+    rsi.window = ValidationWindow(w.closes_at, 2 * w.closes_at - w.opens_at)
     txs.sort(key=attrgetter("wire"))
     return txs
 
-
-def handover(vehicle, to_region: str) -> None:
-    """Soft handover: the new association takes effect at the next window
-    boundary; until then in-flight reports keep flowing to the old RSI."""
-    if to_region == vehicle.assoc_region:
-        vehicle.pending_region = None
-    else:
-        vehicle.pending_region = to_region

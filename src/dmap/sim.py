@@ -108,7 +108,7 @@ class Vehicle:
     # when one of them does
     floor_x: float
     floor_y: float
-    pending_region: str | None = None
+    pending_region: str | None = None  # serves from the next window boundary
     key_counter: int = 0
     reuse_key: KeyPair | None = None  # signs every report when set
     replay_payload: Payload | None = None
@@ -233,9 +233,7 @@ class World:
 
         self.window_index = 0
         self.delivery_log: list[Delivery] = []
-        self.injected_false = 0
         self.handover_count = 0
-        self.access_granted = 0
         self.access_denied = 0
         # None stands for an auto-grant that granted nothing, so indexes hold
         self.contracts_created: list[SmartContract | None] = []
@@ -318,7 +316,6 @@ class World:
                 # fabricate only while served by the target locus's RSI,
                 # where the claim is at least geographically plausible
                 if self._fab_region is not None and v.assoc_region == self._fab_region:
-                    self.injected_false += 1
                     yield deliver(v, cfg.adversary.fab_loc, cfg.adversary.fab_kind,
                                   ts, fabricated=True)
             elif strategy == STRATEGY_REPLAY:
@@ -388,7 +385,10 @@ class World:
                     v.cell = after
                     v.turn(v.rng.uniform(0.0, 2 * pi))
                     self.handover_count += 1
-                    edge.handover(v, region_name(*after))
+                    # soft handover: the old RSI serves the vehicle until
+                    # the window boundary, which applies `pending_region`
+                    region = region_name(*after)
+                    v.pending_region = None if region == v.assoc_region else region
             wait = min(_ticks_inside(x, v.step_x, floor_x, cell_size, width, ulp),
                        _ticks_inside(y, v.step_y, floor_y, cell_size, height, ulp))
             if wait != math.inf:
@@ -457,7 +457,6 @@ class World:
         access_tx = build_access_tx(self.scheme, sp, action.query, grant)
         result = self.rule_table.evaluate_access(access_tx, self.clock_ms)
         if result.granted:
-            self.access_granted += 1
             self.granted_log.append((result, self.clock_ms))
         else:
             self.access_denied += 1
@@ -572,7 +571,7 @@ class World:
             for name, value in vars(stats).items():
                 setattr(totals, name, getattr(totals, name) + value)
         false_chained = self.false_chained
-        injected = self.injected_false
+        injected = sum(d.fabricated for d in self.delivery_log)
         detection = 1.0 if injected == 0 else 1.0 - false_chained / injected
         link = self.compute_linkability()
         global_metrics = dict(totals.as_dict())
@@ -581,7 +580,7 @@ class World:
             "false_data_injected": injected,
             "detection_rate": detection,
             "linkability_violations": link["linkability_violations"],
-            "access_granted": self.access_granted,
+            "access_granted": len(self.granted_log),
             "access_denied": self.access_denied,
             "unauthorized_served": self.unauthorized_served,
             "handovers": self.handover_count,

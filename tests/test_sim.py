@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmap import edge, encoding, sim, txmodel
+from dmap import encoding, sim, txmodel
 from dmap.crypto import KEYED_HASH, SCHEMES, sha256, verify_certificate
 from dmap.encoding import canonical_encode
 from dmap.ledger import _link, check_ledger, validate_chain
@@ -498,6 +498,40 @@ class TestHandover:
         for v in world.vehicles:
             assert v.assoc_region in world.rsis
 
+    @pytest.mark.parametrize("turn, path", [
+        (math.pi, [(0, 0), (0, 1), (0, 0)]),  # A -> B -> A
+        (0.0, [(0, 0), (0, 1), (0, 2)]),      # A -> B -> C
+    ])
+    def test_soft_handover_applies_at_the_window_boundary(self, turn, path):
+        # one vehicle at 3 m a tick crosses from r0_c0 into r0_c1 at the
+        # second tick and turns to `turn` there: back west into r0_c0, or
+        # on east into r0_c2 within the first window
+        mid = 50.0 / txmodel.METERS_PER_DEGREE
+        d = minimal_dict(
+            grid={"rows": 1, "cols": 3, "cell_size_m": 100.0},
+            vehicles={"count": 1, "speed_min_mps": 30.0, "speed_max_mps": 30.0},
+            sensing_radius_m=500.0,
+            ground_truth_events=[{"region": "r0_c1", "loc": {"lat": mid, "lon": 3 * mid},
+                                  "kind": "RoadDamage", "active_ms": [0, 10_000]}])
+        world = World(ScenarioConfig.from_dict(d))
+        v = world.vehicles[0]
+        _place(world, v, 95.0, 50.0, heading=0.0)
+        v.rng = _Headings(turn, turn)
+        cells = [v.cell]
+        while world.clock_ms < 4900:
+            world.step()
+            if v.cell != cells[-1]:
+                cells.append(v.cell)
+            assert v.assoc_region == "r0_c0", world.clock_ms
+        assert cells == path
+        target = sim.region_name(*path[-1])
+        assert v.pending_region == (None if target == "r0_c0" else target)
+        world.step()  # the window boundary
+        assert (v.assoc_region, v.pending_region) == (target, None)
+        world.step()  # the second window's emit
+        assert [(d.window_id, d.region) for d in world.delivery_log] == [
+            (0, "r0_c0"), (1, target)]
+
     def test_cached_step_and_cell_stay_exact(self, monkeypatch):
         world = World(_fast_honest_majority())
         x_bounces, y_bounces = _assert_moves_exact(world, monkeypatch)
@@ -560,7 +594,8 @@ def _reference_tick(world, ref, cell):
                 v.cell = after
                 v.turn(v.rng.uniform(0.0, 2 * math.pi))
                 handovers += 1
-                edge.handover(v, sim.region_name(*after))
+                region = sim.region_name(*after)
+                v.pending_region = None if region == v.assoc_region else region
     return handovers
 
 
@@ -651,6 +686,17 @@ def _assert_moves_exact(world, monkeypatch, digest_every=7):
     world.run()
     assert_caught_up(len(history) - 1)
     return x_bounces, y_bounces
+
+
+class _Headings:
+    """A vehicle's random stream that gives each turn on a cell change the
+    next of `headings`."""
+
+    def __init__(self, *headings):
+        self.headings = list(headings)
+
+    def uniform(self, lo, hi):
+        return self.headings.pop(0)
 
 
 def _place(world, v, x, y, heading=None, speed=None):
