@@ -67,7 +67,6 @@ class RegionStats:
     sig_rejects: int = 0
     stale: int = 0
     rejected_reports: int = 0
-    lone_reports: int = 0
     trusted_tx: int = 0
     lone_tx: int = 0
     trusted_members: int = 0
@@ -259,7 +258,6 @@ def close_window(scheme: SignatureScheme, rsi: RsiState,
         else:
             txs.append(build_rsi_tx(scheme, rsi.key, payload, members, flag=0))
             rsi.stats.lone_tx += 1
-            rsi.stats.lone_reports += 1
             rsi.stats.lone_members += len(members)
     w = rsi.window
     rsi.window = ValidationWindow(w.closes_at, 2 * w.closes_at - w.opens_at)

@@ -614,7 +614,6 @@ class World:
                         false_chained += len(tx.vehicle_pks)
                 elif isinstance(tx, SmartContract):
                     contracts[digest] = tx
-        results.setdefault("admission_sound", "ok")
         check("ledger_isolation", isolated)
 
         for region, directory in sorted(self.rule_table.directories.items()):

@@ -76,25 +76,25 @@ SCHEMES = {"honest_majority_ed25519": ED25519}
 
 PINNED = {
     "honest_majority":
-        "3e416d5e4c5c8cf47a050061c1076bda02914641b3123cd808d9817e22edfe53",
+        "9f61b5040efbc5411815edc6fd91d43c1b302d87221d01c94ac12a5bccb185b0",
     "majority_capture":
-        "5dbeed62234f632502975b70c01a8ad50e96fb2479f1165d5a87cdd24a3ebbc6",
+        "3adc4b4a353c75b4256571e3262634cb85a152b490a24546cdc89ad3115c453f",
     "market_suite":
-        "83199a93de7fad2847be6b3285b2cfe02de2ff7e3b8c6a7b1ea3722066296521",
+        "33aa176277ba78a1f63f383f622df6fbddf80a74b8fd9c16c9457ee1d7a3f541",
     "key_reuse":
-        "8e3eebb0ce6fa384be62c972b4a6443b307901ad1fd46960bfdd92af915db0fc",
+        "9fbed39473367da82c41e0b9286c2590dc15f20176a632851443417467ef4bf7",
     "honest_majority_partial_final_window":
-        "eb43c6501f60cbcf585e4a735e3d860a7707fb534b217a17c1c5003ba2972c8c",
+        "5075b933decc42c5c8ffff1a5598462a8ab0044793a80a9d2d72f91c1de416de",
     "honest_majority_partial_final_window_chained":
-        "b63bf4b70a2670799afbe1467abc8ffc7fd5855e59813f363ca14e45dc663449",
+        "f37cb6edf0058ac3138892b67d686620437770c909bff32f3b9a3ac116232c95",
     "honest_majority_miner_m3":
-        "00f15797c9316a8031c6cd98f302500172f27a45c3b01ceef33e338725018130",
+        "ba7b70114626cbe8b2893ff9684ace5fec4da1d0c0856c030f088f0a68f769a7",
     "honest_majority_200_vehicles":
-        "e2a7c3c266c8637f8af62f5572ef4b79d578cbdd6550daaf3283eb58a6b008c0",
+        "7a2c9f7335040528fa0fd6cbe03124e20a40f2030a34fef18ad0beb8d4b55121",
     "honest_majority_replay_stale":
-        "9024b796861b757b83dcb9fb600b2ac9fb6c25e53050c2f158c8ed04e9e47cbe",
+        "fc0d4a3e8bf0e13dc44526152a80f4bac56ac6cc52b2a2bd4592d5328932d132",
     "honest_majority_ed25519":
-        "7ef08227a1ea819b2ab8210a99799c53388416eaa2f6326ce88ae3606098f7f2",
+        "87cc2b168ef22ea04a0b1762d05cb2c6d763394993587f04163d1769d1dfa27f",
 }
 
 
