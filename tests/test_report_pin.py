@@ -11,13 +11,15 @@ deliberate behaviour change must re-pin with its reason stated in
 CHANGES.md.
 """
 
+import copy
 import functools
 import json
 
 import pytest
 
-from dmap import cli, sim
+from dmap import cli, edge, sim
 from dmap.crypto import ED25519, KEYED_HASH, sha256
+from dmap.txmodel import METERS_PER_DEGREE
 from tests.conftest import SCENARIO_DIR
 
 
@@ -50,6 +52,18 @@ def _replay_stale() -> dict:
     return d
 
 
+def _merge() -> dict:
+    # a second RoadDamage event 20 m east of r0_c0's, inside eps_distance_m
+    # (50 m): reports of the two are compatible but not byte-identical, so
+    # clusters join two payload groups, a medoid is chosen among them and
+    # the smaller group is counted rejected
+    d = _scenario_dict("honest_majority")
+    second = copy.deepcopy(d["ground_truth_events"][0])
+    second["loc"]["lon"] += 20.0 / METERS_PER_DEGREE
+    d["ground_truth_events"].append(second)
+    return d
+
+
 def _vehicles_200() -> dict:
     d = _scenario_dict("honest_majority")
     d["vehicles"]["count"] = 200
@@ -68,6 +82,7 @@ CASES = {
     "honest_majority_200_vehicles": _vehicles_200,
     "honest_majority_replay_stale": _replay_stale,
     "honest_majority_ed25519": lambda: _scenario_dict("honest_majority"),
+    "honest_majority_merge": _merge,
 }
 
 # cases run under a scheme other than the default keyed-hash one; the
@@ -95,6 +110,8 @@ PINNED = {
         "fc0d4a3e8bf0e13dc44526152a80f4bac56ac6cc52b2a2bd4592d5328932d132",
     "honest_majority_ed25519":
         "87cc2b168ef22ea04a0b1762d05cb2c6d763394993587f04163d1769d1dfa27f",
+    "honest_majority_merge":
+        "aebc00d6e0a2ecdeb830fd703e42268337d3a331a76b29411fab7b58dadf4b10",
 }
 
 
@@ -119,6 +136,8 @@ PINNED_STATE = {
         "3a9f3134e8e7410f610ebc5eea32124e547bd50ec84aa50d27fadb0f82060309",
     "honest_majority_ed25519":
         "32cfe6bbcd1798d4ceaca34a225ed9be513485d4e5439ea40c20d99a318673b3",
+    "honest_majority_merge":
+        "3769cc5249d820b1d508f8393b611cf434c9a5c59f01815898fedd349a4f8f0f",
 }
 
 
@@ -145,3 +164,20 @@ def test_run_report_digest_pinned(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_state_digest_pinned(case):
     assert _finished(case)[0].state_digest().hex() == PINNED_STATE[case]
+
+
+def test_merge_case_joins_payload_groups(monkeypatch):
+    # no other case has a cluster of two payload groups, so only this one
+    # reaches the union of groups and the medoid's choice among payloads
+    sizes = []
+    real = edge.cluster_reports
+
+    def recorded(reports, policy):
+        clusters = real(reports, policy)
+        sizes.extend(len(c.groups) for c in clusters)
+        return clusters
+
+    monkeypatch.setattr(edge, "cluster_reports", recorded)
+    metrics = sim.World(sim.ScenarioConfig.from_dict(_merge())).run()
+    assert max(sizes) >= 2
+    assert metrics["global"]["rejected_reports"] > 0

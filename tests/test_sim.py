@@ -499,9 +499,9 @@ class TestHandover:
             assert v.assoc_region in world.rsis
 
     @pytest.mark.parametrize("turn, path", [
-        (math.pi, [(0, 0), (0, 1), (0, 0)]),  # A -> B -> A
-        (0.0, [(0, 0), (0, 1), (0, 2)]),      # A -> B -> C
-    ])
+        (math.pi, [(0, 0), (0, 1), (0, 0)]),
+        (0.0, [(0, 0), (0, 1), (0, 2)]),
+    ], ids=["A_B_A", "A_B_C"])
     def test_soft_handover_applies_at_the_window_boundary(self, turn, path):
         # one vehicle at 3 m a tick crosses from r0_c0 into r0_c1 at the
         # second tick and turns to `turn` there: back west into r0_c0, or
