@@ -260,7 +260,7 @@ def close_window(scheme: SignatureScheme, rsi: RsiState,
             rsi.stats.lone_tx += 1
             rsi.stats.lone_members += len(members)
     w = rsi.window
-    rsi.window = ValidationWindow(w.closes_at, 2 * w.closes_at - w.opens_at)
+    rsi.window = ValidationWindow(w.closes_at, w.closes_at + (w.closes_at - w.opens_at))
     txs.sort(key=attrgetter("wire"))
     return txs
 
