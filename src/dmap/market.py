@@ -18,17 +18,15 @@ group instead of visiting every record:
 - by region and event code, with the positions of the records in that
   directory's `records`, for the access path.
 
-Each read first indexes the records appended to any directory since the
-last read, in store order (`record_id`). In a run each window's records
-follow the last window's, so every group grows by appends; a record out
-of time order is inserted in place.
+`store_record` indexes each record as it appends it. In a run each
+window's records follow the last window's, so every group grows by
+appends; a record out of time order is inserted in place.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from .crypto import Certificate, KeyPair, SignatureScheme, verify_certificate
 from .ledger import Ledger, MinerPolicy, append_block
@@ -224,8 +222,6 @@ class RuleTable:
         self.ledgers = ledgers
         self.directories: dict[str, DataDirectory] = {}
         self._next_record_id = 0
-        # the indexes of each directory's records[:_indexed[region]]
-        self._indexed: dict[str, int] = {}
         self._places: dict[tuple[int, int], _Place] = {}
         self._kinds: dict[str, dict[int, _Kind]] = {}
 
@@ -255,8 +251,24 @@ class RuleTable:
                         owner_pks=tuple(rsi_tx.vehicle_pks),
                         size_bytes=len(payload_bytes(rsi_tx.payload)))
         self._next_record_id += 1
-        self.directories[region].records.append(record)
+        self._append(record)
         return record.record_id
+
+    def _append(self, record: Record) -> None:
+        """Append `record` to its directory's `records` and index it."""
+        records = self.directories[record.region_id].records
+        p = record.payload
+        kinds = self._kinds.setdefault(record.region_id, {})
+        kind = kinds.get(p.event.code)
+        if kind is None:
+            kind = kinds[p.event.code] = _Kind()
+        kind.add(p.timestamp, len(records))
+        key = (p.loc.lat_micro, p.loc.lon_micro)
+        place = self._places.get(key)
+        if place is None:
+            place = self._places[key] = _Place()
+        place.add(p.timestamp, record.size_bytes)
+        records.append(record)
 
     def _tx_on_chain(self, region: str, digest: bytes) -> bool:
         ledger = self.ledgers.get(region)
@@ -314,7 +326,6 @@ class RuleTable:
     def _matching_records(self, query: Scope) -> list[Record]:
         """The records the query covers, each once: by sorted region, then
         in directory order."""
-        self._catch_up()
         out: list[Record] = []
         for rid in sorted(set(query.region_ids)):
             kinds = self._kinds.get(rid)
@@ -357,7 +368,6 @@ class RuleTable:
                            from_ms: int, to_ms: int) -> tuple[int, int]:
         """Exact (record count, byte volume) in an area, closed at both
         corners, and the period [from_ms, to_ms); no record is visited."""
-        self._catch_up()
         lat_min, lat_max = area_min.lat_micro, area_max.lat_micro
         lon_min, lon_max = area_min.lon_micro, area_max.lon_micro
         count = 0
@@ -369,39 +379,3 @@ class RuleTable:
                     count += j - i
                     volume += place.sums[j] - place.sums[i]
         return count, volume
-
-    def _catch_up(self) -> None:
-        """Index the records appended to any directory since the last read.
-
-        Like `Ledger.has_tx`, a record appended straight to `records` is
-        seen, while one replaced in place is not. The places take the new
-        records of all directories in store order, so a place that several
-        directories store at grows by appends.
-        """
-        indexed = self._indexed
-        fresh: list[Record] = []
-        for rid, directory in self.directories.items():
-            records = directory.records
-            start = indexed.get(rid, 0)
-            if start == len(records):
-                continue
-            kinds = self._kinds.setdefault(rid, {})
-            for position in range(start, len(records)):
-                p = records[position].payload
-                group = kinds.get(p.event.code)
-                if group is None:
-                    group = kinds[p.event.code] = _Kind()
-                group.add(p.timestamp, position)
-            fresh += records[start:]
-            indexed[rid] = len(records)
-        if not fresh:
-            return
-        fresh.sort(key=attrgetter("record_id"))
-        places = self._places
-        for record in fresh:
-            p = record.payload
-            key = (p.loc.lat_micro, p.loc.lon_micro)
-            place = places.get(key)
-            if place is None:
-                place = places[key] = _Place()
-            place.add(p.timestamp, record.size_bytes)

@@ -501,8 +501,7 @@ class World:
         while self.clock_ms < self.config.duration_ms:
             self.step()
         self._catch_up()
-        self._close_regions([region for region in sorted(self.rsis)
-                             if self.rsis[region].window.reports])
+        self._close_regions(sorted(self.rsis))
         self.sweep_invariants()
         return self.compute_metrics()
 

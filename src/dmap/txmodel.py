@@ -20,7 +20,6 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import tee
 from typing import TypeVar
 
 from . import encoding
@@ -47,6 +46,7 @@ TAG_DATA_REQUEST = 0x07
 
 MAX_LAT_MICRO = 90 * 10**6
 MAX_LON_MICRO = 180 * 10**6
+TIMESTAMP_END = 2**64  # timestamps are u64 on the wire
 
 # Flat-earth metres-per-degree at the equator; desk-scale scenarios live
 # near (0, 0) so one constant serves both axes.
@@ -106,8 +106,8 @@ class EventKind:
             raise RangeError(f"unknown event code {self.code}")
         if self.code != 2 and self.speed_kmh != 0:
             raise RangeError("speed only valid for TrafficSpeed")
-        if self.speed_kmh < 0:
-            raise RangeError("speed must be non-negative")
+        if not 0 <= self.speed_kmh < 2**32:  # a u32 on the wire
+            raise RangeError(f"speed out of range: {self.speed_kmh}")
 
     @property
     def name(self) -> str:
@@ -142,22 +142,26 @@ def member_triples(payload: Payload, members: Iterable[tuple[bytes, bytes]]
 def build_data_tx(scheme: SignatureScheme, vehicle_key: KeyPair,
                   loc: GeoPoint, event: EventKind, ts: int) -> DataTransaction:
     loc.check_range()
-    if ts < 0:
-        raise RangeError("timestamp must be non-negative")
+    if not 0 <= ts < TIMESTAMP_END:
+        raise RangeError(f"timestamp out of range: {ts}")
     sig = scheme.sign(vehicle_key,
                       data_tx_signing_bytes(loc, event, ts, vehicle_key.public))
     return DataTransaction(loc=loc, event=event, timestamp=ts,
                            pk=vehicle_key.public, vehicle_sign=sig)
 
 
-def _data_tx_triple(tx: DataTransaction) -> Triple | None:
-    """What verifies `tx`, or None if a field is out of range."""
+# no scheme verifies a key that is not 32 bytes long
+_REFUSED: Triple = (b"", b"", b"")
+
+
+def _data_tx_triple(tx: DataTransaction) -> Triple:
+    """What verifies `tx`, or `_REFUSED` if a field is out of range."""
     try:
         tx.loc.check_range()
     except RangeError:
-        return None
-    if tx.timestamp < 0:
-        return None
+        return _REFUSED
+    if not 0 <= tx.timestamp < TIMESTAMP_END:
+        return _REFUSED
     msg = data_tx_signing_bytes(tx.loc, tx.event, tx.timestamp, tx.pk)
     return tx.pk, msg, tx.vehicle_sign
 
@@ -167,10 +171,10 @@ def verify_data_txs(scheme: SignatureScheme,
     """`verify_data_tx` of each tx, the signatures verified as one batch.
 
     `txs` is pulled as `verify_many` pulls the triples, so a lazy `txs`
-    is verified while it is made (`edge.ingest`)."""
-    triples, pulled = tee(map(_data_tx_triple, txs))
-    results = iter(scheme.verify_many(filter(None, pulled)))
-    return [t is not None and next(results) for t in triples]
+    is verified while it is made (`edge.ingest`). An out-of-range tx goes
+    into the batch as `_REFUSED`, which every scheme answers False, so the
+    results line up with `txs` without a second pass over them."""
+    return scheme.verify_many(map(_data_tx_triple, txs))
 
 
 def verify_data_tx(scheme: SignatureScheme, tx: DataTransaction) -> bool:

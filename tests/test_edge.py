@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from dmap import edge
-from dmap.crypto import KEYED_HASH, sha256
+from dmap.crypto import ED25519, KEYED_HASH, sha256
 from dmap.encoding import canonical_encode
 from dmap.edge import (
     ClusterStatus,
@@ -398,6 +398,25 @@ class TestIngest:
         assert other.window.reports == [good[1]]
         assert (rsi.stats.reports_sent, rsi.stats.stale, rsi.stats.sig_rejects) == (3, 1, 0)
         assert (other.stats.reports_sent, other.stats.stale, other.stats.sig_rejects) == (2, 0, 1)
+
+    @pytest.mark.parametrize("signer", [KEYED_HASH, ED25519], ids=lambda s: s.name)
+    def test_out_of_range_fields_counted_as_sig_rejects(self, signer, rsi):
+        """Validly signed reports with a latitude out of range or a
+        timestamp before 0 or past a u64, in a batch long enough for
+        Ed25519's streamed verify."""
+        def signed(label, loc, ts):
+            k = signer.generate_keypair(sha256(label.encode()))
+            sig = signer.sign(k, data_tx_signing_bytes(loc, ROAD_DAMAGE, ts, k.public))
+            return DataTransaction(loc, ROAD_DAMAGE, ts, k.public, sig)
+
+        good = [signed(f"v{i}", geo(0, 0), 100) for i in range(8)]
+        far_north = signed("n", GeoPoint(90_000_001, 0), 100)
+        before_epoch = dataclasses.replace(signed("e", geo(0, 0), 0), timestamp=-1)
+        past_u64 = dataclasses.replace(signed("u", geo(0, 0), 0), timestamp=2**64)
+        ingest(signer, [(rsi, tx) for tx in good[:3] + [far_north] + good[3:6]
+                        + [before_epoch] + good[6:] + [past_u64]])
+        assert (rsi.stats.reports_sent, rsi.stats.sig_rejects) == (11, 3)
+        assert rsi.window.reports == good
 
 
 class TestCloseWindow:

@@ -486,8 +486,8 @@ queries = st.builds(
 
 
 class TestGroupedQueries:
-    """Records go straight into `records`, a batch at a time, with queries
-    after each batch: the groups catch up with what was appended."""
+    """Records are stored and indexed a batch at a time, with queries after
+    each batch."""
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(batches=batches(), asks=st.lists(
@@ -498,8 +498,7 @@ class TestGroupedQueries:
         record_id = 0
         for batch in batches:
             for region, payload, size in batch:
-                table.directories[region].records.append(Record(
-                    record_id, region, payload, b"", (), size))
+                table._append(Record(record_id, region, payload, b"", (), size))
                 record_id += 1
             for query, (lo, hi), period in asks:
                 got = table._matching_records(query)
@@ -523,12 +522,14 @@ def spy_appends(monkeypatch, cls):
 
 
 class TestIndexes:
-    def test_catch_up_in_store_order(self, monkeypatch):
-        """Three directories store at one place over 50 windows and are read
-        once at the end: taken in store order, every add is an append."""
+    def test_stores_across_directories_append(self, monkeypatch):
+        """Three directories store at one place over 50 windows: every add
+        is an append, and reads add nothing."""
         regions = ("r0_c0", "r0_c1", "r1_c0")
         table = RuleTable(scheme, key("ruletable"), None, {})
         table.directories = {r: DataDirectory(r) for r in regions}
+        places = spy_appends(monkeypatch, market._Place)
+        kinds = spy_appends(monkeypatch, market._Kind)
         place = GeoPoint(1000, 2000)
         record_id = 0
         for window in range(50):
@@ -536,29 +537,26 @@ class TestIndexes:
             for i, region in enumerate(regions):
                 # the first two regions tie within a window
                 payload = Payload(place, kind, 5000 * window + 2000 * (i // 2))
-                table.directories[region].records.append(Record(
-                    record_id, region, payload, b"", (), 10 + record_id))
+                table._append(Record(record_id, region, payload, b"", (),
+                                     10 + record_id))
                 record_id += 1
-        places = spy_appends(monkeypatch, market._Place)
-        kinds = spy_appends(monkeypatch, market._Kind)
+        assert len(places) == len(kinds) == 150
+        assert all(places) and all(kinds)
         lo, hi = GeoPoint(0, 0), GeoPoint(2000, 3000)
         everything = (150, 150 * 10 + sum(range(150)))
         assert table.query_availability(lo, hi, 0, 250_000) == everything
         assert scan_availability(table, lo, hi, 0, 250_000) == everything
-        assert len(places) == len(kinds) == 150
-        assert all(places) and all(kinds)
         for period in ((0, 1), (12_000, 99_000), (2000, 2001)):
             assert (table.query_availability(lo, hi, *period)
                     == scan_availability(table, lo, hi, *period))
             query = Scope(regions, *period, (ROAD_DAMAGE.code, CLEAR.code))
             assert table._matching_records(query) == scan_matching(table, query)
-        assert len(places) == 150  # the later reads indexed nothing
+        assert len(places) == len(kinds) == 150  # the reads added nothing
 
     def test_one_group_per_place_and_per_region_kind(self):
         world = World(load_scenario_config("honest_majority"))
         world.run()
         table = world.rule_table
-        table.query_availability(GeoPoint(0, 0), GeoPoint(1, 1), 0, 1)
         records = [r for d in table.directories.values() for r in d.records]
         assert records
         assert set(table._places) == {

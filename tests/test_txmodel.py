@@ -83,6 +83,13 @@ class TestEventKind:
         with pytest.raises(RangeError):
             txmodel.EventKind(2, -1)
 
+    def test_speed_past_u32_rejected(self):
+        with pytest.raises(RangeError):
+            txmodel.EventKind(2, 2**32)
+        widest = build_data_tx(scheme, key("v"), sample_loc(),
+                               txmodel.EventKind(2, 2**32 - 1), 10)
+        assert canonical_decode(canonical_encode(widest)) == widest
+
     def test_decode_rejects_unknown_code(self):
         tx = build_data_tx(scheme, key("v"), sample_loc(), ROAD_DAMAGE, 10)
         blob = bytearray(canonical_encode(tx))
@@ -102,6 +109,15 @@ class TestDataTransaction:
         with pytest.raises(RangeError):
             build_data_tx(scheme, key("v"), GeoPoint(91_000_000, 0),
                           ROAD_DAMAGE, 0)
+
+    def test_timestamp_past_u64_rejected(self):
+        with pytest.raises(RangeError):
+            build_data_tx(scheme, key("v"), sample_loc(), ROAD_DAMAGE, 2**64)
+        with pytest.raises(RangeError):
+            build_data_tx(scheme, key("v"), sample_loc(), ROAD_DAMAGE, -1)
+        latest = build_data_tx(scheme, key("v"), sample_loc(), ROAD_DAMAGE,
+                               2**64 - 1)
+        assert verify_data_tx(scheme, latest)
 
     def test_same_inputs_byte_identical(self):
         a = build_data_tx(scheme, key("v"), sample_loc(), ROAD_DAMAGE, 77)
