@@ -33,6 +33,7 @@ from .ledger import Ledger, MinerPolicy, append_block
 from .txmodel import (
     AccessTransaction,
     DataRequestTransaction,
+    EventKind,
     GeoPoint,
     Grant,
     GRANT_CONTRACT_REF,
@@ -43,6 +44,7 @@ from .txmodel import (
     Scope,
     SmartContract,
     access_requester_signing_bytes,
+    check_u64,
     contract_signing_bytes,
     data_request_signing_bytes,
     grant_signing_bytes,
@@ -170,8 +172,12 @@ def create_contract(scheme: SignatureScheme, owner_key: KeyPair,
         raise RangeError("timespan must be a non-empty [start, end) interval")
     if scope.from_ms > scope.to_ms:
         raise RangeError("scope period must satisfy from <= to")
-    if price < 0:
-        raise RangeError("price must be non-negative")
+    for name, value in (("timespan start", start_ms), ("timespan end", end_ms),
+                        ("scope from", scope.from_ms), ("scope to", scope.to_ms),
+                        ("price", price)):
+        check_u64(name, value)
+    for code in scope.kind_codes:
+        EventKind(code)  # refuses a code that names no event kind
     msg = contract_signing_bytes(owner_key.public, grantee_pk, start_ms,
                                  end_ms, scope, price)
     sig = scheme.sign(owner_key, msg)
@@ -200,6 +206,8 @@ def build_data_request(scheme: SignatureScheme, sp_key: KeyPair,
         raise TargetError("degenerate request area")
     if from_ms > to_ms:
         raise TargetError("period must satisfy from <= to")
+    check_u64("period from", from_ms)
+    check_u64("period to", to_ms)
     targets = tuple(target_regions)
     sig = scheme.sign(sp_key,
                       data_request_signing_bytes(sp_key.public, area_min,

@@ -146,7 +146,7 @@ _MAP_EXTENT_M = txmodel.MAX_LON_MICRO / 1e6 * txmodel.METERS_PER_DEGREE
 
 def _cell_length(value: Any, where: str, cfg: ScenarioConfig) -> float:
     """A positive length in metres that cuts the map into cells: every
-    location's coordinate divided by it (`txmodel.cell_of`, `World._cell`)
+    location's coordinate divided by it (`txmodel.cell_of`, `World._region`)
     is finite."""
     if _MAP_EXTENT_M / _POSITIVE(value, where, cfg) > sys.float_info.max:
         least = _MAP_EXTENT_M / sys.float_info.max
@@ -212,7 +212,6 @@ def _kind(value: Any, where: str, cfg: ScenarioConfig) -> EventKind:
 
 @dataclass
 class GroundTruthEvent:
-    region: str = _at("region", _string, "")
     loc: GeoPoint = _at("loc", _loc)
     kind: EventKind = _at("kind", _kind)
     active_ms: tuple[int, int] = _at("active_ms", _interval(strict=True))  # [start, end)

@@ -68,10 +68,10 @@ def _advance(v: "Vehicle", ticks: int) -> tuple[float, float]:
     return x, y
 
 
-def _ticks_inside(pos: float, step: float, floor: float, size: float,
-                  wall: float, ulp: float) -> float:
+def _ticks_inside(pos: float, step: float, size: float, wall: float,
+                  ulp: float) -> float:
     """How many ticks a vehicle at `pos`, moving `step` a tick, may go
-    unchecked: each of those moves keeps `pos // size` at `floor` and `pos`
+    unchecked: each of those moves keeps `pos // size` where it is and `pos`
     inside [0, wall]. Infinite for a zero step.
 
     `d` is the distance to the floor boundary ahead, or to the wall when
@@ -80,6 +80,7 @@ def _ticks_inside(pos: float, step: float, floor: float, size: float,
     the boundary are each off by at most ulp/2, so (d - 2 ulp) / (|step| +
     ulp) moves stay inside; one tick less covers the rounding of that
     division."""
+    floor = pos // size
     if step > 0:
         d = min((floor + 1) * size, wall) - pos
     elif step < 0:
@@ -102,13 +103,8 @@ class Vehicle:
     master_seed: bytes
     scheme: SignatureScheme  # derives the vehicle's keys
     rng: CounterRng
-    assoc_region: str
-    cell: tuple[int, int]  # World._cell(x, y), kept up to date by moves
-    # raw x // cell_size_m and y // cell_size_m; the cell can change only
-    # when one of them does
-    floor_x: float
-    floor_y: float
-    pending_region: str | None = None  # serves from the next window boundary
+    assoc_region: str  # the region whose RSI serves the vehicle this window
+    region: str  # World._region(x, y), kept up to date by moves
     key_counter: int = 0
     reuse_key: KeyPair | None = None  # signs every report when set
     replay_payload: Payload | None = None
@@ -176,11 +172,13 @@ class World:
             eps_distance=config.eps_distance_m, eps_time=config.eps_time_ms,
             min_corroboration=config.min_corroboration)
 
+        # [row][col] -> the region's name, which `_region` looks up
+        self._names = [[region_name(row, col) for col in range(config.cols)]
+                       for row in range(config.rows)]
         self.rsis: dict[str, RsiState] = {}
         self.ledgers: dict[str, Ledger] = {}
-        for row in range(config.rows):
-            for col in range(config.cols):
-                region = region_name(row, col)
+        for names in self._names:
+            for region in names:
                 key = scheme.generate_keypair(
                     sha256(b"dmap/rsi" + struct.pack(">Q", seed)
                            + region.encode()))
@@ -207,16 +205,14 @@ class World:
             master = sha256(b"dmap/vehicle-master"
                             + struct.pack(">QQ", seed, vid))
             x, y = rng.uniform(0.0, width), rng.uniform(0.0, height)
-            cell = self._cell(x, y)
+            region = self._region(x, y)
             v = Vehicle(vid=vid, x=x, y=y,
                         heading=rng.uniform(0.0, 2 * math.pi),
                         speed=rng.uniform(config.speed_min_mps,
                                           config.speed_max_mps),
                         honest=vid >= n_adv,
                         master_seed=master, scheme=scheme, rng=rng,
-                        assoc_region=region_name(*cell), cell=cell,
-                        floor_x=x // config.cell_size_m,
-                        floor_y=y // config.cell_size_m)
+                        assoc_region=region, region=region)
             if vid in config.key_reuse_vehicles:
                 v.reuse_key = scheme.generate_keypair(master + b"/reused")
             self.vehicles.append(v)
@@ -228,8 +224,7 @@ class World:
                         for ev in config.ground_truth_events]
         self._fab_region: str | None = None
         if config.adversary.fab_loc is not None:
-            self._fab_region = region_name(
-                *self._cell(*_geo_to_xy(config.adversary.fab_loc)))
+            self._fab_region = self._region(*_geo_to_xy(config.adversary.fab_loc))
 
         self.window_index = 0
         self.delivery_log: list[Delivery] = []
@@ -268,12 +263,12 @@ class World:
 
     # -- event loop ----------------------------------------------------------
 
-    def _cell(self, x: float, y: float) -> tuple[int, int]:
-        """Grid (row, col) of a position, clamped into the grid."""
+    def _region(self, x: float, y: float) -> str:
+        """The region a position lies in, clamped into the grid."""
         cfg = self.config
-        row = min(int(y // cfg.cell_size_m), cfg.rows - 1)
-        col = min(int(x // cfg.cell_size_m), cfg.cols - 1)
-        return max(row, 0), max(col, 0)
+        row = max(min(int(y // cfg.cell_size_m), cfg.rows - 1), 0)
+        col = max(min(int(x // cfg.cell_size_m), cfg.cols - 1), 0)
+        return self._names[row][col]
 
     def _deliver(self, v: Vehicle, loc: GeoPoint, kind: EventKind, ts: int,
                  fabricated: bool = False) -> tuple[RsiState, DataTransaction]:
@@ -342,14 +337,14 @@ class World:
     def _move_phase(self) -> None:
         """Step the vehicles due at this tick; the others lag behind.
 
-        A vehicle is due at the first tick at which it may change floor or
-        reach a wall (`_ticks_inside`). Until then its moves are plain
-        additions, so it is left alone and `x`, `y` belong to `v.tick`: read
-        them after `state_digest()`, or at an emit, which catches everyone up
-        (`_catch_up`). A due vehicle makes its lagging additions, then this
-        tick's, in order, so positions are the same floats as stepping every
-        vehicle every tick. Trigonometry runs only on a turn and `_cell` only
-        when a raw floor changes."""
+        A vehicle is due at the first tick at which it may change floor, and
+        so region, or reach a wall (`_ticks_inside`). Until then its moves
+        are plain additions, so it is left alone and `x`, `y` belong to
+        `v.tick`: read them after `state_digest()`, or at an emit, which
+        catches everyone up (`_catch_up`). A due vehicle makes its lagging
+        additions, then this tick's, in order, so positions are the same
+        floats as stepping every vehicle every tick. Trigonometry runs only
+        on a turn."""
         tick = self.clock_ms // TICK_MS
         due = self._due.pop(tick, None)
         if due is None:
@@ -361,7 +356,7 @@ class World:
         height = cfg.rows * cell_size
         ulp = math.ulp(max(width, height))
         pi = math.pi
-        cell = self._cell
+        region_of = self._region
         for v in due:
             x, y = _advance(v, tick + 1 - v.tick)
             if x < 0 or x > width:
@@ -373,44 +368,34 @@ class World:
             v.x = x
             v.y = y
             v.tick = tick + 1
-            floor_x = x // cell_size
-            floor_y = y // cell_size
-            if floor_x != v.floor_x or floor_y != v.floor_y:
-                v.floor_x = floor_x
-                v.floor_y = floor_y
-                # at x == width or y == height the floor moves past the
-                # last cell but the clamped cell stays: no handover
-                after = cell(x, y)
-                if after != v.cell:
-                    v.cell = after
-                    v.turn(v.rng.uniform(0.0, 2 * pi))
-                    self.handover_count += 1
-                    # soft handover: the old RSI serves the vehicle until
-                    # the window boundary, which applies `pending_region`
-                    region = region_name(*after)
-                    v.pending_region = None if region == v.assoc_region else region
-            wait = min(_ticks_inside(x, v.step_x, floor_x, cell_size, width, ulp),
-                       _ticks_inside(y, v.step_y, floor_y, cell_size, height, ulp))
+            region = region_of(x, y)
+            if region != v.region:
+                v.region = region
+                v.turn(v.rng.uniform(0.0, 2 * pi))
+                self.handover_count += 1
+            wait = min(_ticks_inside(x, v.step_x, cell_size, width, ulp),
+                       _ticks_inside(y, v.step_y, cell_size, height, ulp))
             if wait != math.inf:
                 buckets.setdefault(tick + 1 + wait, []).append(v)
 
-    def _close_regions(self, regions: list[str]) -> None:
-        """Close each region's window, admit every aggregate as one batch,
-        then chain and store each region's admitted ones, in `regions`
-        order."""
+    def _close_regions(self) -> None:
+        """Close every region's window, admit every aggregate as one batch,
+        then chain and store each region's admitted ones, in region order."""
         closed = [(self.ledgers[region], edge.close_window(
-            self.scheme, self.rsis[region], self.consistency)) for region in regions]
+            self.scheme, self.rsis[region], self.consistency))
+            for region in sorted(self.rsis)]
         for block in append_admitted(self.scheme, closed, self.clock_ms,
                                      self.policy):
             for tx in block.txs if block is not None else ():
                 self.rule_table.store_record(tx)
 
     def _window_boundary(self) -> None:
-        self._close_regions(sorted(self.rsis))
+        """Close the window and hand each vehicle to the region it is in.
+        The handover is soft: a vehicle that crossed into another region
+        during the window was served by the old RSI until now."""
+        self._close_regions()
         for v in self.vehicles:
-            if v.pending_region is not None:
-                v.assoc_region = v.pending_region
-                v.pending_region = None
+            v.assoc_region = v.region
         self.window_index += 1
         self._fire_autogrants()
 
@@ -501,7 +486,7 @@ class World:
         while self.clock_ms < self.config.duration_ms:
             self.step()
         self._catch_up()
-        self._close_regions(sorted(self.rsis))
+        self._close_regions()
         self.sweep_invariants()
         return self.compute_metrics()
 

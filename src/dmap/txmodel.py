@@ -46,7 +46,6 @@ TAG_DATA_REQUEST = 0x07
 
 MAX_LAT_MICRO = 90 * 10**6
 MAX_LON_MICRO = 180 * 10**6
-TIMESTAMP_END = 2**64  # timestamps are u64 on the wire
 
 # Flat-earth metres-per-degree at the equator; desk-scale scenarios live
 # near (0, 0) so one constant serves both axes.
@@ -55,6 +54,12 @@ METERS_PER_DEGREE = 111_320.0
 
 class RangeError(ValueError):
     """A field is outside its declared domain."""
+
+
+def check_u64(name: str, value: int) -> None:
+    """Refuse a value of a field that goes on the wire as a u64."""
+    if not 0 <= value < 2**64:
+        raise RangeError(f"{name} out of range: {value}")
 
 
 # --- geometry ---------------------------------------------------------------
@@ -142,8 +147,7 @@ def member_triples(payload: Payload, members: Iterable[tuple[bytes, bytes]]
 def build_data_tx(scheme: SignatureScheme, vehicle_key: KeyPair,
                   loc: GeoPoint, event: EventKind, ts: int) -> DataTransaction:
     loc.check_range()
-    if not 0 <= ts < TIMESTAMP_END:
-        raise RangeError(f"timestamp out of range: {ts}")
+    check_u64("timestamp", ts)
     sig = scheme.sign(vehicle_key,
                       data_tx_signing_bytes(loc, event, ts, vehicle_key.public))
     return DataTransaction(loc=loc, event=event, timestamp=ts,
@@ -158,9 +162,8 @@ def _data_tx_triple(tx: DataTransaction) -> Triple:
     """What verifies `tx`, or `_REFUSED` if a field is out of range."""
     try:
         tx.loc.check_range()
+        check_u64("timestamp", tx.timestamp)
     except RangeError:
-        return _REFUSED
-    if not 0 <= tx.timestamp < TIMESTAMP_END:
         return _REFUSED
     msg = data_tx_signing_bytes(tx.loc, tx.event, tx.timestamp, tx.pk)
     return tx.pk, msg, tx.vehicle_sign

@@ -153,6 +153,27 @@ class TestCreateContract:
             create_contract(scheme, key("owner"), key("sp").public,
                             (0, 5000), scope, price=-1)
 
+    @pytest.mark.parametrize("timespan, period, kinds, price", [
+        ((0, 2**64), (0, 1000), (0,), 0),
+        ((-5, 10), (0, 1000), (0,), 0),
+        ((0, 5000), (0, 1000), (0,), 2**64),
+        ((0, 5000), (-1, 10), (0,), 0),
+        ((0, 5000), (0, 1000), (256,), 0),
+        ((0, 5000), (0, 1000), (len(EventKind.CODE_NAMES),), 0),
+    ], ids=["end_past_u64", "negative_start", "price_past_u64",
+            "negative_scope_from", "kind_code_past_u8", "kind_code_of_no_kind"])
+    def test_field_out_of_range_refused(self, timespan, period, kinds, price):
+        scope = Scope(("r0_c0",), *period, kinds)
+        with pytest.raises(RangeError):
+            create_contract(scheme, key("owner"), key("sp").public,
+                            timespan, scope, price)
+
+    def test_u64_edges_valid(self):
+        scope = Scope(("r0_c0",), 0, 2**64 - 1, tuple(range(len(EventKind.CODE_NAMES))))
+        c = create_contract(scheme, key("owner"), key("sp").public,
+                            (0, 2**64 - 1), scope, 2**64 - 1)
+        assert (c.end_ms, c.scope.to_ms, c.price) == (2**64 - 1,) * 3
+
     def test_zero_price_valid(self, world):
         scope = Scope(("r0_c0",), 0, 1000, (0,))
         c = create_contract(scheme, key("owner"), key("sp").public,
@@ -309,6 +330,13 @@ class TestDataRequest:
         with pytest.raises(TargetError):
             build_data_request(scheme, key("sp"), geo(0, 0), geo(100, 100),
                                2000, 1000, ["r0_c0"])
+
+    @pytest.mark.parametrize("period", [(-1, 1000), (0, 2**64)],
+                             ids=["negative_from", "to_past_u64"])
+    def test_period_out_of_range_refused(self, period):
+        with pytest.raises(RangeError):
+            build_data_request(scheme, key("sp"), geo(0, 0), geo(100, 100),
+                               *period, ["r0_c0"])
 
     def test_well_formed_request_signed(self):
         req = build_data_request(scheme, key("sp"), geo(0, 0), geo(100, 100),

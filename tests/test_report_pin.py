@@ -91,27 +91,27 @@ SCHEMES = {"honest_majority_ed25519": ED25519}
 
 PINNED = {
     "honest_majority":
-        "9f61b5040efbc5411815edc6fd91d43c1b302d87221d01c94ac12a5bccb185b0",
+        "46aeb0bbb658322e37940af3aecad8cb44a3ad12c9a86cc458e31ead62f795d0",
     "majority_capture":
-        "3adc4b4a353c75b4256571e3262634cb85a152b490a24546cdc89ad3115c453f",
+        "47b0e6e9836ad932bd9d14863f8034e67cbfa8130b95abdb547b9e8d9cfc2eba",
     "market_suite":
-        "33aa176277ba78a1f63f383f622df6fbddf80a74b8fd9c16c9457ee1d7a3f541",
+        "7c722d2ce0a05e9ca140581e332ff810ceea68860d035bc7f063565b7e44b0eb",
     "key_reuse":
-        "9fbed39473367da82c41e0b9286c2590dc15f20176a632851443417467ef4bf7",
+        "dbee5faeb38cd9e614a098c0b8ba0673ffd25c2dacdd8381fce0dc65356fa2d8",
     "honest_majority_partial_final_window":
-        "5075b933decc42c5c8ffff1a5598462a8ab0044793a80a9d2d72f91c1de416de",
+        "f519947b176eba8e3c053806b8e8879ff3da8f6d7b70d2c9b76fe5c211678f62",
     "honest_majority_partial_final_window_chained":
-        "f37cb6edf0058ac3138892b67d686620437770c909bff32f3b9a3ac116232c95",
+        "95c5eb957d3c772ade31dd35c20a8f447ecdf3cfd2404472fd821e8fe1ad0927",
     "honest_majority_miner_m3":
-        "ba7b70114626cbe8b2893ff9684ace5fec4da1d0c0856c030f088f0a68f769a7",
+        "b4c84e3481558af4d9a48807f7b6d27fa4e4f8554244a9a424c7f156a57bbe6b",
     "honest_majority_200_vehicles":
-        "7a2c9f7335040528fa0fd6cbe03124e20a40f2030a34fef18ad0beb8d4b55121",
+        "6038f6689d5b8cc27a91ab109dda607a9b1d137ea9104cd326b4fc229f36963f",
     "honest_majority_replay_stale":
-        "fc0d4a3e8bf0e13dc44526152a80f4bac56ac6cc52b2a2bd4592d5328932d132",
+        "0a643e305d17eabbd085590cb75b5ab46fbeb634534888b8623320829e50a8fb",
     "honest_majority_ed25519":
-        "87cc2b168ef22ea04a0b1762d05cb2c6d763394993587f04163d1769d1dfa27f",
+        "94ad80a4519e313229c16cd591a4526fc3dc858ec19b23a5ee16c317c5c58106",
     "honest_majority_merge":
-        "aebc00d6e0a2ecdeb830fd703e42268337d3a331a76b29411fab7b58dadf4b10",
+        "77e28d69cf9ebfc9f363214971a7d05b444d1f88534f8f784467fe34485607e1",
 }
 
 

@@ -45,10 +45,9 @@ CASES = [
     ("sensing_radius_m", 0, "sensing_radius_m: must be a positive number"),
     ("ground_truth_events", 5, "ground_truth_events: must be a list"),
     ("ground_truth_events[0]", 5, "ground_truth_events[0]: must be an object"),
-    ("ground_truth_events[0].region", 7,
-     "ground_truth_events[0].region: must be a string of valid Unicode"),
-    ("ground_truth_events[0].region", "\ud800",
-     "ground_truth_events[0].region: must be a string of valid Unicode"),
+    ("ground_truth_events[0].kind", DELETE, "ground_truth_events[0].kind: missing"),
+    ("ground_truth_events[0].active_ms", DELETE,
+     "ground_truth_events[0].active_ms: missing"),
     ("ground_truth_events[0].loc", DELETE, "ground_truth_events[0].loc: missing"),
     ("ground_truth_events[0].loc", 5, "ground_truth_events[0].loc: must be an object"),
     ("ground_truth_events[0].loc.lat", "a",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmap import encoding, sim, txmodel
+from dmap import cli, encoding, sim, txmodel
 from dmap.crypto import KEYED_HASH, SCHEMES, sha256, verify_certificate
 from dmap.encoding import canonical_encode
 from dmap.ledger import _link, check_ledger, validate_chain
@@ -75,6 +75,16 @@ def _market_suite_traffic_speed():
     return d
 
 
+def _key_paths(node, path=()):
+    """The path of every object key and list index in a JSON value."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    paths = set()
+    for key, child in items:
+        paths |= {path + (key,)} | _key_paths(child, path + (key,))
+    return paths
+
+
 class TestScenarioConfig:
     def test_from_dict_minimal(self):
         cfg = ScenarioConfig.from_dict(minimal_dict())
@@ -115,7 +125,7 @@ class TestScenarioConfig:
         ("consistency", None),
         ("vehicles", [1]),
         ("ground_truth_events[0]", 5),
-        ("ground_truth_events[0].region", 7),
+        ("ground_truth_events[0].kind", 5),
         ("ground_truth_events[0].loc.lat", "a"),
         ("ground_truth_events[0].loc.lon", float("nan")),
         pytest.param("ground_truth_events[0].loc.lat", 10**400,
@@ -187,8 +197,7 @@ class TestScenarioConfig:
                 "type": "FabricateEvent",
                 "kind": {"name": "TrafficSpeed", "speed_kmh": 30},
                 "loc": {"lat": 0.001, "lon": 0.001}}},
-            ground_truth_events=[{"region": "r0_c0",
-                                  "loc": {"lat": 0.001, "lon": 0.001},
+            ground_truth_events=[{"loc": {"lat": 0.001, "lon": 0.001},
                                   "kind": "RoadDamage",
                                   "active_ms": [0, 10_000]}],
             # one action of each kind, with every optional field set
@@ -278,6 +287,28 @@ class TestScenarioConfig:
         again = ScenarioConfig.from_dict(cfg.to_dict())
         assert again == cfg
         assert again.to_dict() == cfg.to_dict()
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_bundled_scenarios_keep_only_keys_a_run_reads(self, name):
+        # only key paths are compared: coordinates come back rounded to
+        # micro-degrees
+        with open(SCENARIO_DIR / f"{name}.json", encoding="utf-8") as fh:
+            d = json.load(fh)
+        written = _key_paths(ScenarioConfig.from_dict(d).to_dict())
+        assert _key_paths(d) - written == set()
+
+    def test_event_region_key_is_not_read(self):
+        # a region that is not the one the location lies in changes nothing
+        def report(event):
+            world = World(ScenarioConfig.from_dict(
+                minimal_dict(ground_truth_events=[event])))
+            return cli.build_run_report(world, world.run())
+
+        event = {"loc": {"lat": 0.001, "lon": 0.001}, "kind": "RoadDamage",
+                 "active_ms": [0, 10_000]}
+        with_region = report({"region": "r1_c1", **event})
+        assert "region" not in with_region["scenario"]["ground_truth_events"][0]
+        assert with_region == report(event)
 
     @pytest.mark.parametrize("make", [_ed25519_events, _market_suite_traffic_speed],
                              ids=["ed25519_events", "market_suite_traffic_speed"])
@@ -499,8 +530,8 @@ class TestHandover:
             assert v.assoc_region in world.rsis
 
     @pytest.mark.parametrize("turn, path", [
-        (math.pi, [(0, 0), (0, 1), (0, 0)]),
-        (0.0, [(0, 0), (0, 1), (0, 2)]),
+        (math.pi, ["r0_c0", "r0_c1", "r0_c0"]),
+        (0.0, ["r0_c0", "r0_c1", "r0_c2"]),
     ], ids=["A_B_A", "A_B_C"])
     def test_soft_handover_applies_at_the_window_boundary(self, turn, path):
         # one vehicle at 3 m a tick crosses from r0_c0 into r0_c1 at the
@@ -511,23 +542,22 @@ class TestHandover:
             grid={"rows": 1, "cols": 3, "cell_size_m": 100.0},
             vehicles={"count": 1, "speed_min_mps": 30.0, "speed_max_mps": 30.0},
             sensing_radius_m=500.0,
-            ground_truth_events=[{"region": "r0_c1", "loc": {"lat": mid, "lon": 3 * mid},
+            ground_truth_events=[{"loc": {"lat": mid, "lon": 3 * mid},
                                   "kind": "RoadDamage", "active_ms": [0, 10_000]}])
         world = World(ScenarioConfig.from_dict(d))
         v = world.vehicles[0]
         _place(world, v, 95.0, 50.0, heading=0.0)
         v.rng = _Headings(turn, turn)
-        cells = [v.cell]
+        regions = [v.region]
         while world.clock_ms < 4900:
             world.step()
-            if v.cell != cells[-1]:
-                cells.append(v.cell)
+            if v.region != regions[-1]:
+                regions.append(v.region)
             assert v.assoc_region == "r0_c0", world.clock_ms
-        assert cells == path
-        target = sim.region_name(*path[-1])
-        assert v.pending_region == (None if target == "r0_c0" else target)
+        assert regions == path
+        target = path[-1]
         world.step()  # the window boundary
-        assert (v.assoc_region, v.pending_region) == (target, None)
+        assert (v.region, v.assoc_region) == (target, target)
         world.step()  # the second window's emit
         assert [(d.window_id, d.region) for d in world.delivery_log] == [
             (0, "r0_c0"), (1, target)]
@@ -565,13 +595,15 @@ class TestHandover:
         assert buckets.stepped <= 0.1 * cfg.vehicle_count * ticks
 
 
-def _reference_tick(world, ref, cell):
+def _reference_tick(world, ref, pending):
     """Move every vehicle of `ref` one tick, as the simulator did when it
-    stepped every vehicle every tick; returns the handovers made."""
+    stepped every vehicle every tick; returns the handovers made. A
+    handover sets `pending[vid]` to the region that serves the vehicle
+    from the next window boundary, or to None if its region serves it
+    already."""
     cfg = world.config
-    cell_size = cfg.cell_size_m
-    width = cfg.cols * cell_size
-    height = cfg.rows * cell_size
+    width = cfg.cols * cfg.cell_size_m
+    height = cfg.rows * cfg.cell_size_m
     handovers = 0
     for v in ref:
         x = v.x + v.step_x
@@ -584,48 +616,38 @@ def _reference_tick(world, ref, cell):
             v.turn(-v.heading)
         v.x = x
         v.y = y
-        floor_x = x // cell_size
-        floor_y = y // cell_size
-        if floor_x != v.floor_x or floor_y != v.floor_y:
-            v.floor_x = floor_x
-            v.floor_y = floor_y
-            after = cell(x, y)
-            if after != v.cell:
-                v.cell = after
-                v.turn(v.rng.uniform(0.0, 2 * math.pi))
-                handovers += 1
-                region = sim.region_name(*after)
-                v.pending_region = None if region == v.assoc_region else region
+        region = world._region(x, y)
+        if region != v.region:
+            v.region = region
+            v.turn(v.rng.uniform(0.0, 2 * math.pi))
+            handovers += 1
+            pending[v.vid] = None if region == v.assoc_region else region
     return handovers
 
 
 def _moving_state(v):
-    return (v.heading.hex(), v.step_x.hex(), v.step_y.hex(), v.cell,
-            v.floor_x, v.floor_y, v.pending_region, v.assoc_region)
+    return (v.heading.hex(), v.step_x.hex(), v.step_y.hex(), v.region,
+            v.assoc_region)
 
 
 def _assert_moves_exact(world, monkeypatch, digest_every=7):
     """Step `world` to its duration beside a reference that steps every
     vehicle every tick, and check after every step that each vehicle's
     lagging x and y are the reference's at the vehicle's tick, bit for bit,
-    and that its heading, step, cell, floors and association are the
+    and that its heading, step, region and association are the
     reference's now. Each emit must see every vehicle caught up, and so
     must `state_digest()` (called every `digest_every` steps, so lags of
     several ticks occur too) and the end of `run()`. Trigonometry may run
-    only on a turn and `_cell` only on a floor change. Returns how many
-    vehicle-ticks ended on a vertical wall and on a horizontal one."""
+    only on a turn. Returns how many vehicle-ticks ended on a vertical
+    wall and on a horizontal one."""
     cfg = world.config
     dt = sim.TICK_MS / 1000.0
     width, height = cfg.cols * cfg.cell_size_m, cfg.rows * cfg.cell_size_m
     ref = copy.deepcopy(world.vehicles)
     history = [[(v.x, v.y) for v in ref]]  # the reference's x, y at each tick
+    pending = {}  # vid -> the region it moves to at the next boundary
     calls = collections.Counter()
-    real_cell = world._cell
     real_emit = world._emit_phase
-
-    def counting_cell(x, y):
-        calls["cell"] += 1
-        return real_cell(x, y)
 
     class CountingMath:
         def __getattr__(self, name):
@@ -648,7 +670,6 @@ def _assert_moves_exact(world, monkeypatch, digest_every=7):
         assert_caught_up(world.clock_ms // sim.TICK_MS)
         real_emit()
 
-    monkeypatch.setattr(world, "_cell", counting_cell)
     monkeypatch.setattr(world, "_emit_phase", checked_emit)
     monkeypatch.setattr(sim, "math", CountingMath())
     window_ticks = cfg.window_ms // sim.TICK_MS
@@ -656,22 +677,20 @@ def _assert_moves_exact(world, monkeypatch, digest_every=7):
     while world.clock_ms < cfg.duration_ms:
         calls.clear()
         world.step()
-        trig, cells = calls["trig"], calls["cell"]
+        trig = calls["trig"]
         tick = world.clock_ms // sim.TICK_MS
-        before = [(v.heading, v.floor_x, v.floor_y) for v in ref]
-        handovers += _reference_tick(world, ref, real_cell)
+        before = [v.heading for v in ref]
+        handovers += _reference_tick(world, ref, pending)
         if tick % window_ticks == 0:
             for r in ref:
-                if r.pending_region is not None:
-                    r.assoc_region, r.pending_region = r.pending_region, None
+                r.assoc_region = pending.pop(r.vid, None) or r.assoc_region
         history.append([(v.x, v.y) for v in ref])
         if tick % digest_every == 0:
             world.state_digest()
             assert_caught_up(tick)
-        turned = floors_moved = 0
-        for v, r, (heading, floor_x, floor_y) in zip(world.vehicles, ref, before):
+        turned = 0
+        for v, r, heading in zip(world.vehicles, ref, before):
             turned += r.heading != heading
-            floors_moved += (r.floor_x, r.floor_y) != (floor_x, floor_y)
             x_bounces += r.x in (0.0, width)
             y_bounces += r.y in (0.0, height)
             x, y = history[v.tick][v.vid]
@@ -682,7 +701,6 @@ def _assert_moves_exact(world, monkeypatch, digest_every=7):
         assert world.handover_count == handovers
         # a turn refreshes both steps, at most three turns a tick
         assert trig <= 6 * turned
-        assert cells == floors_moved
     world.run()
     assert_caught_up(len(history) - 1)
     return x_bounces, y_bounces
@@ -705,10 +723,7 @@ def _place(world, v, x, y, heading=None, speed=None):
         v.speed = speed
     v.x, v.y = x, y
     v.turn(v.heading if heading is None else heading)
-    size = world.config.cell_size_m
-    v.floor_x, v.floor_y = x // size, y // size
-    v.cell = world._cell(x, y)
-    v.assoc_region = sim.region_name(*v.cell)
+    v.region = v.assoc_region = world._region(x, y)
 
 
 def _fast_honest_majority(**changes):
