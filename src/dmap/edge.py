@@ -1,12 +1,12 @@
 """RSI-side validation: windowed ingestion, neighbor-monitoring
 clustering, flag assignment, and deduplicated aggregation.
 
-Reports arriving within one validation window are clustered by
-compatibility (same event kind, locations within `eps_distance`,
-timestamps within `eps_time`, closed under single linkage). Clusters
-whose payloads conflict inside one spatial cell are judged against each
-other: the plurality wins, divergent minorities are discarded, and
-uncorroborated singletons go out flagged untrusted so miners reject them.
+Reports arriving within one validation window, the one time bound, are
+clustered by compatibility (same event kind, locations within
+`eps_distance`, closed under single linkage). Clusters whose payloads
+conflict inside one spatial cell are judged against each other: the
+plurality wins, divergent minorities are discarded, and uncorroborated
+singletons go out flagged untrusted so miners reject them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .txmodel import (
 @dataclass
 class ConsistencyPolicy:
     eps_distance: float      # metres, max location spread within a cluster
-    eps_time: int            # ms, max timestamp spread
     min_corroboration: int   # reports needed for flag = 1
 
 
@@ -114,9 +113,7 @@ def ingest(scheme: SignatureScheme,
 
 def _compatible(a: DataTransaction, b: DataTransaction,
                 policy: ConsistencyPolicy) -> bool:
-    return (a.event == b.event
-            and abs(a.timestamp - b.timestamp) <= policy.eps_time
-            and distance_m(a.loc, b.loc) <= policy.eps_distance)
+    return a.event == b.event and distance_m(a.loc, b.loc) <= policy.eps_distance
 
 
 def _payload(r: DataTransaction) -> Payload:
@@ -125,10 +122,13 @@ def _payload(r: DataTransaction) -> Payload:
 
 def cluster_reports(reports: list[DataTransaction],
                     policy: ConsistencyPolicy) -> list[Cluster]:
-    """Partition reports into connected components of the compatibility graph.
+    """Partition reports into connected components of the compatibility graph:
+    one event kind, locations within `eps_distance`. The window bounds time:
+    in a run, every report `ingest` keeps in it was made at its first tick.
 
-    Reports are grouped by exact payload once; reports with one payload
-    are always compatible, so single linkage runs over the groups only.
+    Reports are grouped by exact payload, timestamp included, once;
+    reports with one payload are always compatible, so single linkage
+    runs over the groups only.
     Clusters come in the order of their first reports; `close_window`
     sorts its aggregates by `wire`, so no output depends on cluster order.
     """

@@ -163,6 +163,14 @@ class AccessResult:
         return cls(granted=False, reason=reason)
 
 
+def _check_scope(scope: Scope) -> None:
+    """Refuse a scope whose period or kind codes do not fit the wire."""
+    check_u64("scope from", scope.from_ms)
+    check_u64("scope to", scope.to_ms)
+    for code in scope.kind_codes:
+        EventKind(code)  # refuses a code that names no event kind
+
+
 def create_contract(scheme: SignatureScheme, owner_key: KeyPair,
                     grantee_pk: bytes, timespan: tuple[int, int],
                     scope: Scope, price: int) -> SmartContract:
@@ -173,11 +181,9 @@ def create_contract(scheme: SignatureScheme, owner_key: KeyPair,
     if scope.from_ms > scope.to_ms:
         raise RangeError("scope period must satisfy from <= to")
     for name, value in (("timespan start", start_ms), ("timespan end", end_ms),
-                        ("scope from", scope.from_ms), ("scope to", scope.to_ms),
                         ("price", price)):
         check_u64(name, value)
-    for code in scope.kind_codes:
-        EventKind(code)  # refuses a code that names no event kind
+    _check_scope(scope)
     msg = contract_signing_bytes(owner_key.public, grantee_pk, start_ms,
                                  end_ms, scope, price)
     sig = scheme.sign(owner_key, msg)
@@ -189,6 +195,7 @@ def create_contract(scheme: SignatureScheme, owner_key: KeyPair,
 
 def build_access_tx(scheme: SignatureScheme, requester_key: KeyPair,
                     query: Scope, grant: Grant) -> AccessTransaction:
+    _check_scope(query)
     msg = access_requester_signing_bytes(requester_key.public, query, grant)
     sig = scheme.sign(requester_key, msg)
     return AccessTransaction(requester_pk=requester_key.public, query=query,
@@ -208,6 +215,8 @@ def build_data_request(scheme: SignatureScheme, sp_key: KeyPair,
         raise TargetError("period must satisfy from <= to")
     check_u64("period from", from_ms)
     check_u64("period to", to_ms)
+    area_min.check_range()
+    area_max.check_range()
     targets = tuple(target_regions)
     sig = scheme.sign(sp_key,
                       data_request_signing_bytes(sp_key.public, area_min,

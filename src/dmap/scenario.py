@@ -381,7 +381,6 @@ class ScenarioConfig:
         lambda v: type(v) is int and v > 0 and v % TICK_MS == 0,
         f"must be a positive multiple of {TICK_MS}"))
     eps_distance_m: float = _at("consistency.eps_distance_m", _cell_length)
-    eps_time_ms: int = _at("consistency.eps_time_ms", _integer(1, math.inf))
     min_corroboration: int = _at("consistency.min_corroboration", _integer(2, math.inf))
     miner_m: int = _at("miner_m", _integer(1, math.inf), 2)
     sensing_radius_m: float = _at("sensing_radius_m", _POSITIVE, 100.0)

@@ -7,15 +7,14 @@ from a counter-based stream keyed by (scenario seed, entity), so the full
 state trajectory is a pure function of the scenario config. Vehicles
 sample their surroundings at validation-window boundaries and sign each
 report with a key freshly derived from their private master seed; the
-linkability metric counts key reuse per vehicle from the world's own
-delivery log, and nothing linkable ever enters a protocol message.
+linkability metric counts each vehicle's reuse of a report key in the
+world's own delivery log, and nothing linkable ever enters a protocol message.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -168,9 +167,7 @@ class World:
         self.ca = scheme.generate_keypair(
             sha256(b"dmap/ca" + struct.pack(">Q", seed)))
         self.policy = MinerPolicy(m=config.miner_m, ca_pk=self.ca.public)
-        self.consistency = ConsistencyPolicy(
-            eps_distance=config.eps_distance_m, eps_time=config.eps_time_ms,
-            min_corroboration=config.min_corroboration)
+        self.consistency = ConsistencyPolicy(config.eps_distance_m, config.min_corroboration)
 
         # [row][col] -> the region's name, which `_region` looks up
         self._names = [[region_name(row, col) for col in range(config.cols)]
@@ -501,15 +498,10 @@ class World:
                 return True
         return False
 
-    def compute_linkability(self) -> dict:
-        """Count protocol-visible key reuse per vehicle: every use of a
-        report key after its vehicle's first, from the delivery log."""
-        violations: Counter[int] = Counter()
-        for (vid, _), uses in Counter((d.vid, d.tx.pk) for d in self.delivery_log).items():
-            if uses > 1:
-                violations[vid] += uses - 1
-        return {"linkability_violations": violations.total(),
-                "per_vehicle": {str(k): violations[k] for k in sorted(violations)}}
+    def compute_linkability(self) -> int:
+        """Count protocol-visible key reuse: every use of a report key after
+        its vehicle's first, from the delivery log."""
+        return len(self.delivery_log) - len({(d.vid, d.tx.pk) for d in self.delivery_log})
 
     def audit_access_log(self, chained: dict[bytes, str],
                          contracts: dict[bytes, SmartContract]) -> int:
@@ -557,13 +549,12 @@ class World:
         false_chained = self.false_chained
         injected = sum(d.fabricated for d in self.delivery_log)
         detection = 1.0 if injected == 0 else 1.0 - false_chained / injected
-        link = self.compute_linkability()
         global_metrics = dict(totals.as_dict())
         global_metrics.update({
             "false_data_chained": false_chained,
             "false_data_injected": injected,
             "detection_rate": detection,
-            "linkability_violations": link["linkability_violations"],
+            "linkability_violations": self.compute_linkability(),
             "access_granted": len(self.granted_log),
             "access_denied": self.access_denied,
             "unauthorized_served": self.unauthorized_served,

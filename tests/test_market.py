@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmap import market
-from dmap.crypto import KEYED_HASH, issue_certificate, sha256
+from dmap.crypto import KEYED_HASH, KeyedHashScheme, issue_certificate, sha256
 from dmap.encoding import canonical_encode
 from dmap.ledger import Ledger, MinerPolicy, append_block, genesis
 from dmap.market import (
@@ -47,6 +47,13 @@ from tests.test_txmodel import key, make_members
 
 scheme = KEYED_HASH
 METERS_PER_DEGREE = 111_320.0
+
+
+class NoSigning(KeyedHashScheme):
+    """A scheme that fails any test reaching a signature."""
+
+    def sign(self, key, message):
+        raise AssertionError("signed")
 
 REGIONS = ("r0_c0", "r0_c1")
 
@@ -180,6 +187,20 @@ class TestCreateContract:
                             (0, 5000), scope, price=0)
         assert c.price == 0
         assert len(c.contract_id()) == 32
+
+
+class TestAccessTx:
+    @pytest.mark.parametrize("period, kinds", [
+        ((-1, 1000), (0,)),
+        ((0, 2**64), (0,)),
+        ((0, 1000), (256,)),
+        ((0, 1000), (len(EventKind.CODE_NAMES),)),
+    ], ids=["negative_from", "to_past_u64", "kind_code_past_u8", "kind_code_of_no_kind"])
+    def test_query_out_of_range_refused(self, period, kinds):
+        query = Scope(("r0_c0",), *period, kinds)
+        grant = Grant(kind=GRANT_CONTRACT_REF, contract_id=bytes(32))
+        with pytest.raises(RangeError):
+            build_access_tx(NoSigning(), key("sp"), query, grant)
 
 
 def contract_access(world, sp, contract, query=None, now=100):
@@ -337,6 +358,16 @@ class TestDataRequest:
         with pytest.raises(RangeError):
             build_data_request(scheme, key("sp"), geo(0, 0), geo(100, 100),
                                *period, ["r0_c0"])
+
+    @pytest.mark.parametrize("area_min, area_max", [
+        (GeoPoint(-2**40, 0), GeoPoint(1000, 1000)),
+        (GeoPoint(-91_000_000, 0), GeoPoint(1000, 1000)),
+        (GeoPoint(0, 0), GeoPoint(1000, 181_000_000)),
+    ], ids=["corner_past_i32", "latitude_past_90", "longitude_past_180"])
+    def test_area_out_of_range_refused(self, area_min, area_max):
+        with pytest.raises(RangeError):
+            build_data_request(NoSigning(), key("sp"), area_min, area_max,
+                               0, 1000, ["r0_c0"])
 
     def test_well_formed_request_signed(self):
         req = build_data_request(scheme, key("sp"), geo(0, 0), geo(100, 100),

@@ -91,27 +91,27 @@ SCHEMES = {"honest_majority_ed25519": ED25519}
 
 PINNED = {
     "honest_majority":
-        "46aeb0bbb658322e37940af3aecad8cb44a3ad12c9a86cc458e31ead62f795d0",
+        "6dfb80a858ef4f7d06228bb9631737d790bc6ad02075e1112e07c20598c465ba",
     "majority_capture":
-        "47b0e6e9836ad932bd9d14863f8034e67cbfa8130b95abdb547b9e8d9cfc2eba",
+        "ea8d22cb7d15c7f79713bf7a9a9eb29e51e13582afe3d4a8b40dd4c85bf0f539",
     "market_suite":
-        "7c722d2ce0a05e9ca140581e332ff810ceea68860d035bc7f063565b7e44b0eb",
+        "ef5315322d8e5238b5337f463d473b660f2480bf0d252964128c95316758b531",
     "key_reuse":
-        "dbee5faeb38cd9e614a098c0b8ba0673ffd25c2dacdd8381fce0dc65356fa2d8",
+        "28b0a2bbef973a252c054e05f0dc95d7dd18ff88bc0d5ef56017668803f18887",
     "honest_majority_partial_final_window":
-        "f519947b176eba8e3c053806b8e8879ff3da8f6d7b70d2c9b76fe5c211678f62",
+        "c4267df3b39e3c57047d45e2351adc70e09e2069b6cae3e79ba8924f26f440c1",
     "honest_majority_partial_final_window_chained":
-        "95c5eb957d3c772ade31dd35c20a8f447ecdf3cfd2404472fd821e8fe1ad0927",
+        "286f2698b5301652491b41e5979a54debba386c421a80a9970efd520f4db4621",
     "honest_majority_miner_m3":
-        "b4c84e3481558af4d9a48807f7b6d27fa4e4f8554244a9a424c7f156a57bbe6b",
+        "d179b11558ccbe8e0a3586b6ab30a5ea0fd7d235eef7d22c90cb487e9e56673d",
     "honest_majority_200_vehicles":
-        "6038f6689d5b8cc27a91ab109dda607a9b1d137ea9104cd326b4fc229f36963f",
+        "5c5d61f220ece5827f8d44204fb3386539587d899d531f8526de61d4bc0de17a",
     "honest_majority_replay_stale":
-        "0a643e305d17eabbd085590cb75b5ab46fbeb634534888b8623320829e50a8fb",
+        "eb50442af1adb978b97e4ad465cc3094a03ba1cb56f3bee1da32cf0d10a04f04",
     "honest_majority_ed25519":
-        "94ad80a4519e313229c16cd591a4526fc3dc858ec19b23a5ee16c317c5c58106",
+        "b7be3b18dca3360f55f0181d820dd25d7d9859c747d2d71ccbc7e0efe8a61b5b",
     "honest_majority_merge":
-        "77e28d69cf9ebfc9f363214971a7d05b444d1f88534f8f784467fe34485607e1",
+        "e6a1679200cd417d5271a9d84a002de6b4bb05ea8480f1571c57c8be46eddb66",
 }
 
 
@@ -181,3 +181,24 @@ def test_merge_case_joins_payload_groups(monkeypatch):
     metrics = sim.World(sim.ScenarioConfig.from_dict(_merge())).run()
     assert max(sizes) >= 2
     assert metrics["global"]["rejected_reports"] > 0
+
+
+def test_each_closed_window_holds_one_timestamp(monkeypatch):
+    # the window is neighbour monitoring's one time bound: `ingest` drops a
+    # report stamped outside it and vehicles report at its first tick only,
+    # so compatibility reads kind and distance alone. A run that reports
+    # twice in one window fails here, and has to bound time on purpose.
+    stamps = []
+    real = edge.close_window
+
+    def recorded(scheme, rsi, policy):
+        stamps.append({r.timestamp for r in rsi.window.reports})
+        return real(scheme, rsi, policy)
+
+    monkeypatch.setattr(edge, "close_window", recorded)
+    for case in sorted(CASES):
+        stamps.clear()
+        sim.World(sim.ScenarioConfig.from_dict(CASES[case]()),
+                  SCHEMES.get(case, KEYED_HASH)).run()
+        # an empty window holds no timestamp; some window holds reports
+        assert max(map(len, stamps)) == 1, case

@@ -37,8 +37,7 @@ CASES = [
     ("window_ms", 5050, "window_ms: must be a positive multiple of 100"),
     ("consistency.eps_distance_m", -1,
      "consistency.eps_distance_m: must be a positive number"),
-    ("consistency.eps_time_ms", 0,
-     "consistency.eps_time_ms: must be an integer in [1, inf)"),
+    ("consistency", DELETE, "consistency: missing"),
     ("consistency.min_corroboration", 1,
      "consistency.min_corroboration: must be an integer in [2, inf)"),
     ("miner_m", 0, "miner_m: must be an integer in [1, inf)"),
