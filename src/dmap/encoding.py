@@ -10,6 +10,8 @@ Each wire type is stated once, as a `Layout` of ordered (field, codec)
 rows, which its module compiles at import into straight-line functions,
 as `dataclasses` writes `__init__`: each run of fixed-width integers is
 packed by one `struct.Struct`, and nothing walks the rows per call.
+A layout also compiles, per row, the encoder of the rows from it on:
+the tail that a signed message leaves out of the wire.
 """
 
 from __future__ import annotations
@@ -116,23 +118,11 @@ class Codec(NamedTuple):
     `parts(v)` encodes the value of the expression `v` as a list of
     (format, expression) pairs: a `struct` format character and the
     integer it packs, or None and an expression of bytes. `read` is an
-    expression that reads the value back from the Reader `r`. `length(v)`,
-    if given, is an expression of the encoded length that builds no
-    bytes; without it the length is taken of the parts.
+    expression that reads the value back from the Reader `r`.
     """
 
     parts: Callable[[str], list[tuple[str | None, str]]]
     read: str
-    length: Callable[[str], str] | None = None
-
-    def sizes(self, v: str) -> list[int | str]:
-        """The encoded length of `v` as terms of a sum: `length(v)`, or
-        the width of each packed integer and the length of each bytes
-        expression of the parts."""
-        if self.length:
-            return [self.length(v)]
-        return [struct.calcsize(">" + char) if char else f"len({expr})"
-                for char, expr in self.parts(v)]
 
 
 u8 = Codec(lambda v: [("B", v)], "r.u8()")
@@ -154,33 +144,21 @@ def list_of(item: Codec | Layout) -> Codec:
         f"tuple([{item.read} for _ in range(r.u32())])")
 
 
-def hand(encode: Callable[..., bytes], decode: Callable[[Reader], object],
-         length: Callable[..., int] | None = None) -> Codec:
+def hand(encode: Callable[..., bytes],
+         decode: Callable[[Reader], object]) -> Codec:
     """A codec written by hand, for a format that branches on a value.
 
     `encode` takes the row's field values and returns their bytes;
     `decode` reads them back, as a tuple for a row of several fields.
-    `length`, if given, takes the same values and returns the length of
-    their bytes without building them.
     """
     enc, dec = _global(encode), _global(decode)
-    codec = Codec(lambda v: [(None, f"{enc}({v})")], f"{dec}(r)")
-    if length is None:
-        return codec
-    size = _global(length)
-    return codec._replace(length=lambda v: f"{size}({v})")
+    return Codec(lambda v: [(None, f"{enc}({v})")], f"{dec}(r)")
 
 
 def _parts(rows: tuple, value: str) -> list[tuple[str | None, str]]:
     """The parts of `rows`, each field's value being `value.format(name)`."""
     return [p for names, codec in rows
             for p in codec.parts(", ".join(value.format(f) for f in names))]
-
-
-def _length(rows: tuple, value: str) -> str:
-    """One expression of the encoded length of `rows` (see `_parts`)."""
-    return " + ".join(str(t) for names, codec in rows
-                      for t in codec.sizes(", ".join(value.format(f) for f in names)))
 
 
 # the tagged layouts, by the type they encode and by tag
@@ -197,9 +175,10 @@ class Layout:
     With a `tag` the layout is a top-level type, encoded after its tag
     byte by `canonical_encode`; without one it is a record nested in
     other layouts (a layout is a codec), its fields written in place.
-    `encode(obj)` and `decode(reader)` are the compiled functions,
-    `tails[field](obj)` encodes the rows from `field` on, and
-    `tail_lengths[field](obj)` is the length of those bytes.
+    `encode(obj)` and `decode(reader)` are the compiled functions, and
+    `tails[field](obj)` encodes the rows from `field` on: what a signer
+    appends to the message it signed, and what a check cuts off `wire`
+    to slice that message back (`txmodel.Chained`).
     """
 
     def __init__(self, cls: type, tag: int | None, rows,
@@ -218,16 +197,12 @@ class Layout:
                f"    return {_global(make or cls)}({fields})\n"]
         src += [f"def {name}_from_{names[0]}(o):\n"
                 f"    return {_join(_parts(self.rows[i:], 'o.{}'))}\n"
-                f"def {name}_len_from_{names[0]}(o):\n"
-                f"    return {_length(self.rows[i:], 'o.{}')}\n"
                 for i, (names, _) in enumerate(self.rows)]
         ns: dict[str, Callable] = {}
         exec("".join(src), _NS, ns)
         self.encode, self.decode = ns[f"encode_{name}"], ns[f"decode_{name}"]
         self.tails = {names[0]: ns[f"{name}_from_{names[0]}"]
                       for names, _ in self.rows}
-        self.tail_lengths = {names[0]: ns[f"{name}_len_from_{names[0]}"]
-                             for names, _ in self.rows}
         self.read = f"{_global(self.decode)}(r)"
         if tag is not None:
             if tag in _BY_TAG:
@@ -236,9 +211,6 @@ class Layout:
 
     def parts(self, v: str) -> list[tuple[str | None, str]]:
         return _parts(self.rows, v + ".{}")
-
-    def sizes(self, v: str) -> list[int | str]:
-        return [_length(self.rows, v + ".{}")]
 
     def fields_before(self, field: str | None = None) -> Callable[..., bytes]:
         """Compile the encoder of the rows before `field` (of every row

@@ -33,7 +33,6 @@ from .ledger import Ledger, MinerPolicy, append_block
 from .txmodel import (
     AccessTransaction,
     DataRequestTransaction,
-    EventKind,
     GeoPoint,
     Grant,
     GRANT_CONTRACT_REF,
@@ -44,6 +43,7 @@ from .txmodel import (
     Scope,
     SmartContract,
     access_requester_signing_bytes,
+    check_kind_code,
     check_u64,
     contract_signing_bytes,
     data_request_signing_bytes,
@@ -164,11 +164,14 @@ class AccessResult:
 
 
 def _check_scope(scope: Scope) -> None:
-    """Refuse a scope whose period or kind codes do not fit the wire."""
+    """Refuse a scope whose period is inverted or whose period or kind
+    codes do not fit the wire."""
+    if scope.from_ms > scope.to_ms:
+        raise RangeError("scope period must satisfy from <= to")
     check_u64("scope from", scope.from_ms)
     check_u64("scope to", scope.to_ms)
     for code in scope.kind_codes:
-        EventKind(code)  # refuses a code that names no event kind
+        check_kind_code(code)
 
 
 def create_contract(scheme: SignatureScheme, owner_key: KeyPair,
@@ -178,8 +181,6 @@ def create_contract(scheme: SignatureScheme, owner_key: KeyPair,
     start_ms, end_ms = timespan
     if start_ms >= end_ms:
         raise RangeError("timespan must be a non-empty [start, end) interval")
-    if scope.from_ms > scope.to_ms:
-        raise RangeError("scope period must satisfy from <= to")
     for name, value in (("timespan start", start_ms), ("timespan end", end_ms),
                         ("price", price)):
         check_u64(name, value)

@@ -107,8 +107,7 @@ class EventKind:
     CODE_NAMES = ("RoadDamage", "ParkingSpot", "TrafficSpeed", "Congestion", "Clear")
 
     def __post_init__(self) -> None:
-        if not 0 <= self.code < len(self.CODE_NAMES):
-            raise RangeError(f"unknown event code {self.code}")
+        check_kind_code(self.code)
         if self.code != 2 and self.speed_kmh != 0:
             raise RangeError("speed only valid for TrafficSpeed")
         if not 0 <= self.speed_kmh < 2**32:  # a u32 on the wire
@@ -117,6 +116,12 @@ class EventKind:
     @property
     def name(self) -> str:
         return self.CODE_NAMES[self.code]
+
+
+def check_kind_code(code: int) -> None:
+    """Refuse an event code that names no event kind."""
+    if not 0 <= code < len(EventKind.CODE_NAMES):
+        raise RangeError(f"unknown event code {code}")
 
 
 ROAD_DAMAGE = EventKind(0)
@@ -199,12 +204,14 @@ class Chained:
     `market.build_access_tx`, the countersigned form in
     `RuleTable.evaluate_access`, `market.create_contract`) seed `wire`
     with `seed_wire`; any other tx is encoded on first use. Each signed
-    message is a prefix of `wire`, and the RSI, requester, countersigned
-    and contract checks verify `signed_prefix` slices of it. Block hashes
-    are computed over `wire` too. A tx decoded from a block caches the
-    bytes it was read from (`ledger._read_chained`). `dataclasses.replace`
-    and other decoding build new objects with nothing cached; only a field
-    changed in place with `object.__setattr__` can leave `wire` stale, and
+    message is a prefix of `wire`: `signed_prefix` encodes the rows from
+    the signature on (the layout's `tails`) and cuts that many bytes off
+    the end. The RSI, requester, countersigned and contract checks verify
+    these slices. Block hashes are computed over `wire` too. A tx decoded
+    from a block caches the bytes it was read from
+    (`ledger._read_chained`). `dataclasses.replace` and other decoding
+    build new objects with nothing cached; only a field changed in place
+    with `object.__setattr__` can leave `wire` stale, and
     `ledger.validate_chain` compares it with a fresh encoding, which
     `ledger.check_ledger` does before it replays admission.
     """
@@ -227,9 +234,10 @@ class Chained:
         return self
 
     def signed_prefix(self, field: str) -> bytes:
-        """`wire` without its tag byte and the rows from `field` on."""
+        """`wire` without its tag byte and the rows from `field` on, cut
+        by the length of those rows' encoding."""
         wire = self.wire
-        return wire[1:len(wire) - encoding.LAYOUTS[type(self)].tail_lengths[field](self)]
+        return wire[1:len(wire) - len(encoding.LAYOUTS[type(self)].tails[field](self))]
 
 
 # --- RSI aggregate ----------------------------------------------------------
@@ -438,8 +446,9 @@ class DataRequestTransaction:
 
 # --- wire layouts -----------------------------------------------------------
 # Each type's field order is stated here once. The signing bytes, the
-# registered encoder and decoder, and the rows `seed_wire` and
-# `signed_prefix` append or cut are compiled from these tables at import.
+# registered encoder and decoder, and the tails that `seed_wire` appends
+# and whose length `signed_prefix` cuts off are compiled from these
+# tables at import.
 
 def _checked_geo(lat_micro: int, lon_micro: int) -> GeoPoint:
     loc = GeoPoint(lat_micro, lon_micro)
@@ -498,11 +507,6 @@ def _approval_bytes(ruletable_pk: bytes, ruletable_sign: bytes) -> bytes:
                      length_prefixed(ruletable_sign)))
 
 
-def _approval_len(ruletable_pk: bytes, ruletable_sign: bytes) -> int:
-    """`len(_approval_bytes(ruletable_pk, ruletable_sign))`."""
-    return 9 + len(ruletable_pk) + len(ruletable_sign) if ruletable_sign else 1
-
-
 def _read_approval(r: Reader) -> tuple[bytes, bytes]:
     marker = r.u8()
     if marker == 0:
@@ -539,7 +543,7 @@ ACCESS_TX = Layout(AccessTransaction, TAG_ACCESS_TX, (
     ("grant", hand(_grant_bytes, _read_grant)),
     ("requester_sign", bytes_),
     (("ruletable_pk", "ruletable_sign"),
-     hand(_approval_bytes, _read_approval, _approval_len))))
+     hand(_approval_bytes, _read_approval))))
 DATA_REQUEST = Layout(DataRequestTransaction, TAG_DATA_REQUEST, (
     ("sp_pk", bytes_), ("area_min", GEO), ("area_max", GEO),
     ("from_ms", u64), ("to_ms", u64), ("target_regions", list_of(string)),

@@ -167,8 +167,10 @@ class TestCreateContract:
         ((0, 5000), (-1, 10), (0,), 0),
         ((0, 5000), (0, 1000), (256,), 0),
         ((0, 5000), (0, 1000), (len(EventKind.CODE_NAMES),), 0),
+        ((0, 5000), (5000, 1000), (0,), 0),
     ], ids=["end_past_u64", "negative_start", "price_past_u64",
-            "negative_scope_from", "kind_code_past_u8", "kind_code_of_no_kind"])
+            "negative_scope_from", "kind_code_past_u8", "kind_code_of_no_kind",
+            "inverted_scope_period"])
     def test_field_out_of_range_refused(self, timespan, period, kinds, price):
         scope = Scope(("r0_c0",), *period, kinds)
         with pytest.raises(RangeError):
@@ -195,7 +197,9 @@ class TestAccessTx:
         ((0, 2**64), (0,)),
         ((0, 1000), (256,)),
         ((0, 1000), (len(EventKind.CODE_NAMES),)),
-    ], ids=["negative_from", "to_past_u64", "kind_code_past_u8", "kind_code_of_no_kind"])
+        ((5000, 1000), (0,)),
+    ], ids=["negative_from", "to_past_u64", "kind_code_past_u8",
+            "kind_code_of_no_kind", "inverted_period"])
     def test_query_out_of_range_refused(self, period, kinds):
         query = Scope(("r0_c0",), *period, kinds)
         grant = Grant(kind=GRANT_CONTRACT_REF, contract_id=bytes(32))

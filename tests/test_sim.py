@@ -515,9 +515,11 @@ class TestLinkabilityDetector:
         assert world.compute_linkability() == 0
 
     def test_distinct_vehicles_never_cross_count(self):
+        # one key from two vehicles is no reuse by either of them
         world = self.make_world()
-        self.deliver(world, 0, key("v0-key"), 0)
-        self.deliver(world, 1, key("v1-key"), 0)
+        k = key("shared")
+        self.deliver(world, 0, k, 0)
+        self.deliver(world, 1, k, 0)
         assert world.compute_linkability() == 0
 
 
