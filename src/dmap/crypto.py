@@ -31,7 +31,7 @@ import select
 import signal
 import struct
 import threading
-from collections.abc import Iterable
+from collections.abc import Iterable, Set
 from dataclasses import dataclass, field
 from itertools import chain, islice, starmap
 from typing import TYPE_CHECKING
@@ -449,20 +449,30 @@ class Checks:
 
     `add` queues triples and returns the index of the first one's result
     in the list `run` returns. `certificate` queues the CA signature of a
-    certificate the same way. `verified`, when given, memoises
+    certificate the same way. `verified_certs`, when given, memoises
     certificates that verified: it holds the (CA key, certificate) pairs
     that did, a pair found there is not queued (`certificate` returns
     None), a pair queued twice in one batch is queued once, and `run` adds
     each queued pair that verified. A certificate compares by all of its
     fields, so a forged one (any field changed) misses the memo and is
     verified. Failures are never stored.
+
+    `verified` holds triples known to verify, such as the reports that
+    `edge.ingest` verified in the window that is closing. `run` answers a
+    queued triple found there True and sends only the others to
+    `verify_many`; verifying is a pure function, so the results are
+    those of verifying every triple. A triple matches only with its key,
+    message and signature all equal, so a signature swapped, or moved to
+    another key or message, misses and is verified. `run` stores nothing
+    in `verified`.
     """
 
-    __slots__ = ("triples", "verified", "_queued")
+    __slots__ = ("triples", "verified_certs", "verified", "_queued")
 
-    def __init__(self, verified: set[tuple[bytes, Certificate]] | None = None
-                 ) -> None:
+    def __init__(self, verified_certs: set[tuple[bytes, Certificate]] | None = None,
+                 verified: Set[Triple] = frozenset()) -> None:
         self.triples: list[Triple] = []
+        self.verified_certs = verified_certs
         self.verified = verified
         self._queued: dict[tuple[bytes, Certificate], int] = {}
 
@@ -473,8 +483,8 @@ class Checks:
 
     def certificate(self, ca_pk: bytes, cert: Certificate) -> int | None:
         pair = (ca_pk, cert)
-        memo = self.verified is not None
-        if memo and pair in self.verified:
+        memo = self.verified_certs is not None
+        if memo and pair in self.verified_certs:
             return None
         if memo and pair in self._queued:
             return self._queued[pair]
@@ -485,10 +495,17 @@ class Checks:
         return i
 
     def run(self, scheme: SignatureScheme) -> list[bool]:
-        results = scheme.verify_many(self.triples)
+        triples, verified = self.triples, self.verified
+        if verified:
+            results = [True] * len(triples)
+            misses = [k for k, t in enumerate(triples) if t not in verified]
+            for k, ok in zip(misses, scheme.verify_many([triples[k] for k in misses])):
+                results[k] = ok
+        else:
+            results = scheme.verify_many(triples)
         for pair, i in self._queued.items():
             if results[i]:
-                self.verified.add(pair)
+                self.verified_certs.add(pair)
         return results
 
 

@@ -11,22 +11,21 @@ singletons go out flagged untrusted so miners reject them.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import tee
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
-from .crypto import KeyPair, SignatureScheme
+from .crypto import KeyPair, SignatureScheme, Triple
 from .txmodel import (
     DataTransaction,
     Payload,
     RsiTransaction,
     build_rsi_tx,
     cell_of,
+    data_tx_triple,
     distance_m,
     payload_bytes,
-    verify_data_txs,
 )
 
 
@@ -89,23 +88,36 @@ class RsiState:
 
 
 def ingest(scheme: SignatureScheme,
-           deliveries: Iterable[tuple[RsiState, DataTransaction]]) -> None:
+           deliveries: Iterable[tuple[RsiState, DataTransaction]],
+           verified: set[Triple]) -> None:
     """Buffer each (RSI, report) pair into that RSI's open window, in order,
     every signature verified first, as one batch; a report with a bad
     signature or a timestamp outside the window is counted and dropped.
+    The triple of each report that verified is added to `verified`, which
+    the window's admission reads (`ledger.append_admitted`).
 
     The pairs are pulled as the batch verifies them, so when
     `deliveries` signs each report as it is pulled (`World._emit_phase`),
-    the first reports are verified while later ones are signed. Stats and
-    windows change only after the whole batch is verified."""
-    deliveries, pulled = tee(deliveries)
-    for (rsi, tx), signed in zip(deliveries, verify_data_txs(
-            scheme, map(itemgetter(1), pulled))):
+    the first reports are verified while later ones are signed. Stats,
+    windows and `verified` change only after the whole batch is
+    verified."""
+    pulled: list[tuple[RsiState, DataTransaction, Triple]] = []
+
+    def triples() -> Iterator[Triple]:
+        for rsi, tx in deliveries:
+            triple = data_tx_triple(tx)
+            pulled.append((rsi, tx, triple))
+            yield triple
+
+    results = scheme.verify_many(triples())
+    for (rsi, tx, triple), signed in zip(pulled, results):
         rsi.stats.reports_sent += 1
         w = rsi.window
         if not signed:
             rsi.stats.sig_rejects += 1
-        elif not w.opens_at <= tx.timestamp < w.closes_at:
+            continue
+        verified.add(triple)
+        if not w.opens_at <= tx.timestamp < w.closes_at:
             rsi.stats.stale += 1
         else:
             w.reports.append(tx)
@@ -234,7 +246,10 @@ def close_window(scheme: SignatureScheme, rsi: RsiState,
     leftovers cannot be carried verifiably and are counted rejected.
     `ingest` verified every report in the window, and each carried member
     signed exactly the payload, so `build_rsi_tx` signs each aggregate
-    without a second member check; miner admission is the independent one.
+    without a second member check. Miner admission reads the triples that
+    `ingest` verified in this window and verifies every other one: a
+    member signature swapped, moved to another payload, or rejected at
+    ingest. The sweep (`ledger.check_ledger`) verifies them all again.
     """
     clusters = cluster_reports(rsi.window.reports, policy)
     judge_clusters(clusters, policy)

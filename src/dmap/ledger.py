@@ -9,7 +9,7 @@ detectable by a full rescan.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence, Set
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 
@@ -20,6 +20,7 @@ from .crypto import (
     Certificate,
     Checks,
     SignatureScheme,
+    Triple,
     sha256,
 )
 from .encoding import (
@@ -192,10 +193,12 @@ def miner_admit(scheme: SignatureScheme, tx: ChainedTx, policy: MinerPolicy,
 
 def admit_all(scheme: SignatureScheme,
               candidates: Iterable[tuple[ChainedTx, str]],
-              policy: MinerPolicy) -> list[Verdict]:
+              policy: MinerPolicy,
+              verified: Set[Triple] = frozenset()) -> list[Verdict]:
     """`miner_admit` of each (tx, region) pair: every tx is planned, then
-    the signature checks of all of them are verified as one batch."""
-    checks = Checks(policy.verified_certs)
+    the signature checks of all of them are verified as one batch, but
+    for the triples in `verified`, known to verify (see `crypto.Checks`)."""
+    checks = Checks(policy.verified_certs, verified)
     plans = [_plan(tx, policy, region, checks) for tx, region in candidates]
     return list(map(decide, plans, repeat(checks.run(scheme))))
 
@@ -245,14 +248,17 @@ def append_block(scheme: SignatureScheme, ledger: Ledger,
 
 def append_admitted(scheme: SignatureScheme,
                     batches: Sequence[tuple[Ledger, list[ChainedTx]]], ts: int,
-                    policy: MinerPolicy) -> list[Block | None]:
+                    policy: MinerPolicy,
+                    verified: Set[Triple] = frozenset()) -> list[Block | None]:
     """Admit each ledger's candidates, all in one `admit_all` batch, then
     chain each ledger's admitted ones in input order, ledger by ledger.
-    Returns each ledger's new block, or None where none was admitted and
-    the ledger is left as it was."""
+    `verified` holds triples known to verify: at a window boundary, the
+    reports that `edge.ingest` verified in the window. Returns each
+    ledger's new block, or None where none was admitted and the ledger is
+    left as it was."""
     verdicts = iter(admit_all(scheme, [(tx, ledger.rsi_region)
                                        for ledger, txs in batches for tx in txs],
-                              policy))
+                              policy, verified))
     blocks = []
     for ledger, txs in batches:
         admitted = [tx for tx in txs if next(verdicts).accepted]
@@ -297,10 +303,11 @@ def check_ledger(scheme: SignatureScheme, ledger: Ledger, policy: MinerPolicy,
     """Every check `ledger` must pass on its own, each result handed by
     name to `check(name, ok, detail)`, which raises on a failure:
     `chain_valid` (`validate_chain`), then for each tx `admission_sound`,
-    admission replayed without the certificate memo so that every
-    certificate is verified, all of the ledger's signatures as one
-    `admit_all` batch, and for each aggregate `flag_sweep`, which
-    cannot fail after admission but does not rest on it. Returns each
+    admission replayed without the certificate memo and without the
+    reports that ingest verified, so that every signature is verified,
+    all of the ledger's as one `admit_all` batch, and for each aggregate
+    `flag_sweep`, which cannot fail after admission but does not rest on
+    it. Returns each
     chained tx in chain order with the SHA-256 of its `wire`, which
     `validate_chain` found equal to a fresh encoding."""
     status = validate_chain(ledger)

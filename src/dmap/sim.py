@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import repeat
 
 from . import edge, txmodel
-from .crypto import KEYED_HASH, KeyPair, SignatureScheme, issue_certificate, sha256
+from .crypto import KEYED_HASH, KeyPair, SignatureScheme, Triple, issue_certificate, sha256
 from .edge import ConsistencyPolicy, RegionStats, RsiState
 from .encoding import canonical_encode
 from .ledger import Ledger, MinerPolicy, append_admitted, check_ledger, genesis
@@ -224,6 +224,10 @@ class World:
             self._fab_region = self._region(*_geo_to_xy(config.adversary.fab_loc))
 
         self.window_index = 0
+        # the triples of the open window's reports that verified at
+        # ingest, which its admission does not verify again; emptied by
+        # every close (`_close_regions`)
+        self.verified_reports: set[Triple] = set()
         self.delivery_log: list[Delivery] = []
         self.handover_count = 0
         self.access_denied = 0
@@ -284,7 +288,7 @@ class World:
         Ed25519 helper) while later vehicles still sign. Every report
         byte, the delivery log and each RSI's stats are in delivery order,
         as if all were signed first."""
-        edge.ingest(self.scheme, self._reports())
+        edge.ingest(self.scheme, self._reports(), self.verified_reports)
 
     def _reports(self) -> Iterator[tuple[RsiState, DataTransaction]]:
         """Sign and log this tick's reports, vehicle by vehicle, yielding
@@ -377,12 +381,16 @@ class World:
 
     def _close_regions(self) -> None:
         """Close every region's window, admit every aggregate as one batch,
-        then chain and store each region's admitted ones, in region order."""
+        which verifies no member signature that this window's ingest did,
+        then chain and store each region's admitted ones, in region order;
+        the window's verified reports are forgotten."""
         closed = [(self.ledgers[region], edge.close_window(
             self.scheme, self.rsis[region], self.consistency))
             for region in sorted(self.rsis)]
-        for block in append_admitted(self.scheme, closed, self.clock_ms,
-                                     self.policy):
+        blocks = append_admitted(self.scheme, closed, self.clock_ms,
+                                 self.policy, self.verified_reports)
+        self.verified_reports.clear()
+        for block in blocks:
             for tx in block.txs if block is not None else ():
                 self.rule_table.store_record(tx)
 

@@ -163,8 +163,10 @@ def build_data_tx(scheme: SignatureScheme, vehicle_key: KeyPair,
 _REFUSED: Triple = (b"", b"", b"")
 
 
-def _data_tx_triple(tx: DataTransaction) -> Triple:
-    """What verifies `tx`, or `_REFUSED` if a field is out of range."""
+def data_tx_triple(tx: DataTransaction) -> Triple:
+    """What verifies `tx`, or `_REFUSED`, which every scheme answers
+    False, if a field is out of range; `edge.ingest` verifies a batch of
+    these."""
     try:
         tx.loc.check_range()
         check_u64("timestamp", tx.timestamp)
@@ -174,20 +176,9 @@ def _data_tx_triple(tx: DataTransaction) -> Triple:
     return tx.pk, msg, tx.vehicle_sign
 
 
-def verify_data_txs(scheme: SignatureScheme,
-                    txs: Iterable[DataTransaction]) -> list[bool]:
-    """`verify_data_tx` of each tx, the signatures verified as one batch.
-
-    `txs` is pulled as `verify_many` pulls the triples, so a lazy `txs`
-    is verified while it is made (`edge.ingest`). An out-of-range tx goes
-    into the batch as `_REFUSED`, which every scheme answers False, so the
-    results line up with `txs` without a second pass over them."""
-    return scheme.verify_many(map(_data_tx_triple, txs))
-
-
 def verify_data_tx(scheme: SignatureScheme, tx: DataTransaction) -> bool:
     # only tests call it; it stays while perfbench traces its name
-    return verify_data_txs(scheme, [tx])[0]
+    return scheme.verify(*data_tx_triple(tx))
 
 
 # --- chained transactions ---------------------------------------------------
@@ -265,7 +256,8 @@ def build_rsi_tx(scheme: SignatureScheme, rsi_key: KeyPair, payload: Payload,
                  members: list[tuple[bytes, bytes]], flag: int) -> RsiTransaction:
     """Aggregate member reports into one multisign transaction signed by the
     RSI. The caller has verified each (pk, sign) pair of `members` against
-    exactly `payload`, as `edge.ingest` does; miner admission re-checks."""
+    exactly `payload`, as `edge.ingest` does; miner admission re-checks
+    each pair that it does not know to have verified (`crypto.Checks`)."""
     pks = tuple(pk for pk, _ in members)
     signs = tuple(sig for _, sig in members)
     msg = rsi_tx_signing_bytes(rsi_key.public, payload, signs, pks, flag)

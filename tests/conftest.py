@@ -40,6 +40,17 @@ class CountingScheme(SignatureScheme):
         return sum(self.verified.values())
 
 
+def pytest_runtest_teardown(item):
+    # Hypothesis's pytest plugin turns a failed property test's falsifying
+    # examples into a source patch when it reports the teardown. Where
+    # libcst is installed, that imports it, and libcst 1.0 warns on
+    # import: under `-W error` the run ends in an INTERNALERROR that hides
+    # the falsifying example. The examples are already printed with the
+    # failure; only the patch is dropped. Excluding Hypothesis's explain
+    # phase does not help: it imports no libcst
+    vars(item).pop("_hypothesis_failing_examples", None)
+
+
 def load_scenario_config(name: str) -> sim.ScenarioConfig:
     with open(SCENARIO_DIR / f"{name}.json", encoding="utf-8") as fh:
         return sim.ScenarioConfig.from_dict(json.load(fh))

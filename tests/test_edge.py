@@ -26,6 +26,7 @@ from dmap.txmodel import (
     build_data_tx,
     cell_of,
     data_tx_signing_bytes,
+    data_tx_triple,
     distance_m,
     verify_data_tx,
 )
@@ -373,19 +374,19 @@ def rsi():
 class TestIngest:
     def test_valid_report_buffered(self, rsi):
         tx = report("v", ts=100)
-        ingest(scheme, [(rsi, tx)])
+        ingest(scheme, [(rsi, tx)], set())
         assert rsi.window.reports == [tx]
         assert rsi.stats.reports_sent == 1
 
     def test_broken_signature_dropped(self, rsi):
         tx = dataclasses.replace(report("v", ts=100), vehicle_sign=bytes(32))
-        ingest(scheme, [(rsi, tx)])
+        ingest(scheme, [(rsi, tx)], set())
         assert rsi.stats.sig_rejects == 1
         assert rsi.window.reports == []
 
     def test_stale_timestamp_dropped(self, rsi):
         rsi.window.opens_at, rsi.window.closes_at = 5000, 10000
-        ingest(scheme, [(rsi, report("v", ts=100))])
+        ingest(scheme, [(rsi, report("v", ts=100))], set())
         assert rsi.stats.stale == 1
         assert rsi.window.reports == []
 
@@ -394,8 +395,11 @@ class TestIngest:
         good = [report(f"v{i}", ts=100) for i in range(3)]
         broken = dataclasses.replace(report("b", ts=100), vehicle_sign=bytes(32))
         stale = report("s", ts=6000)
+        verified = set()
         ingest(scheme, [(rsi, good[0]), (other, broken), (other, good[1]),
-                        (rsi, stale), (rsi, good[2])])
+                        (rsi, stale), (rsi, good[2])], verified)
+        # every report whose signature verified, stale or not, and no other
+        assert verified == set(map(data_tx_triple, good + [stale]))
         assert rsi.window.reports == [good[0], good[2]]
         assert other.window.reports == [good[1]]
         assert (rsi.stats.reports_sent, rsi.stats.stale, rsi.stats.sig_rejects) == (3, 1, 0)
@@ -415,15 +419,17 @@ class TestIngest:
         far_north = signed("n", GeoPoint(90_000_001, 0), 100)
         before_epoch = dataclasses.replace(signed("e", geo(0, 0), 0), timestamp=-1)
         past_u64 = dataclasses.replace(signed("u", geo(0, 0), 0), timestamp=2**64)
+        verified = set()
         ingest(signer, [(rsi, tx) for tx in good[:3] + [far_north] + good[3:6]
-                        + [before_epoch] + good[6:] + [past_u64]])
+                        + [before_epoch] + good[6:] + [past_u64]], verified)
         assert (rsi.stats.reports_sent, rsi.stats.sig_rejects) == (11, 3)
         assert rsi.window.reports == good
+        assert verified == set(map(data_tx_triple, good))
 
 
 class TestCloseWindow:
     def test_trusted_cluster_emits_flag1_with_all_members(self, rsi):
-        ingest(scheme, [(rsi, report(f"v{i}", ts=100)) for i in range(3)])
+        ingest(scheme, [(rsi, report(f"v{i}", ts=100)) for i in range(3)], set())
         txs = close_window(scheme, rsi, POLICY)
         assert len(txs) == 1
         tx = txs[0]
@@ -437,14 +443,14 @@ class TestCloseWindow:
             assert scheme.verify(pk, msg, sig)
 
     def test_lone_report_emits_flag0(self, rsi):
-        ingest(scheme, [(rsi, report("solo", ts=100))])
+        ingest(scheme, [(rsi, report("solo", ts=100))], set())
         txs = close_window(scheme, rsi, POLICY)
         assert [t.flag for t in txs] == [0]
         assert rsi.stats.lone_tx == 1
 
     def test_rejected_minority_emits_nothing(self, rsi):
         ingest(scheme, [(rsi, report(f"v{i}", ts=100)) for i in range(3)]
-               + [(rsi, report("liar", kind=CLEAR, ts=100))])
+               + [(rsi, report("liar", kind=CLEAR, ts=100))], set())
         txs = close_window(scheme, rsi, POLICY)
         assert len(txs) == 1
         assert txs[0].payload.event == ROAD_DAMAGE
@@ -455,7 +461,7 @@ class TestCloseWindow:
         # plurality can be carried verifiably
         ingest(scheme, [(rsi, report("a", x=0.0, ts=100)),
                         (rsi, report("b", x=0.0, ts=100)),
-                        (rsi, report("c", x=10.0, ts=100))])
+                        (rsi, report("c", x=10.0, ts=100))], set())
         txs = close_window(scheme, rsi, POLICY)
         assert len(txs) == 1
         assert len(txs[0].vehicle_signs) == 2
@@ -467,7 +473,7 @@ class TestCloseWindow:
         # the raw scheme
         counting = CountingScheme()
         ingest(counting, [(rsi, report(f"v{i}", ts=100)) for i in range(3)]
-               + [(rsi, report("solo", x=500.0, ts=100))])
+               + [(rsi, report("solo", x=500.0, ts=100))], set())
         at_ingest = counting.verify_calls()
         txs = close_window(counting, rsi, POLICY)
         assert counting.verify_calls() == at_ingest == 4
@@ -488,7 +494,7 @@ class TestCloseWindow:
 
 def test_emitted_reports_all_verify(rsi=None):
     rsi = RsiState.fresh("r0_c0", key("rsi"), window_ms=5000)
-    ingest(scheme, [(rsi, report(f"v{i}", ts=100)) for i in range(4)])
+    ingest(scheme, [(rsi, report(f"v{i}", ts=100)) for i in range(4)], set())
     for tx in close_window(scheme, rsi, POLICY):
         assert verify_data_tx(scheme, build_data_tx(
             scheme, key("v0"), tx.payload.loc, tx.payload.event,

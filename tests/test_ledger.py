@@ -2,9 +2,12 @@ import dataclasses
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmap import ledger as ledger_module
 from dmap.crypto import KEYED_HASH, ZERO_DIGEST, issue_certificate, sha256
+from dmap.edge import RsiState, ingest
 from dmap.encoding import DecodeError, canonical_encode
 from dmap.ledger import (
     LEDGER_DUMP_MAGIC,
@@ -32,7 +35,9 @@ from dmap.txmodel import (
     ROAD_DAMAGE,
     RsiTransaction,
     Scope,
+    build_data_tx,
     build_rsi_tx,
+    member_triples,
 )
 from tests.conftest import CountingScheme
 from tests.test_market import Setup as MarketSetup
@@ -283,6 +288,145 @@ class TestCertificateMemo:
         assert not policy.verified_certs
         policy.cert_registry[rsi_key.public] = genuine
         assert miner_admit(scheme, tx, policy, "r0_c0").accepted
+
+
+MEMO_PAYLOAD = Payload(sample_loc(), ROAD_DAMAGE, 500)
+REGIONS = ("r0_c0", "r1_c1")
+
+
+def ingested(labels, broken=()):
+    """A report over `MEMO_PAYLOAD` per label, the ones in `broken` with a
+    zeroed signature, through `edge.ingest`: each report's (pk, sign)
+    member and the triples that the window's ingest verified."""
+    reports = [build_data_tx(scheme, key(label), MEMO_PAYLOAD.loc,
+                             MEMO_PAYLOAD.event, MEMO_PAYLOAD.timestamp)
+               for label in labels]
+    reports = [dataclasses.replace(r, vehicle_sign=bytes(32))
+               if label in broken else r for label, r in zip(labels, reports)]
+    rsi = RsiState.fresh("r0_c0", key("rsi"), window_ms=5000)
+    verified = set()
+    ingest(scheme, [(rsi, r) for r in reports], verified)
+    assert rsi.stats.sig_rejects == len(broken)
+    return [(r.pk, r.vehicle_sign) for r in reports], verified
+
+
+class TestVerifiedReports:
+    """Admission handed the triples that its window's ingest verified."""
+
+    def test_members_are_not_verified_again(self, setup):
+        _, rsi_key, policy = setup
+        members, verified = ingested(("a", "b", "c"))
+        tx = build_rsi_tx(scheme, rsi_key, MEMO_PAYLOAD, members, flag=1)
+        before = set(verified)
+        counting = CountingScheme()
+        verdicts = admit_all(counting, [(tx, "r0_c0")], policy, verified)
+        assert [v.accepted for v in verdicts] == [True]
+        # the RSI signature and the certificate, and no member
+        assert counting.verify_calls() == 2
+        assert counting.verified[rsi_key.public] == 1
+        assert verified == before  # admission stores nothing in it
+
+    def rejected(self, policy, tx, verified):
+        """The reason that admission with `verified` gives `tx`, which
+        admission with nothing known gives too; `append_admitted` with
+        `verified` chains nothing."""
+        reason = admit_all(scheme, [(tx, "r0_c0")], policy, verified)[0].reason
+        assert admit_all(scheme, [(tx, "r0_c0")], policy)[0].reason == reason
+        ledger = genesis("r0_c0")
+        assert append_admitted(scheme, [(ledger, [tx])], 1000, policy,
+                               verified) == [None]
+        assert len(ledger.blocks) == 1
+        return reason
+
+    def test_swapped_member_signature_is_verified(self, setup):
+        _, rsi_key, policy = setup
+        members, verified = ingested(("a", "b", "c"))
+        assert set(member_triples(MEMO_PAYLOAD, members)) == verified
+        (pk_a, sign_a), (pk_b, sign_b), rest = members
+        swapped = [(pk_a, sign_b), (pk_b, sign_a), rest]
+        tx = build_rsi_tx(scheme, rsi_key, MEMO_PAYLOAD, swapped, flag=1)
+        assert self.rejected(policy, tx, verified) == "BadMemberSignature"
+
+    def test_member_moved_onto_another_payload_is_verified(self, setup):
+        _, rsi_key, policy = setup
+        members, verified = ingested(("a", "b", "c"))
+        assert set(member_triples(MEMO_PAYLOAD, members)) == verified
+        moved = dataclasses.replace(MEMO_PAYLOAD, timestamp=600)
+        tx = build_rsi_tx(scheme, rsi_key, moved, members, flag=1)
+        assert self.rejected(policy, tx, verified) == "BadMemberSignature"
+
+    def test_sig_rejected_report_carried_is_verified(self, setup):
+        _, rsi_key, policy = setup
+        members, verified = ingested(("a", "b", "c"), broken=("c",))
+        assert set(member_triples(MEMO_PAYLOAD, members[:2])) == verified
+        tx = build_rsi_tx(scheme, rsi_key, MEMO_PAYLOAD, members, flag=1)
+        assert self.rejected(policy, tx, verified) == "BadMemberSignature"
+
+
+class _Recording(CountingScheme):
+    """Keyed hash that keeps every triple it is asked to verify."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = set()
+
+    def verify(self, public, message, signature):
+        self.seen.add((public, message, signature))
+        return super().verify(public, message, signature)
+
+
+def memo_cases():
+    """A policy; aggregates and access txs that admission accepts or
+    rejects for each reason a signature or a region gives, among them a
+    member swapped, moved onto another payload and rejected at ingest; and
+    every triple that their admission checks and that verifies, sorted."""
+    ca, rsi_key, other = key("ca"), key("rsi"), key("rsi-other")
+    policy = MinerPolicy(m=2, ca_pk=ca.public, cert_registry={
+        pk: issue_certificate(scheme, ca, pk, region)
+        for pk, region in ((rsi_key.public, "r0_c0"), (other.public, "r1_c1"))})
+    members, _ = ingested(("a", "b", "c", "d"), broken=("d",))
+    (pk_a, sign_a), (pk_b, sign_b) = members[:2]
+
+    def aggregate(members, payload=MEMO_PAYLOAD, rsi=rsi_key, flag=1):
+        return build_rsi_tx(scheme, rsi, payload, members, flag=flag)
+
+    good = aggregate(members[:3])
+    access = approved_access_tx(ca, policy)
+    txs = [
+        good,
+        aggregate([(pk_a, sign_b), (pk_b, sign_a), members[2]]),
+        aggregate(members[:3], dataclasses.replace(MEMO_PAYLOAD, timestamp=600)),
+        aggregate(members),
+        aggregate(members[:2], rsi=other),
+        aggregate(members[:1]),
+        aggregate(members[:2], flag=0),
+        dataclasses.replace(good, rsi_sign=bytes(32)),
+        access,
+        dataclasses.replace(access, requester_sign=bytes(32)),
+    ]
+    recording = _Recording()
+    admit_all(recording, [(tx, region) for tx in txs for region in REGIONS],
+              dataclasses.replace(policy, verified_certs=None))
+    return policy, txs, sorted(t for t in recording.seen if scheme.verify(*t))
+
+
+MEMO_POLICY, MEMO_TXS, MEMO_VERIFYING = memo_cases()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.tuples(st.sampled_from(MEMO_TXS), st.sampled_from(REGIONS)),
+                max_size=6),
+       st.sets(st.sampled_from(MEMO_VERIFYING)))
+def test_verified_triples_change_no_verdict(candidates, verified):
+    # any memo of triples that verify: the verdicts and reasons are those
+    # of admission with nothing known, and the memo is left as it was
+    before = set(verified)
+    with_memo = admit_all(scheme, candidates, dataclasses.replace(
+        MEMO_POLICY, verified_certs=set()), verified)
+    alone = admit_all(scheme, candidates, dataclasses.replace(
+        MEMO_POLICY, verified_certs=set()))
+    assert with_memo == alone
+    assert verified == before
 
 
 def rescanned_digests(ledger: Ledger) -> set[bytes]:
