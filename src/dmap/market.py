@@ -2,6 +2,13 @@
 table mediating between chain and store, smart-contract grants, and
 double-signed access transactions.
 
+Only chained data reaches the store: the rule table reads each region's
+ledger, keeping one read position per ledger. It stores each aggregate
+it reads as a record in that region's directory, and indexes each
+contract it reads by id. Admission has let onto a region's ledger only
+flag-1 aggregates certified for that region, so the store checks
+nothing again.
+
 The rule table holds its own CA-certified keypair: a data access is only
 served once the requester's transaction carries both the requester's
 signature and the rule table's countersignature, and that final form is
@@ -58,18 +65,6 @@ class CertError(ValueError):
 
 class AlreadyRegistered(ValueError):
     pass
-
-
-class UnknownRsi(ValueError):
-    pass
-
-
-class NotChained(ValueError):
-    """Storage refused: the aggregate is not on its region's ledger."""
-
-
-class FlagRejected(ValueError):
-    """Storage refused: only flag=1 data is ever stored."""
 
 
 class TargetError(ValueError):
@@ -242,6 +237,9 @@ class RuleTable:
         self._next_record_id = 0
         self._places: dict[tuple[int, int], _Place] = {}
         self._kinds: dict[str, dict[int, _Kind]] = {}
+        # per region, how many of its ledger's blocks `_read` has read
+        self._read_to: dict[str, int] = {}
+        self._contracts: dict[bytes, SmartContract] = {}
 
     # -- storage path --------------------------------------------------------
 
@@ -254,18 +252,27 @@ class RuleTable:
         self.directories[cert.region_id] = directory
         return directory
 
-    def store_record(self, rsi_tx: RsiTransaction) -> int:
-        if rsi_tx.flag != 1:
-            raise FlagRejected("only flag=1 aggregates are stored")
-        cert = self.policy.cert_registry.get(rsi_tx.rsi_pk)
-        if cert is None or cert.region_id not in self.directories:
-            raise UnknownRsi("no directory for this RSI key")
-        region = cert.region_id
-        digest = rsi_tx.digest
-        if not self._tx_on_chain(region, digest):
-            raise NotChained("aggregate not found on its region's ledger")
+    def read_chain(self) -> None:
+        """Read every ledger's new blocks, in region order."""
+        for region in sorted(self.ledgers):
+            self._read(region)
+
+    def _read(self, region: str) -> None:
+        """Store each aggregate chained on `region`'s ledger since its last
+        read, and index each contract chained there by id."""
+        blocks = self.ledgers[region].blocks
+        for block in blocks[self._read_to.get(region, 0):]:
+            for tx in block.txs:
+                if isinstance(tx, RsiTransaction):
+                    self.store_record(region, tx)
+                elif isinstance(tx, SmartContract):
+                    self._contracts.setdefault(tx.digest, tx)
+        self._read_to[region] = len(blocks)
+
+    def store_record(self, region: str, rsi_tx: RsiTransaction) -> int:
+        """Store an aggregate read from `region`'s ledger as a record."""
         record = Record(record_id=self._next_record_id, region_id=region,
-                        payload=rsi_tx.payload, provenance=digest,
+                        payload=rsi_tx.payload, provenance=rsi_tx.digest,
                         owner_pks=tuple(rsi_tx.vehicle_pks),
                         size_bytes=len(payload_bytes(rsi_tx.payload)))
         self._next_record_id += 1
@@ -288,18 +295,16 @@ class RuleTable:
         place.add(p.timestamp, record.size_bytes)
         records.append(record)
 
-    def _tx_on_chain(self, region: str, digest: bytes) -> bool:
-        ledger = self.ledgers.get(region)
-        return ledger is not None and ledger.has_tx(digest)
-
     # -- retrieval path ------------------------------------------------------
 
     def find_contract(self, contract_id: bytes) -> SmartContract | None:
-        for ledger in self.ledgers.values():
-            contract = ledger.find_contract(contract_id)
-            if contract is not None:
-                return contract
-        return None
+        """The chained contract with this id, or None: reads the ledgers in
+        turn until one holds it."""
+        for region in self.ledgers:
+            if contract_id in self._contracts:
+                break
+            self._read(region)
+        return self._contracts.get(contract_id)
 
     def evaluate_access(self, access_tx: AccessTransaction,
                         now_ms: int) -> AccessResult:

@@ -382,17 +382,16 @@ class World:
     def _close_regions(self) -> None:
         """Close every region's window, admit every aggregate as one batch,
         which verifies no member signature that this window's ingest did,
-        then chain and store each region's admitted ones, in region order;
-        the window's verified reports are forgotten."""
+        and chain each region's admitted ones; the window's verified reports
+        are forgotten, and the rule table reads the new blocks into the
+        store, in region order."""
         closed = [(self.ledgers[region], edge.close_window(
             self.scheme, self.rsis[region], self.consistency))
             for region in sorted(self.rsis)]
-        blocks = append_admitted(self.scheme, closed, self.clock_ms,
-                                 self.policy, self.verified_reports)
+        append_admitted(self.scheme, closed, self.clock_ms, self.policy,
+                        self.verified_reports)
         self.verified_reports.clear()
-        for block in blocks:
-            for tx in block.txs if block is not None else ():
-                self.rule_table.store_record(tx)
+        self.rule_table.read_chain()
 
     def _window_boundary(self) -> None:
         """Close the window and hand each vehicle to the region it is in.
@@ -602,7 +601,8 @@ class World:
         for region, directory in sorted(self.rule_table.directories.items()):
             for record in directory.records:
                 check(f"store_provenance[{region}]",
-                      record.provenance in region_of, "unchained record")
+                      region_of.get(record.provenance) == region,
+                      "record not chained on its region's ledger")
 
         for region in sorted(self.rsis):
             s = self.rsis[region].stats

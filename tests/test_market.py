@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from dmap import market
 from dmap.crypto import KEYED_HASH, KeyedHashScheme, issue_certificate, sha256
 from dmap.encoding import canonical_encode
-from dmap.ledger import Ledger, MinerPolicy, append_block, genesis
+from dmap.ledger import (
+    Ledger,
+    MinerPolicy,
+    append_admitted,
+    append_block,
+    dump_ledger,
+    genesis,
+    load_ledger,
+)
 from dmap.market import (
     AlreadyRegistered,
     CertError,
@@ -16,12 +24,9 @@ from dmap.market import (
     DENY_EXPIRED,
     DENY_NO_GRANT,
     DENY_SCOPE_EXCEEDED,
-    FlagRejected,
-    NotChained,
     Record,
     RuleTable,
     TargetError,
-    UnknownRsi,
     build_access_tx,
     build_data_request,
     create_contract,
@@ -38,6 +43,7 @@ from dmap.txmodel import (
     Payload,
     ROAD_DAMAGE,
     RangeError,
+    RsiTransaction,
     Scope,
     build_rsi_tx,
     grant_signing_bytes,
@@ -89,7 +95,8 @@ class Setup:
 
     def stored(self, region, payload, member_labels, now=1000):
         tx = self.chain_aggregate(region, payload, member_labels, now)
-        return self.table.store_record(tx), tx
+        self.table.read_chain()
+        return self.table.directories[region].records[-1].record_id, tx
 
 
 @pytest.fixture
@@ -119,26 +126,92 @@ class TestStoreRecord:
         assert rec.owner_pks == tuple(tx.vehicle_pks)
         assert rec.size_bytes > 0
 
-    def test_flag0_refused(self, world):
-        payload = Payload(geo(10, 10), ROAD_DAMAGE, 500)
-        tx = build_rsi_tx(scheme, world.rsi_keys["r0_c0"], payload,
-                          make_members(payload, ["solo"]), flag=0)
-        with pytest.raises(FlagRejected):
-            world.table.store_record(tx)
 
-    def test_uncertified_rsi_refused(self, world):
-        payload = Payload(geo(10, 10), ROAD_DAMAGE, 500)
-        tx = build_rsi_tx(scheme, key("rogue"), payload,
-                          make_members(payload, ["a", "b"]), flag=1)
-        with pytest.raises(UnknownRsi):
-            world.table.store_record(tx)
+def rescanned_records(ledger):
+    """Each aggregate chained on `ledger`, in chain order, as a record
+    would hold it, its digest from a fresh encoding."""
+    return [(sha256(canonical_encode(tx)), tx.payload, tuple(tx.vehicle_pks))
+            for tx in ledger.all_txs() if isinstance(tx, RsiTransaction)]
 
-    def test_unchained_aggregate_refused(self, world):
+
+class TestReadChain:
+    def assert_agrees(self, world):
+        for region in REGIONS:
+            records = world.table.directories[region].records
+            assert ([(r.provenance, r.payload, r.owner_pks) for r in records]
+                    == rescanned_records(world.ledgers[region]))
+            assert all(r.region_id == region for r in records)
+        ids = sorted(r.record_id for d in world.table.directories.values()
+                     for r in d.records)
+        assert ids == list(range(len(ids)))
+
+    def test_records_equal_a_rescan_after_each_append(self, world):
+        sp = key("sp")
+        scope = Scope(REGIONS, 0, 10_000, (ROAD_DAMAGE.code,))
+        for b in range(3):
+            world.chain_aggregate(REGIONS[b % 2],
+                                  Payload(geo(10, 10 + b), ROAD_DAMAGE, 100 * b),
+                                  [f"p{b}", f"q{b}"], now=1000 + b)
+            world.table.read_chain()
+            self.assert_agrees(world)
+            # a contract block and an access block, then a block of two
+            # aggregates per ledger beside a refused flag-0 one
+            contract = create_contract(scheme, key("owner"), sp.public,
+                                       (0, 10_000), scope, price=b)
+            world.table.chain_contract(contract, now_ms=1100 + b)
+            access = build_access_tx(scheme, sp, scope, Grant(
+                kind=GRANT_CONTRACT_REF, contract_id=contract.contract_id()))
+            assert world.table.evaluate_access(access, now_ms=1200 + b).granted
+            batches = []
+            for region in REGIONS:
+                txs = []
+                for i, flag in enumerate((1, 0, 1)):
+                    payload = Payload(geo(20 + i, 20 + b), ROAD_DAMAGE,
+                                      200 * b + i)
+                    txs.append(build_rsi_tx(
+                        scheme, world.rsi_keys[region], payload,
+                        make_members(payload, [f"{region}{b}{i}a",
+                                               f"{region}{b}{i}b"]), flag))
+                batches.append((world.ledgers[region], txs))
+            blocks = append_admitted(scheme, batches, 1300 + b, world.policy)
+            assert [len(block.txs) for block in blocks] == [2, 2]
+            world.table.read_chain()
+            self.assert_agrees(world)
+        assert sum(len(d.records) for d in world.table.directories.values()) == 15
+
+    @pytest.mark.parametrize("fault", ["flag0", "uncertified", "wrong_ledger",
+                                       "unchained"])
+    def test_refused_aggregate_never_becomes_a_record(self, world, fault):
+        # admission refuses it, and the table stores only what it reads
+        # off the chain
         payload = Payload(geo(10, 10), ROAD_DAMAGE, 500)
-        tx = build_rsi_tx(scheme, world.rsi_keys["r0_c0"], payload,
-                          make_members(payload, ["a", "b"]), flag=1)
-        with pytest.raises(NotChained):
-            world.table.store_record(tx)
+        rsi_key = {"uncertified": key("rogue"),
+                   "wrong_ledger": world.rsi_keys["r0_c1"]
+                   }.get(fault, world.rsi_keys["r0_c0"])
+        tx = build_rsi_tx(scheme, rsi_key, payload,
+                          make_members(payload, ["a", "b"]),
+                          flag=int(fault != "flag0"))
+        if fault != "unchained":
+            assert append_admitted(scheme, [(world.ledgers["r0_c0"], [tx])],
+                                   1000, world.policy) == [None]
+        world.table.read_chain()
+        _, chained = world.stored("r0_c0", payload, ["c", "d"])
+        assert [r.provenance for d in world.table.directories.values()
+                for r in d.records] == [chained.digest]
+
+    def test_reads_a_loaded_ledger_as_the_original(self, world):
+        for b in range(3):
+            world.chain_aggregate(REGIONS[b % 2],
+                                  Payload(geo(10, 10 + b), ROAD_DAMAGE, 100 * b),
+                                  [f"p{b}", f"q{b}"])
+        world.table.read_chain()
+        loaded = {r: load_ledger(dump_ledger(ledger))
+                  for r, ledger in world.ledgers.items()}
+        table = RuleTable(scheme, world.rt_key, world.policy, loaded)
+        for r in REGIONS:
+            table.register_rsi_directory(world.certs[r])
+        table.read_chain()
+        assert table.directories == world.table.directories
 
 
 class TestCreateContract:

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
-from dmap.crypto import SignatureScheme
-from tests.conftest import REPO_ROOT
+from dmap.crypto import KEYED_HASH, SignatureScheme
+from dmap.sim import World
+from dmap.txmodel import GeoPoint
+from tests.conftest import REPO_ROOT, load_scenario_config
 
 
 def _load(name, path):
@@ -154,17 +156,48 @@ def test_slope_over_duration_fits_the_market_suite_points(monkeypatch):
     assert result["availability_slope_over_duration"] is None
 
 
-def test_every_traced_name_resolves(monkeypatch):
-    # a traced name that no longer resolves turns its per-layer metrics
-    # into null, so a rename must update perfbench/tracer.py with it
+def _tracer(monkeypatch):
     spec = importlib.util.spec_from_file_location(
         "tracer", REPO_ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "tracer", tracer)  # for its dataclasses
     spec.loader.exec_module(tracer)
-    recorder = tracer.Tracer()
+    return tracer
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # a traced name that no longer resolves turns its per-layer metrics
+    # into null, so a rename must update perfbench/tracer.py with it
+    recorder = _tracer(monkeypatch).Tracer()
     try:
         recorder.install()
     finally:
         recorder.uninstall()
     assert recorder.absent == []
+
+
+def test_a_traced_market_run_calls_every_traced_name(monkeypatch):
+    # a traced name that a run never calls reads 0 in its per-layer
+    # metrics, so a refactor that moves work off it must trace what the
+    # work moved to
+    tracer = _tracer(monkeypatch)
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        world = World(load_scenario_config("market_suite"),
+                      recorder.scheme(KEYED_HASH))
+        world.run()
+        world.rule_table.query_availability(
+            GeoPoint(-90_000_000, -180_000_000),
+            GeoPoint(90_000_000, 180_000_000), 0, world.config.duration_ms)
+    finally:
+        recorder.uninstall()
+    # `sim.step` records its calls as `sim.step.emit`, `.tick` or `.boundary`
+    called = {name for name, stat in recorder.stats.items() if stat.calls}
+    uncalled = {name for name, *_ in tracer.TARGETS
+                if not any(c == name or c.startswith(f"{name}.") for c in called)}
+    # a run verifies data and aggregate txs only in batches, through
+    # `ledger.admit_all` and `check_ledger`: only tests call these two
+    assert uncalled == {"txmodel.verify_data_tx", "txmodel.verify_rsi_tx"}
+    assert recorder.stats["market.store_record"].calls == sum(
+        len(d.records) for d in world.rule_table.directories.values()) > 0

@@ -20,6 +20,7 @@ from dmap.scenario import ConfigError, ScenarioConfig
 from dmap.sim import Delivery, InvariantViolation, World
 from dmap.txmodel import (
     GRANT_CONTRACT_REF,
+    GRANT_OWNER_SIG,
     ROAD_DAMAGE,
     AccessTransaction,
     GeoPoint,
@@ -899,6 +900,12 @@ def _add_unchained_record(world):
         directory.records[0], record_id=10_000, provenance=bytes(32)))
 
 
+def _move_record_to_another_region(world):
+    # the record's aggregate stays chained, but on r0_c0's ledger
+    record = world.rule_table.directories["r0_c0"].records.pop()
+    world.rule_table.directories["r0_c1"].records.append(record)
+
+
 def _bump_reports_sent(world):
     world.rsis["r0_c0"].stats.reports_sent += 1
 
@@ -914,6 +921,89 @@ def _log_unchained_grant(world):
     world.granted_log.append((AccessResult(granted=True, records=[record],
                                            access_tx=access_tx),
                               world.clock_ms))
+
+
+ALL_KINDS = tuple(range(len(txmodel.EventKind.CODE_NAMES)))
+
+
+def _first_record(world):
+    return world.rule_table.directories["r0_c0"].records[0]
+
+
+def _query(world, to_ms=None, kinds=ALL_KINDS):
+    """r0_c0 over the whole run, or up to `to_ms`, and `kinds`."""
+    return Scope(("r0_c0",), 0, world.config.duration_ms if to_ms is None
+                 else to_ms, kinds)
+
+
+def _contract_grant(world):
+    """A grant of a contract from vehicle 0 to sp1 over `_query`, chained
+    on r0_c0 and ending just after the run."""
+    contract = create_contract(scheme, world.vehicles[0].grant_key,
+                               world.sp_key("sp1").public,
+                               (0, world.clock_ms + 1), _query(world), 0)
+    _link(world.ledgers["r0_c0"], [contract], world.clock_ms)
+    return Grant(kind=GRANT_CONTRACT_REF, contract_id=contract.contract_id())
+
+
+def _log_grant(world, grant, requester="sp1", chain=True, query=None,
+               records=None, granted_at=None):
+    """Log a grant served at the end of the run, of r0_c0's first record
+    under `_query`, its access tx countersigned by the rule table and
+    chained on r0_c0; each argument left out meets its audit clause."""
+    tx = build_access_tx(scheme, world.sp_key(requester),
+                         query or _query(world), grant)
+    rt = world.rule_table.key
+    approved = dataclasses.replace(
+        tx, ruletable_pk=rt.public,
+        ruletable_sign=scheme.sign(rt, tx.countersigned_message()))
+    if chain:
+        _link(world.ledgers["r0_c0"], [approved], world.clock_ms)
+    result = AccessResult(granted=True, access_tx=approved, records=(
+        [_first_record(world)] if records is None else records))
+    world.granted_log.append(
+        (result, world.clock_ms if granted_at is None else granted_at))
+
+
+def _owner_grant(world):
+    """A grant to sp1 over `_query`, signed by a key that owns no record."""
+    owner = key("owns-no-record")
+    msg = txmodel.grant_signing_bytes(world.sp_key("sp1").public,
+                                      _query(world))
+    return Grant(kind=GRANT_OWNER_SIG, owner_pk=owner.public,
+                 owner_sign=scheme.sign(owner, msg))
+
+
+def _log_grant_of_unchained_tx(world):
+    _log_grant(world, _contract_grant(world), chain=False)
+
+
+def _log_grant_to_another_sp(world):
+    _log_grant(world, _contract_grant(world), requester="sp2")
+
+
+def _log_grant_at_contract_end(world):
+    _log_grant(world, _contract_grant(world), granted_at=world.clock_ms + 1)
+
+
+def _log_record_of_another_region(world):
+    _log_grant(world, _contract_grant(world),
+               records=[world.rule_table.directories["r0_c1"].records[0]])
+
+
+def _log_record_after_query_period(world):
+    _log_grant(world, _contract_grant(world), query=_query(
+        world, to_ms=_first_record(world).payload.timestamp))
+
+
+def _log_record_of_another_kind(world):
+    code = _first_record(world).payload.event.code
+    _log_grant(world, _contract_grant(world), query=_query(
+        world, kinds=tuple(c for c in ALL_KINDS if c != code)))
+
+
+def _log_owner_grant_of_record_not_owned(world):
+    _log_grant(world, _owner_grant(world))
 
 
 def _forge_certificate(world):
@@ -970,8 +1060,17 @@ SWEEP_TAMPERS = [  # (tamper, the check it fails, one check_ledger sees)
     (_forge_memoised_member, "admission_sound", True),
     (_link_contract_on_two_ledgers, "ledger_isolation", False),
     (_add_unchained_record, "store_provenance", False),
+    (_move_record_to_another_region, "store_provenance", False),
     (_bump_reports_sent, "conservation", False),
     (_log_unchained_grant, "unauthorized_served", False),
+    # one per clause of `World.audit_access_log`, each failing it alone
+    (_log_grant_of_unchained_tx, "unauthorized_served", False),
+    (_log_grant_to_another_sp, "unauthorized_served", False),
+    (_log_grant_at_contract_end, "unauthorized_served", False),
+    (_log_record_of_another_region, "unauthorized_served", False),
+    (_log_record_after_query_period, "unauthorized_served", False),
+    (_log_record_of_another_kind, "unauthorized_served", False),
+    (_log_owner_grant_of_record_not_owned, "unauthorized_served", False),
 ]
 
 
@@ -1001,6 +1100,17 @@ def test_sweep_names_the_failed_check(finished_worlds, tamper, check,
         assert str(exc.value) == check
     else:
         check_r0_c0()
+
+
+@pytest.mark.parametrize("grant", [_contract_grant, _owner_grant])
+def test_audit_passes_a_grant_that_meets_every_clause(finished_worlds, grant):
+    # what each audit tamper above changes is all that fails it; an owner
+    # grant of no record needs no ownership
+    world = copy.deepcopy(finished_worlds["honest_majority"][0])
+    _log_grant(world, grant(world),
+               records=[] if grant is _owner_grant else None)
+    world.sweep_invariants()
+    assert world.unauthorized_served == 0
 
 
 def test_replaced_chained_aggregate_fails_chain_and_sweep(finished_worlds):
@@ -1128,10 +1238,10 @@ def test_verified_reports_live_for_one_window(monkeypatch):
 
 def test_each_aggregate_encoded_at_signing_and_in_sweep(monkeypatch):
     # signing encodes each aggregate once and seeds its `wire`; admission,
-    # block hashes, has_tx and store_record read it, and the sweep makes
-    # one fresh encoding of each chained aggregate. Counted: the signing
-    # bytes, and every canonical encoding of an aggregate (the sweep's,
-    # and `wire` of any aggregate not seeded by its signer)
+    # block hashes and the rule table's read of the chain use it, and the
+    # sweep makes one fresh encoding of each chained aggregate. Counted:
+    # the signing bytes, and every canonical encoding of an aggregate (the
+    # sweep's, and `wire` of any aggregate not seeded by its signer)
     calls = collections.Counter()
     real_signing = txmodel.rsi_tx_signing_bytes
     real_encode = encoding.canonical_encode
