@@ -138,7 +138,7 @@ def genesis(region: str) -> Ledger:
 
 
 def miner_admit(scheme: SignatureScheme, tx: ChainedTx, policy: MinerPolicy,
-                region: str) -> Verdict:
+                region: str, verified: Set[Triple] = frozenset()) -> Verdict:
     """Would miners accept `tx` onto the ledger of `region`?
 
     Only an aggregate is bound to a region: its RSI certificate names the
@@ -148,10 +148,13 @@ def miner_admit(scheme: SignatureScheme, tx: ChainedTx, policy: MinerPolicy,
     the rule table picks their ledger. The post-run sweep's
     `ledger_isolation` check catches a tx chained on two ledgers.
 
+    A triple in `verified`, known to verify, is answered without
+    verifying it (see `crypto.Checks`).
+
     `append_block` admits through this, not `admit_all`: on the access
     path, one tx per grant, the batch form costs about 1 µs more a call.
     """
-    checks = Checks(policy.verified_certs)
+    checks = Checks(policy.verified_certs, verified)
     plan = _plan(tx, policy, region, checks)
     return decide(plan, checks.run(scheme))
 
@@ -201,11 +204,16 @@ def _plan(tx: ChainedTx, policy: MinerPolicy, region: str,
 
 
 def append_block(scheme: SignatureScheme, ledger: Ledger,
-                 txs: list[ChainedTx], ts: int, policy: MinerPolicy) -> Block:
+                 txs: list[ChainedTx], ts: int, policy: MinerPolicy,
+                 verified: Set[Triple] = frozenset()) -> Block:
+    """Chain `txs` as one block if `miner_admit` accepts each of them,
+    else raise `AdmissionError`. `verified` holds triples known to verify:
+    on the access path, the requester triple that
+    `RuleTable.evaluate_access` has just verified."""
     if not txs:
         raise EmptyBlockError("refusing to append an empty block")
     for tx in txs:
-        verdict = miner_admit(scheme, tx, policy, ledger.rsi_region)
+        verdict = miner_admit(scheme, tx, policy, ledger.rsi_region, verified)
         if not verdict.accepted:
             raise AdmissionError(f"unadmitted transaction: {verdict.reason}")
     return _link(ledger, txs, ts)
@@ -269,7 +277,8 @@ def check_ledger(scheme: SignatureScheme, ledger: Ledger, policy: MinerPolicy,
     name to `check(name, ok, detail)`, which raises on a failure:
     `chain_valid` (`validate_chain`), then for each tx `admission_sound`,
     admission replayed without the certificate memo and without the
-    reports that ingest verified, so that every signature is verified,
+    triples that the write path verified (a window's reports, an access's
+    requester), so that every signature is verified,
     all of the ledger's as one `admit_all` batch, and for each aggregate
     `flag_sweep`, which cannot fail after admission but does not rest on
     it. Returns each

@@ -309,11 +309,18 @@ class RuleTable:
     def evaluate_access(self, access_tx: AccessTransaction,
                         now_ms: int) -> AccessResult:
         """Grant or deny one access; on grant, countersign, serve the
-        matching records, and chain the double-signed transaction."""
-        if not self.scheme.verify(access_tx.requester_pk,
-                                  access_tx.requester_message(),
-                                  access_tx.requester_sign):
+        matching records, and chain the double-signed transaction.
+
+        A query that names a region with no ledger is denied as
+        `DENY_SCOPE_EXCEEDED`: no ledger could chain it. Admission of the
+        approved form answers its requester triple, byte-equal to the one
+        verified here, without verifying it again."""
+        requester = (access_tx.requester_pk, access_tx.requester_message(),
+                     access_tx.requester_sign)
+        if not self.scheme.verify(*requester):
             return AccessResult.denied(DENY_BAD_SIGNATURE)
+        if not self.ledgers.keys() >= set(access_tx.query.region_ids):
+            return AccessResult.denied(DENY_SCOPE_EXCEEDED)
 
         grant = access_tx.grant
         if grant.kind == GRANT_CONTRACT_REF:
@@ -343,7 +350,9 @@ class RuleTable:
             grant=grant, requester_sign=access_tx.requester_sign,
             ruletable_pk=self.key.public, ruletable_sign=sig,
         ).seed_wire(counter, "ruletable_pk")
-        self._chain_access_tx(approved, records, now_ms)
+        region = self._serving_region(records, access_tx.query)
+        append_block(self.scheme, self.ledgers[region], [approved], now_ms,
+                     self.policy, {requester})
         return AccessResult(granted=True, records=records, access_tx=approved)
 
     def _matching_records(self, query: Scope) -> list[Record]:
@@ -372,11 +381,6 @@ class RuleTable:
             if rid in self.ledgers:
                 return rid
         return min(self.ledgers)
-
-    def _chain_access_tx(self, tx: AccessTransaction, records: list[Record],
-                         now_ms: int) -> None:
-        region = self._serving_region(records, tx.query)
-        append_block(self.scheme, self.ledgers[region], [tx], now_ms, self.policy)
 
     def chain_contract(self, contract: SmartContract, now_ms: int) -> bytes:
         """Store a grant on-chain (ledger of its first in-scope region)."""

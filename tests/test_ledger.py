@@ -223,8 +223,14 @@ def approved_access_tx(ca, policy):
     rt_key = key("ruletable")
     policy.cert_registry[rt_key.public] = issue_certificate(
         scheme, ca, rt_key.public, "ruletable")
-    tx = build_access_tx(scheme, key("sp"), Scope(("r0_c0",), 0, 100, (0,)),
-                         Grant(kind=GRANT_CONTRACT_REF, contract_id=bytes(32)))
+    return countersigned(build_access_tx(
+        scheme, key("sp"), Scope(("r0_c0",), 0, 100, (0,)),
+        Grant(kind=GRANT_CONTRACT_REF, contract_id=bytes(32))))
+
+
+def countersigned(tx):
+    """`tx` countersigned by the rule table of `approved_access_tx`."""
+    rt_key = key("ruletable")
     tx = dataclasses.replace(tx, ruletable_pk=rt_key.public)
     return dataclasses.replace(tx, ruletable_sign=scheme.sign(
         rt_key, tx.countersigned_message()))
@@ -383,6 +389,41 @@ class TestVerifiedReports:
         assert set(member_triples(MEMO_PAYLOAD, members[:2])) == verified
         tx = build_rsi_tx(scheme, rsi_key, MEMO_PAYLOAD, members, flag=1)
         assert self.rejected(policy, tx, verified) == "BadMemberSignature"
+
+
+class TestVerifiedRequester:
+    """`append_block` handed the requester triple that
+    `RuleTable.evaluate_access` verified."""
+
+    def test_requester_is_not_verified_again(self, setup):
+        ca, _, policy = setup
+        access = approved_access_tx(ca, policy)
+        verified = {(access.requester_pk, access.requester_message(),
+                     access.requester_sign)}
+        counting = CountingScheme()
+        append_block(counting, genesis("r0_c0"), [access], 1000, policy,
+                     verified)
+        assert counting.verified == {access.ruletable_pk: 1, ca.public: 1}
+
+    @pytest.mark.parametrize("change", ["requester_sign", "query"])
+    def test_other_triple_is_verified(self, setup, change):
+        # the signature of another query swapped in, or the query changed
+        # under the signature, each countersigned anew: only the requester
+        # triple misses
+        ca, _, policy = setup
+        access = approved_access_tx(ca, policy)
+        t = (access.requester_pk, access.requester_message(),
+             access.requester_sign)
+        verified = {t}
+        other = build_access_tx(scheme, key("sp"),
+                                Scope(("r0_c0",), 0, 200, (0,)), access.grant)
+        tx = countersigned(dataclasses.replace(
+            access, **{change: getattr(other, change)}))
+        ledger = genesis("r0_c0")
+        with pytest.raises(AdmissionError, match="BadRequesterSignature"):
+            append_block(scheme, ledger, [tx], 1000, policy, verified)
+        assert len(ledger.blocks) == 1
+        assert verified == {t}  # admission stores nothing in it
 
 
 class _Recording(CountingScheme):

@@ -48,7 +48,7 @@ from dmap.txmodel import (
     build_rsi_tx,
     grant_signing_bytes,
 )
-from tests.conftest import load_scenario_config
+from tests.conftest import CountingScheme, load_scenario_config
 from tests.test_txmodel import key, make_members
 
 scheme = KEYED_HASH
@@ -375,6 +375,49 @@ class TestContractAccess:
         assert res.granted
         assert [r.record_id for r in res.records] == ids[:1]
 
+    @pytest.mark.parametrize("kind", [GRANT_CONTRACT_REF, GRANT_OWNER_SIG])
+    def test_granted_access_verifies_each_signature_once(self, world, kind):
+        # admission answers the requester triple that evaluate_access
+        # verified, which needs the approved form's requester message to
+        # be the request's bytes; it verifies the countersignature, and
+        # the rule table's certificate is in the memo after one grant
+        sp, owner = key("sp"), key("owner")
+        contract = self.grantable(world, sp)
+        assert contract_access(world, sp, contract).granted
+        query = Scope(("r0_c0",), 0, 2000, (0,))
+        if kind == GRANT_CONTRACT_REF:
+            grant = Grant(kind=kind, contract_id=contract.contract_id())
+        else:
+            grant = owner_grant(owner, sp, query)
+        tx = build_access_tx(scheme, sp, query, grant)
+        world.table.scheme = counting = CountingScheme()
+        res = world.table.evaluate_access(tx, now_ms=100)
+        assert res.granted
+        assert res.access_tx.requester_message() == tx.requester_message()
+        expected = {sp.public: 1, world.rt_key.public: 1}
+        if kind == GRANT_OWNER_SIG:
+            expected[owner.public] = 1
+        assert counting.verified == expected
+
+    @pytest.mark.parametrize("regions", [("r9_c9",), ("r0_c0", "r9_c9")])
+    @pytest.mark.parametrize("kind", [GRANT_CONTRACT_REF, GRANT_OWNER_SIG])
+    def test_query_naming_a_region_without_ledger_denied(self, world, kind,
+                                                         regions):
+        # no ledger of the query could chain the access
+        self.seed_records(world)
+        sp, owner = key("sp"), key("o0a")
+        query = Scope(regions, 0, 2000, (0,))
+        if kind == GRANT_CONTRACT_REF:
+            contract = self.grantable(world, sp, scope=query)
+            grant = Grant(kind=kind, contract_id=contract.contract_id())
+        else:
+            grant = owner_grant(owner, sp, query)
+        heights = {r: world.ledgers[r].tip.height for r in REGIONS}
+        res = world.table.evaluate_access(
+            build_access_tx(scheme, sp, query, grant), now_ms=100)
+        assert res.reason == DENY_SCOPE_EXCEEDED and not res.records
+        assert {r: world.ledgers[r].tip.height for r in REGIONS} == heights
+
     def test_nothing_chained_on_denial(self, world):
         sp = key("sp")
         heights = {r: world.ledgers[r].tip.height for r in REGIONS}
@@ -383,6 +426,12 @@ class TestContractAccess:
                                    contract_id=bytes(32)))
         world.table.evaluate_access(tx, now_ms=100)
         assert {r: world.ledgers[r].tip.height for r in REGIONS} == heights
+
+
+def owner_grant(owner, sp, query):
+    return Grant(kind=GRANT_OWNER_SIG, owner_pk=owner.public,
+                 owner_sign=scheme.sign(owner,
+                                        grant_signing_bytes(sp.public, query)))
 
 
 class TestOwnerSigAccess:
@@ -395,11 +444,9 @@ class TestOwnerSigAccess:
         assert owner.public in tx_a.vehicle_pks
         sp = key("sp")
         query = Scope(("r0_c0",), 0, 2000, (0,))
-        grant = Grant(kind=GRANT_OWNER_SIG, owner_pk=owner.public,
-                      owner_sign=scheme.sign(
-                          owner, grant_signing_bytes(sp.public, query)))
         res = world.table.evaluate_access(
-            build_access_tx(scheme, sp, query, grant), now_ms=700)
+            build_access_tx(scheme, sp, query, owner_grant(owner, sp, query)),
+            now_ms=700)
         assert res.granted
         assert [r.record_id for r in res.records] == [rid_a]
 

@@ -1149,6 +1149,21 @@ def test_sweep_verifies_every_certificate(finished_worlds):
     assert counting.verified[world.ca.public] == certified
 
 
+def test_sweep_verifies_every_requester_signature(finished_worlds):
+    # the access path's admission answers the requester triple that
+    # evaluate_access verified; the sweep still verifies each requester
+    # signature once per chained access
+    world = copy.deepcopy(finished_worlds["market_suite"][0])
+    world.scheme = counting = CountingScheme()
+    world.sweep_invariants()
+    signed = collections.Counter(tx.requester_pk
+                                 for ledger in world.ledgers.values()
+                                 for tx in ledger.all_txs()
+                                 if isinstance(tx, AccessTransaction))
+    assert signed
+    assert {pk: counting.verified[pk] for pk in signed} == signed
+
+
 def test_write_path_verifies_each_report_about_once():
     # ingest verifies each report once; admission verifies no member that
     # its window's ingest verified, only one RSI signature per chained

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from dmap.encoding import LAYOUTS, DecodeError, canonical_decode, canonical_encode
 from dmap.fixtures import FIXTURE_NAMES
-from dmap.ledger import miner_admit
+from dmap.ledger import genesis, miner_admit
 from dmap.market import (
     DENY_BAD_SIGNATURE,
     build_access_tx,
@@ -120,9 +120,12 @@ class TestSignersSeedWire:
     @given(query=scopes, requester=labels)
     def test_countersigned_access(self, query, requester):
         # a direct owner grant over the data of no record: always granted
+        # once each region of the query has a ledger
         world = MarketSetup()
         sp, owner = key(requester), key("owner")
         query = dataclasses.replace(query, region_ids=query.region_ids[:1])
+        for region in query.region_ids:
+            world.ledgers.setdefault(region, genesis(region))
         grant = Grant(kind=GRANT_OWNER_SIG, owner_pk=owner.public,
                       owner_sign=scheme.sign(
                           owner, grant_signing_bytes(sp.public, query)))
